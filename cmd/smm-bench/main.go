@@ -232,7 +232,7 @@ func workloads() []workload {
 			// differ, versus independent PlanModel calls.
 			name: "BatchNeighbors",
 			run: func() {
-				memo := policy.NewMemoCap(4096)
+				memo := policy.NewMemo()
 				fp := plancache.NewFingerprints(len(batchNets))
 				opts := scratchmem.PlanOptions{GLBKiloBytes: 64}
 				for _, nn := range batchNets {

@@ -18,11 +18,11 @@ const (
 	// prefetch double-buffers every tile (paper Eq. 2), so dropping it
 	// halves the working set of each candidate.
 	DegradedPrefetchRelaxed = "prefetch-relaxed"
-	// DegradedMinimalTiling re-plans with only the smallest-footprint
-	// schedules: P4/P5 pinned to a single-filter block and fallback tiling,
-	// all without prefetch. Retired from the ladder in favour of
-	// DegradedLifetimeSpill; the name stays accepted so stored plans and
-	// old clients keep parsing.
+	// DegradedMinimalTiling named the retired rung that re-planned with
+	// only the smallest-footprint schedules: P4/P5 pinned to a
+	// single-filter block and fallback tiling, all without prefetch.
+	// DegradedLifetimeSpill replaced it; the name stays accepted so stored
+	// plans, old clients and the degraded-mode metric label keep working.
 	DegradedMinimalTiling = "minimal-tiling"
 	// DegradedLifetimeSpill is DegradedMinimalTiling's replacement rung: the
 	// same smallest-footprint candidate set, planned over the network's
@@ -51,59 +51,6 @@ func (p *Plan) MarkDegraded(mode string, reasons []DegradedReason) {
 	p.Degraded = true
 	p.DegradedMode = mode
 	p.DegradedReasons = reasons
-}
-
-// MinimalFootprintCtx plans every layer using only the smallest-footprint
-// schedules: policies 4 and 5 pinned to a single-filter block (n=1) and
-// fallback tiling, all without prefetch double-buffering. It is the
-// degradation ladder's penultimate rung — tighter than the requested policy
-// set, but still choosing the best of its three candidates per layer under
-// the configured objective.
-func (pl *Planner) MinimalFootprintCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
-	if err := pl.Cfg.Validate(); err != nil {
-		return nil, smmerr.BadModel(err)
-	}
-	if err := n.Validate(); err != nil {
-		return nil, smmerr.BadModel(err)
-	}
-	plan := &Plan{
-		Model: n.Name, Cfg: pl.Cfg, Objective: pl.Objective,
-		Scheme:               DegradedMinimalTiling,
-		ChainableTransitions: countChainable(n),
-	}
-	plan.Layers = make([]LayerPlan, len(n.Layers))
-	var accesses, cycles int64
-	for i := range n.Layers {
-		if err := layerGate(ctx); err != nil {
-			return nil, smmerr.Layer(i, n.Layers[i].Name, err)
-		}
-		l := &n.Layers[i]
-		cands := []policy.Result{
-			policy.EstimateN(l, policy.P4PartialIfmap, policy.Options{}, pl.Cfg, 1),
-			policy.EstimateN(l, policy.P5PartialPerChannel, policy.Options{}, pl.Cfg, 1),
-			policy.FallbackEstimate(l, policy.Options{}, pl.Cfg),
-		}
-		var best policy.Result
-		found := false
-		for j := range cands {
-			if !cands[j].Feasible {
-				continue
-			}
-			if !found || better(pl.Objective, &cands[j], &best) {
-				best, found = cands[j], true
-			}
-		}
-		if !found {
-			return nil, smmerr.Layer(i, l.Name,
-				&smmerr.InfeasibleError{Model: n.Name, Layer: l.Name, Need: cands[2].MemoryBytes, Have: pl.Cfg.GLBBytes})
-		}
-		plan.Layers[i] = LayerPlan{Layer: *l, Est: best}
-		accesses += best.AccessElems
-		cycles += best.LatencyCycles
-		prog.Emit(progress.Event{Phase: "plan", Index: i, Total: len(n.Layers), Name: l.Name,
-			AccessElems: accesses, LatencyCycles: cycles})
-	}
-	return plan, nil
 }
 
 // BaselineFallbackCtx emits the conservative last-resort plan: every layer

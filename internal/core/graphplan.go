@@ -68,7 +68,7 @@ func (pl *Planner) fullNodeEstimator() nodeEstimator {
 
 // minimalNodeEstimator restricts each node to the smallest-footprint
 // schedules — P4/P5 pinned to a single-filter block and fallback tiling,
-// no prefetch — the DAG analogue of MinimalFootprintCtx's candidate set.
+// no prefetch — the candidate set of the lifetime_spill ladder rung.
 func (pl *Planner) minimalNodeEstimator() nodeEstimator {
 	return func(e *policy.Result, l *layer.Layer, resident, keep bool) {
 		o := policy.Options{ResidentIfmap: resident, KeepOfmap: keep}

@@ -12,7 +12,7 @@ import (
 // The objective is deliberately absent — one candidate sweep computes the
 // winner under both objectives (see bestPair) — so an access-objective
 // planner and a latency-objective planner sharing one estimate memo (the
-// figure drivers, the server) also share every per-layer decision.
+// figure drivers, one server batch) also share every per-layer decision.
 //
 // Cfg and the flags live in the key rather than being assumed constant:
 // the degradation ladder plans with copies of the Planner that share this

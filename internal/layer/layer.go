@@ -143,11 +143,6 @@ func (l *Layer) Validate() error {
 			return fail("FC layers are modelled with IH=IW=FH=FW=1")
 		}
 	}
-	if (l.IH+2*l.P-l.FH)%l.S != 0 || (l.IW+2*l.P-l.FW)%l.S != 0 {
-		// Real frameworks floor this; we allow it but it is worth flagging in
-		// tests, so keep it valid. No error.
-		_ = struct{}{}
-	}
 	return nil
 }
 

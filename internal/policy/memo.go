@@ -85,10 +85,6 @@ type Memo struct {
 	hits, misses, count atomic.Int64
 	// companion holds one opaque caller-attached cache (see Companion).
 	companion atomic.Value
-	// maxEntries caps the table (0 = unbounded). Past the cap new entries
-	// are computed but not stored, so a long-lived table (the server's)
-	// stays bounded while still answering correctly.
-	maxEntries int64
 	// buckets is allocated on first store: a planner that never probes the
 	// estimate table (the heterogeneous path caches whole sweeps in its
 	// companion instead) pays nothing for it.
@@ -128,26 +124,18 @@ func (m *Memo) Companion(create func() any) any {
 	return m.companion.Load()
 }
 
-// NewMemo returns an unbounded table, sized for one planning run.
+// NewMemo returns an empty table. A table lives for one planning run or
+// one batch of runs and is never bounded: no table outlives the work that
+// filled it, so its size is that work's distinct keys.
 func NewMemo() *Memo { return &Memo{} }
 
-// NewMemoCap returns a table bounded to roughly maxEntries entries (the
-// bound is advisory: concurrent stores may overshoot by a few); 0 or
-// negative means unbounded. Past the bound, lookups still hit existing
-// entries and misses compute without storing.
-func NewMemoCap(maxEntries int) *Memo {
-	m := &Memo{}
-	if maxEntries > 0 {
-		m.maxEntries = int64(maxEntries)
-	}
-	return m
-}
-
-// MemoStats is a point-in-time snapshot of the table's counters.
+// MemoStats is a point-in-time snapshot of the table's counters. Entries
+// is one table's size; sums over many tables (the server's counters) leave
+// it zero.
 type MemoStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
-	Entries int   `json:"entries"`
+	Entries int   `json:"entries,omitempty"`
 }
 
 // CountHit folds one companion-cache hit into the memo's counters, so the
@@ -283,9 +271,6 @@ func (m *Memo) lookup(k *memoKey, h uint64) *Result {
 }
 
 func (m *Memo) store(k *memoKey, h uint64, r *Result) {
-	if m.maxEntries > 0 && m.count.Load() >= m.maxEntries {
-		return
-	}
 	t := m.buckets.Load()
 	if t == nil {
 		nt := new([memoBuckets]atomic.Pointer[memoEntry])
@@ -359,9 +344,9 @@ func (k *memoKey) hash() uint64 {
 type memoCtxKey struct{}
 
 // WithMemo returns a context carrying m. The serving path uses this to
-// scope one long-lived, capped table to a server instance: the façade's
-// planner picks it up via MemoFrom, so the server's /metrics can report
-// hit rates without any package-global state.
+// hand each planning run a fresh table, or every run of one batch the
+// same table; the façade's planner picks it up via MemoFrom, and the
+// caller reads the table's Stats once the run or batch is done.
 func WithMemo(ctx context.Context, m *Memo) context.Context {
 	return context.WithValue(ctx, memoCtxKey{}, m)
 }

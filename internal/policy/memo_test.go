@@ -86,33 +86,6 @@ func TestMemoEstimateNSharesNormalizedKeys(t *testing.T) {
 	}
 }
 
-// TestMemoCap: past the bound lookups still hit existing entries but
-// misses stop storing.
-func TestMemoCap(t *testing.T) {
-	layers := memoTestLayers(t)
-	cfg := Default(64)
-	m := NewMemoCap(1)
-	l0, l1 := &layers[0], &layers[2]
-	if KeyOf(l0) == KeyOf(l1) {
-		t.Fatal("test layers share a shape; pick distinct ones")
-	}
-	m.Estimate(l0, IntraLayer, Options{}, cfg)
-	m.Estimate(l1, IntraLayer, Options{}, cfg) // past the cap: not stored
-	if st := m.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d, want the cap of 1", st.Entries)
-	}
-	before := m.Stats().Hits
-	m.Estimate(l0, IntraLayer, Options{}, cfg)
-	if m.Stats().Hits != before+1 {
-		t.Fatal("capped table stopped answering stored entries")
-	}
-	// The uncached shape still computes correctly.
-	got := m.Estimate(l1, IntraLayer, Options{}, cfg)
-	if want := EstimateFast(l1, IntraLayer, Options{}, cfg); !reflect.DeepEqual(got, want) {
-		t.Fatalf("capped miss: %+v != %+v", got, want)
-	}
-}
-
 // TestMemoNilSafe: a nil *Memo computes directly and reports zero stats.
 func TestMemoNilSafe(t *testing.T) {
 	layers := memoTestLayers(t)

@@ -76,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	memo := policy.NewMemoCap(DefaultMemoEntries)
+	memo := policy.NewMemo()
 	// One shared fingerprint index per batch: batch items are typically
 	// dense neighbor sets (DSE sweeps, one-layer mutations), so checkpoints
 	// captured by early items splice later ones even before anything lands
@@ -113,11 +113,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results[i] = item
 		return nil
 	})
+	ms := memo.Stats()
+	s.met.observeMemo(ms)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	ms := memo.Stats()
 	writeJSON(w, BatchResponse{Results: results, MemoHits: ms.Hits, MemoMisses: ms.Misses})
 }
 

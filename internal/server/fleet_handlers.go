@@ -191,7 +191,7 @@ type ClusterStatus struct {
 func (s *Server) statusDoc() ClusterStatus {
 	resp := ClusterStatus{
 		Cache:         s.cache.Stats(),
-		Memo:          s.memo.Stats(),
+		Memo:          s.met.memoStats(),
 		DegradedPlans: s.met.degradedCount(),
 	}
 	if ps, ok := s.cache.(cluster.PeerStatser); ok {

@@ -256,9 +256,11 @@ func cacheHeader(w http.ResponseWriter, shared bool) {
 // observation. A non-nil wire request makes the key eligible for a peer
 // cache-fill (the request is what the key's ring owner computes from); the
 // peer-fill handler itself passes nil so rings that momentarily disagree
-// cannot forward a request in a loop. A non-nil memo (a batch's shared
-// table) is installed on the flight context, where it survives the
-// flight's obs.Detach and wins over the server-lifetime memo.
+// cannot forward a request in a loop. The flight context carries the
+// estimate memo for its one planning run: memo when non-nil (a batch's
+// shared table, whose stats the batch counts once it finishes), otherwise
+// a fresh table counted here. No memo outlives its run or batch, so a cold
+// plan costs the same however long the server has been up.
 func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, memo *policy.Memo, batchFP *plancache.Fingerprints, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
 	var spec *cluster.FillSpec
 	if wire != nil {
@@ -289,9 +291,12 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, mem
 			return nil, err
 		}
 		defer s.sem.Release()
-		if memo != nil {
-			ctx = policy.WithMemo(ctx, memo)
+		run := memo
+		if run == nil {
+			run = policy.NewMemo()
+			defer func() { s.met.observeMemo(run.Stats()) }()
 		}
+		ctx = policy.WithMemo(ctx, run)
 		if differ != nil {
 			ctx = core.WithDiffer(ctx, differ)
 		}
@@ -595,7 +600,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fv.health = append([]cluster.MemberHealth{{Member: s.fleet.Self, Alive: true}}, s.fleet.Health.View()...)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.met.write(w, s.cache.Stats(), s.memo.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
+	s.met.write(w, s.cache.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
 }
 
 // handleTrace renders the execution trace of an already-planned model:

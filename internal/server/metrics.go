@@ -109,6 +109,10 @@ type metrics struct {
 	incremental       map[string]*atomic.Int64 // per outcome
 	incrementalLayers atomic.Int64
 
+	// Estimate-memo counters summed over every finished planning run's (or
+	// batch's) table; the tables themselves die with their run.
+	memoHits, memoMisses atomic.Int64
+
 	planner *histogram            // planner wall time (observePlanner)
 	phase   map[string]*histogram // span-derived phase latencies
 }
@@ -169,6 +173,17 @@ func (m *metrics) incrementalPlan(outcome string, layersReused int) {
 		c.Add(1)
 	}
 	m.incrementalLayers.Add(int64(layersReused))
+}
+
+// observeMemo adds one finished run's or batch's estimate-memo counters.
+func (m *metrics) observeMemo(ms policy.MemoStats) {
+	m.memoHits.Add(ms.Hits)
+	m.memoMisses.Add(ms.Misses)
+}
+
+// memoStats reads the summed estimate-memo counters.
+func (m *metrics) memoStats() policy.MemoStats {
+	return policy.MemoStats{Hits: m.memoHits.Load(), Misses: m.memoMisses.Load()}
 }
 
 // breakerOpened counts one request fast-failed by an open circuit breaker.
@@ -249,7 +264,7 @@ type fleetView struct {
 }
 
 // write renders the counters as plain-text expvar/Prometheus-style lines.
-func (m *metrics) write(w io.Writer, cs plancache.Stats, ms policy.MemoStats, ps cluster.PeerStats, fv fleetView, inflight, workers int, spans int64) {
+func (m *metrics) write(w io.Writer, cs plancache.Stats, ps cluster.PeerStats, fv fleetView, inflight, workers int, spans int64) {
 	routes := make([]string, 0, len(m.requests))
 	for r := range m.requests {
 		routes = append(routes, r)
@@ -320,9 +335,8 @@ func (m *metrics) write(w io.Writer, cs plancache.Stats, ms policy.MemoStats, ps
 	fmt.Fprintf(w, "smm_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintf(w, "smm_cache_entries %d\n", cs.Entries)
 	fmt.Fprintf(w, "smm_cache_capacity %d\n", cs.Capacity)
-	fmt.Fprintf(w, "smm_estimate_memo_hits_total %d\n", ms.Hits)
-	fmt.Fprintf(w, "smm_estimate_memo_misses_total %d\n", ms.Misses)
-	fmt.Fprintf(w, "smm_estimate_memo_entries %d\n", ms.Entries)
+	fmt.Fprintf(w, "smm_estimate_memo_hits_total %d\n", m.memoHits.Load())
+	fmt.Fprintf(w, "smm_estimate_memo_misses_total %d\n", m.memoMisses.Load())
 	fmt.Fprintf(w, "smm_inflight_executions %d\n", inflight)
 	fmt.Fprintf(w, "smm_worker_slots %d\n", workers)
 	fmt.Fprintf(w, "smm_spans_finished_total %d\n", spans)

@@ -16,7 +16,6 @@ import (
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/plancache"
-	"scratchmem/internal/policy"
 )
 
 // syncBuffer is a locked bytes.Buffer: the access log is written from the
@@ -368,7 +367,7 @@ func TestOtherErrorCode(t *testing.T) {
 	m.error(418) // no fixed label
 	m.error(451) // no fixed label
 	var buf bytes.Buffer
-	m.write(&buf, plancache.Stats{}, policy.MemoStats{}, cluster.PeerStats{}, fleetView{}, 0, 0, 0)
+	m.write(&buf, plancache.Stats{}, cluster.PeerStats{}, fleetView{}, 0, 0, 0)
 	out := buf.String()
 	if !strings.Contains(out, `smm_errors_total{code="400"} 1`) {
 		t.Error("fixed-code counter missing")

@@ -52,7 +52,6 @@ import (
 	"scratchmem/internal/obs"
 	"scratchmem/internal/parallel"
 	"scratchmem/internal/plancache"
-	"scratchmem/internal/policy"
 )
 
 // Config parameterises a Server.
@@ -110,11 +109,6 @@ const (
 	// DefaultSpanRing is how many finished spans the server's own tracer
 	// retains for GET /v1/spans when Config.Tracer is nil.
 	DefaultSpanRing = 256
-	// DefaultMemoEntries caps the server-lifetime estimate memo. An entry
-	// is a few hundred bytes, so the cap bounds the table at tens of MB
-	// while comfortably holding every shape of the built-in model set many
-	// configurations over.
-	DefaultMemoEntries = 1 << 16
 )
 
 // Server wires the public scratchmem API behind HTTP handlers with a
@@ -137,12 +131,6 @@ type Server struct {
 	breakers map[string]*breaker.Breaker // per compute route
 	log      *slog.Logger
 	tracer   *obs.Tracer
-	// memo is the server-lifetime estimate memo: plan executions share it
-	// via the request context, so repeated shapes — across layers of one
-	// model or across distinct requests that miss the plan cache (different
-	// options, same network) — cost one estimation. Capped so a hostile
-	// stream of novel shapes cannot grow it without bound.
-	memo *policy.Memo
 	// fp indexes locally cached plans by shape-signature chain for
 	// differential planning: a near-identical request resumes from the
 	// best-overlapping cached plan's checkpoint instead of re-planning
@@ -198,7 +186,6 @@ func New(cfg Config) *Server {
 	if tracer == nil {
 		tracer = obs.NewTracer(DefaultSpanRing)
 	}
-	memo := policy.NewMemoCap(DefaultMemoEntries)
 	local := plancache.New(entries)
 	fp := plancache.NewFingerprints(0)
 	local.AttachFingerprints(fp)
@@ -216,16 +203,10 @@ func New(cfg Config) *Server {
 		breakers: make(map[string]*breaker.Breaker, len(computeRoutes)),
 		log:      logger,
 		tracer:   tracer,
-		memo:     memo,
 		fp:       fp,
 		planFn: func(ctx context.Context, n *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
 			if err := faultinject.Hit("server.plan"); err != nil {
 				return nil, err
-			}
-			// A batch hands its own shared memo to the flight context; only
-			// fall back to the server-lifetime memo when none is present.
-			if policy.MemoFrom(ctx) == nil {
-				ctx = policy.WithMemo(ctx, memo)
 			}
 			return scratchmem.PlanModelCtx(ctx, n, o, nil)
 		},

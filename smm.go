@@ -263,11 +263,11 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 		DisablePrefetch: o.DisablePrefetch,
 		InterLayer:      o.InterLayerReuse,
 	}
-	// One estimate table per planning run — or the caller's long-lived one
-	// (the server scopes a capped table to its lifetime via policy.WithMemo
-	// so /metrics can report serving-path hit rates). The ladder's rungs
-	// are Planner copies, so they share the table and re-plan from cached
-	// estimates.
+	// One estimate table per planning run, or the caller's via
+	// policy.WithMemo (the server hands each run a fresh table and each
+	// batch one shared table, and reads their stats for /metrics). The
+	// ladder's rungs are Planner copies, so they share the table and
+	// re-plan from cached estimates.
 	memo := policy.MemoFrom(ctx)
 	if memo == nil {
 		memo = policy.NewMemo()
