@@ -1,0 +1,69 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	scratchmem "scratchmem"
+)
+
+// benchHandler is a server whose planner returns one precomputed ResNet18
+// plan, so the plan-handler benchmarks time the request path alone: read,
+// resolve, key, cache, render on a miss, write.
+func benchHandler(b *testing.B) http.Handler {
+	b.Helper()
+	net, err := scratchmem.BuiltinModel("ResNet18")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := scratchmem.PlanModel(net, scratchmem.PlanOptions{GLBKiloBytes: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(Config{})
+	srv.planFn = func(context.Context, *scratchmem.Network, scratchmem.PlanOptions) (*scratchmem.Plan, error) {
+		return plan, nil
+	}
+	return srv.Handler()
+}
+
+// servePlan sends one POST /v1/plan through h.
+func servePlan(b *testing.B, h http.Handler, body string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// BenchmarkPlanHandlerHit repeats one ResNet18 body: after the first
+// request every iteration is a resolve-memo and plan-cache hit.
+func BenchmarkPlanHandlerHit(b *testing.B) {
+	h := benchHandler(b)
+	const body = `{"model": "ResNet18", "glb_kb": 64}`
+	servePlan(b, h, body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		servePlan(b, h, body)
+	}
+}
+
+// BenchmarkPlanHandlerMiss sends a new builtin × GLB body every iteration,
+// so each one is decoded, resolved, keyed, planned and rendered.
+func BenchmarkPlanHandlerMiss(b *testing.B) {
+	h := benchHandler(b)
+	bodies := make([]string, b.N)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"model": %q, "glb_kb": %d}`, servedModels[i%len(servedModels)], 16+i/len(servedModels))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		servePlan(b, h, body)
+	}
+}

@@ -129,23 +129,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // disagree about a key's owner bounce the request at most once instead of
 // forwarding it in a loop.
 func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	net, opts, err := req.resolve()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	key, err := scratchmem.PlanKey(net, opts)
+	res, memoized, err := s.resolveBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	span := obs.SpanFrom(r.Context())
-	span.SetAttr("model_hash", key)
+	span.SetAttr("model_hash", res.key)
 	// ?cached=only is the successor-lookup half of the replication
 	// protocol: answer from cache or 404, never compute. A dead owner's
 	// peers use it to ask the key's ring successor for the replica the
@@ -153,21 +143,17 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	// computing locally, so triggering a compute here would turn the
 	// exactly-once guarantee into at-least-twice.
 	if r.URL.Query().Get("cached") == "only" {
-		v, ok := s.cache.Get("plan:" + key)
+		v, ok := s.cache.Get("plan:" + res.key)
 		if !ok {
-			s.writeError(w, http.StatusNotFound, "no cached plan for key "+key)
+			s.writeError(w, http.StatusNotFound, "no cached plan for key "+res.key)
 			return
 		}
-		entry := v.(*planEntry)
-		cacheHeader(w, true)
-		w.Header().Set("X-SMM-Plan-Key", key)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(entry.body)
+		s.writePlan(w, res, memoized, v.(*planEntry), true)
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	entry, shared, err := s.planned(ctx, key, nil, nil, nil, net, opts)
+	entry, shared, err := s.planned(ctx, res.key, nil, nil, nil, res.net, res.opts)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -175,10 +161,7 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	if entry.plan.Degraded {
 		span.SetAttr("degraded_mode", entry.plan.DegradedMode)
 	}
-	cacheHeader(w, shared)
-	w.Header().Set("X-SMM-Plan-Key", key)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(entry.body)
+	s.writePlan(w, res, memoized, entry, shared)
 }
 
 // SnapshotOptions carries the plan options a PlanDoc does not itself

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -155,12 +157,70 @@ type planEntry struct {
 
 // decodeBody parses a JSON request body strictly.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// decodeStrict parses the first JSON value in rd, rejecting unknown fields.
+func decodeStrict(rd io.Reader, dst any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return badRequestf("invalid request body: %v", err)
 	}
 	return nil
+}
+
+// resolvedBody is everything /v1/plan and /v1/peer/fill derive from one
+// request body before they touch the plan cache. It is a pure function of
+// the body bytes, so the server memoizes it under their SHA-256 digest
+// (Server.resolved). A memoized value is shared by every request with the
+// same body and by every re-plan after an eviction or invalidation, so
+// nothing may mutate it: the planner and RehydratePlan only read net, and
+// req reaches cluster.FillSpec.Request read-only.
+type resolvedBody struct {
+	digest string // raw SHA-256 of the body, the memo key
+	req    PlanRequest
+	net    *scratchmem.Network
+	opts   scratchmem.PlanOptions
+	key    string // scratchmem.PlanKey(net, opts)
+}
+
+// resolveBody reads a /v1/plan body under maxBodyBytes and resolves it. On
+// a memo hit (memoized) it returns the stored resolution; on a miss it runs
+// the strict decode, resolve and PlanKey. The handler stores a miss through
+// writePlan once it has answered with a plan, so errors never enter the memo.
+func (s *Server) resolveBody(w http.ResponseWriter, r *http.Request) (res *resolvedBody, memoized bool, err error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, false, badRequestf("invalid request body: %v", err)
+	}
+	sum := sha256.Sum256(body)
+	if v, ok := s.resolved.Get(string(sum[:])); ok {
+		return v.(*resolvedBody), true, nil
+	}
+	res = &resolvedBody{digest: string(sum[:])}
+	if err := decodeStrict(bytes.NewReader(body), &res.req); err != nil {
+		return nil, false, err
+	}
+	if res.net, res.opts, err = res.req.resolve(); err != nil {
+		return nil, false, err
+	}
+	if res.key, err = scratchmem.PlanKey(res.net, res.opts); err != nil {
+		return nil, false, err
+	}
+	return res, false, nil
+}
+
+// writePlan answers a resolved body with its plan document, then memoizes a
+// fresh resolution: the memo only ever holds bodies that earned a plan.
+func (s *Server) writePlan(w http.ResponseWriter, res *resolvedBody, memoized bool, entry *planEntry, shared bool) {
+	cacheHeader(w, shared)
+	w.Header().Set("X-SMM-Plan-Key", res.key)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(entry.body)
+	if !memoized {
+		s.resolved.Put(res.digest, res)
+	}
 }
 
 // requestCtx applies the server's per-request deadline.
@@ -383,26 +443,16 @@ func decodePeerPlan(body []byte, net *scratchmem.Network, opts scratchmem.PlanOp
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	net, opts, err := req.resolve()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	key, err := scratchmem.PlanKey(net, opts)
+	res, memoized, err := s.resolveBody(w, r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	span := obs.SpanFrom(r.Context())
-	span.SetAttr("model_hash", key)
+	span.SetAttr("model_hash", res.key)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	entry, shared, err := s.planned(ctx, key, &req, nil, nil, net, opts)
+	entry, shared, err := s.planned(ctx, res.key, &res.req, nil, nil, res.net, res.opts)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -410,10 +460,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if entry.plan.Degraded {
 		span.SetAttr("degraded_mode", entry.plan.DegradedMode)
 	}
-	cacheHeader(w, shared)
-	w.Header().Set("X-SMM-Plan-Key", key)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(entry.body)
+	s.writePlan(w, res, memoized, entry, shared)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -600,7 +647,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fv.health = append([]cluster.MemberHealth{{Member: s.fleet.Self, Alive: true}}, s.fleet.Health.View()...)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.met.write(w, s.cache.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
+	s.met.write(w, s.cache.Stats(), s.resolved.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
 }
 
 // handleTrace renders the execution trace of an already-planned model:

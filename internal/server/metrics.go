@@ -263,8 +263,9 @@ type fleetView struct {
 	health []cluster.MemberHealth
 }
 
-// write renders the counters as plain-text expvar/Prometheus-style lines.
-func (m *metrics) write(w io.Writer, cs plancache.Stats, ps cluster.PeerStats, fv fleetView, inflight, workers int, spans int64) {
+// write renders the counters as plain-text expvar/Prometheus-style lines;
+// cs is the plan cache's and rs the resolve memo's.
+func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, ps cluster.PeerStats, fv fleetView, inflight, workers int, spans int64) {
 	routes := make([]string, 0, len(m.requests))
 	for r := range m.requests {
 		routes = append(routes, r)
@@ -337,6 +338,8 @@ func (m *metrics) write(w io.Writer, cs plancache.Stats, ps cluster.PeerStats, f
 	fmt.Fprintf(w, "smm_cache_capacity %d\n", cs.Capacity)
 	fmt.Fprintf(w, "smm_estimate_memo_hits_total %d\n", m.memoHits.Load())
 	fmt.Fprintf(w, "smm_estimate_memo_misses_total %d\n", m.memoMisses.Load())
+	fmt.Fprintf(w, "smm_resolve_memo_hits_total %d\n", rs.Hits)
+	fmt.Fprintf(w, "smm_resolve_memo_misses_total %d\n", rs.Misses)
 	fmt.Fprintf(w, "smm_inflight_executions %d\n", inflight)
 	fmt.Fprintf(w, "smm_worker_slots %d\n", workers)
 	fmt.Fprintf(w, "smm_spans_finished_total %d\n", spans)

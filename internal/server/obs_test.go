@@ -367,7 +367,7 @@ func TestOtherErrorCode(t *testing.T) {
 	m.error(418) // no fixed label
 	m.error(451) // no fixed label
 	var buf bytes.Buffer
-	m.write(&buf, plancache.Stats{}, cluster.PeerStats{}, fleetView{}, 0, 0, 0)
+	m.write(&buf, plancache.Stats{}, plancache.Stats{}, cluster.PeerStats{}, fleetView{}, 0, 0, 0)
 	out := buf.String()
 	if !strings.Contains(out, `smm_errors_total{code="400"} 1`) {
 		t.Error("fixed-code counter missing")

@@ -62,7 +62,8 @@ type Config struct {
 	Workers int
 	// CacheEntries is the plan-cache capacity. 0 selects the default
 	// (DefaultCacheEntries); negative disables storage while keeping
-	// single-flight deduplication.
+	// single-flight deduplication. The resolve memo of /v1/plan and
+	// /v1/peer/fill bodies gets the same capacity.
 	CacheEntries int
 	// Timeout is the per-request deadline (DefaultTimeout when <= 0).
 	Timeout time.Duration
@@ -123,6 +124,10 @@ type Server struct {
 	// local is the authoritative in-process store under cache; warm
 	// snapshot restore inserts through it directly.
 	local *plancache.Cache
+	// resolved is the resolve memo of /v1/plan and /v1/peer/fill, keyed by
+	// body digest (see resolvedBody). It holds no plan state, so
+	// invalidation and purge leave it alone.
+	resolved *plancache.Cache
 	// fleet is the cluster control plane (Config.Fleet); nil standalone.
 	fleet    *cluster.Fleet
 	sem      *parallel.Semaphore
@@ -197,6 +202,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		cache:    backend,
 		local:    local,
+		resolved: plancache.New(entries),
 		fleet:    cfg.Fleet,
 		sem:      parallel.NewQueuedSemaphore(cfg.Workers, queue),
 		met:      newMetrics(routes),

@@ -2,8 +2,12 @@ package scratchmem
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
+
+	"scratchmem/internal/layer"
 )
 
 // rehydrateOptionGrid is the option matrix the round-trip property runs
@@ -98,4 +102,60 @@ func mustBuiltin(t *testing.T, name string) *Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestPlanningLeavesNetworkUnchanged pins a contract the server's resolve
+// memo relies on: one *Network is handed to every request with the same
+// body, and to every re-plan after an eviction or invalidation, so
+// planning, the degradation ladder and rehydration must only read their
+// input. Each case plans a network and, when the plan is not degraded,
+// rehydrates it from its rendered document, then compares the network with
+// a copy taken before.
+func TestPlanningLeavesNetworkUnchanged(t *testing.T) {
+	nets := append(BuiltinModels(), mustBuiltin(t, "TinyCNN"), mustBuiltin(t, "AlexNet"), mustBuiltin(t, "VGG16"))
+	schemes := []PlanOptions{{}, {Homogeneous: true}, {InterLayerReuse: true}}
+	degraded := 0
+	for _, net := range nets {
+		for _, obj := range []Objective{MinAccesses, MinLatency} {
+			for _, scheme := range schemes {
+				// 4 MB fits every layer of every builtin; at 1 kB the
+				// non-strict planner descends the ladder for all but
+				// TinyCNN.
+				for _, kb := range []int{4096, 1} {
+					opts := scheme
+					opts.Objective = obj
+					opts.GLBKiloBytes = kb
+					before := &Network{Name: net.Name, Layers: append([]layer.Layer(nil), net.Layers...)}
+					p, err := PlanModelCtx(context.Background(), net, opts, nil)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", net.Name, opts, err)
+					}
+					switch {
+					case p.Degraded && kb > 1:
+						t.Fatalf("%s %+v: degraded although the GLB fits", net.Name, opts)
+					case p.Degraded:
+						degraded++
+					default:
+						body, err := PlanDocument(p).MarshalIndent()
+						if err != nil {
+							t.Fatal(err)
+						}
+						var doc PlanDoc
+						if err := json.Unmarshal(body, &doc); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := RehydratePlan(net, &doc); err != nil {
+							t.Fatalf("%s %+v: RehydratePlan: %v", net.Name, opts, err)
+						}
+					}
+					if !reflect.DeepEqual(net, before) {
+						t.Fatalf("%s %+v: planning changed its input network", net.Name, opts)
+					}
+				}
+			}
+		}
+	}
+	if degraded == 0 {
+		t.Error("no case took the degradation ladder")
+	}
 }
