@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 	if *modelFlag == "" {
 		t := report.NewTable("Built-in models",
 			"Network", "Layers", "Types", "Params (M)", "MACs (G)", "Min traffic (MB)")
-		names := append(model.BuiltinNames(), "AlexNet", "VGG16", "TinyCNN")
+		names := model.AllBuiltinNames()
 		for _, name := range names {
 			n, err := model.Builtin(name)
 			if err != nil {

@@ -163,13 +163,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Logger:       logger,
 		SlowRequest:  *slowRequest,
 	}
+	// peerConns is the fleet client's own transport (nil standalone).
+	var peerConns *http.Transport
 	if *peers != "" {
-		backend, fleet, err := clusterBackend(*peers, *self, *hotCache, *probeEvery, *replicateQueue)
+		backend, fleet, conns, err := clusterBackend(*peers, *self, *hotCache, *probeEvery, *replicateQueue)
 		if err != nil {
 			return err
 		}
 		cfg.Cluster = backend
 		cfg.Fleet = fleet
+		peerConns = conns
 		logger.Info("fleet member", "self", *self, "peers", *peers, "hot_cache", *hotCache,
 			"probe_every", *probeEvery, "replicate_queue", *replicateQueue)
 	} else if *self != "" {
@@ -272,6 +275,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case <-ctx.Done():
 	}
 	logger.Info("shutting down, draining in-flight requests", "drain", *drain)
+	// Stop talking to peers before draining. A peer connection this member
+	// dialled but never used sits in the other member's StateNew, and that
+	// member's Shutdown would wait 5 s on it.
+	cfg.Fleet.Stop()
+	if peerConns != nil {
+		peerConns.CloseIdleConnections()
+	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -290,8 +300,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // a consistent-hash ring over the static member list, peer fills and
 // successor lookups through the resilient client, a small hot cache of
 // remotely-owned plans layered in front, plus health probing, successor
-// replication and the fan-out invalidation transport.
-func clusterBackend(peers, self string, hotEntries int, probeEvery time.Duration, replicateQueue int) (func(*plancache.Cache) cluster.Backend, *cluster.Fleet, error) {
+// replication and the fan-out invalidation transport. It also returns the
+// fleet client's transport, which no other client shares, so shutdown can
+// close its idle peer connections.
+func clusterBackend(peers, self string, hotEntries int, probeEvery time.Duration, replicateQueue int) (func(*plancache.Cache) cluster.Backend, *cluster.Fleet, *http.Transport, error) {
 	var members []string
 	seen := make(map[string]bool)
 	for _, m := range strings.Split(peers, ",") {
@@ -303,27 +315,29 @@ func clusterBackend(peers, self string, hotEntries int, probeEvery time.Duration
 			// A duplicated member would silently deduplicate inside the ring
 			// and almost certainly means a typo in a deploy config: refuse
 			// rather than run with a membership the operator did not write.
-			return nil, nil, fmt.Errorf("-peers lists %q more than once", m)
+			return nil, nil, nil, fmt.Errorf("-peers lists %q more than once", m)
 		}
 		seen[m] = true
 		members = append(members, m)
 	}
 	ring, err := cluster.NewRing(members, cluster.DefaultReplicas)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if self == "" {
-		return nil, nil, fmt.Errorf("-self is required with -peers")
+		return nil, nil, nil, fmt.Errorf("-self is required with -peers")
 	}
 	self = strings.TrimRight(strings.TrimSpace(self), "/")
 	if !slices.Contains(ring.Members(), self) {
-		return nil, nil, fmt.Errorf("-self %q is not one of -peers %q", self, peers)
+		return nil, nil, nil, fmt.Errorf("-self %q is not one of -peers %q", self, peers)
 	}
 	// Peer fills get a single retry: the Peer backend already breaks the
 	// circuit and falls back to planning locally, so a long client-side
 	// retry loop would only delay that fallback.
 	fill := client.New("")
 	fill.MaxRetries = 1
+	conns := http.DefaultTransport.(*http.Transport).Clone()
+	fill.HTTPClient = &http.Client{Transport: conns}
 	transport := fill.Transport()
 
 	fleet := &cluster.Fleet{
@@ -344,7 +358,7 @@ func clusterBackend(peers, self string, hotEntries int, probeEvery time.Duration
 	return func(local *plancache.Cache) cluster.Backend {
 		peer := cluster.NewPeer(cluster.NewLocal(local), ring, self, transport, popts)
 		return cluster.NewLayered(plancache.New(hotEntries), peer, peer.Remote)
-	}, fleet, nil
+	}, fleet, conns, nil
 }
 
 // warmSource opens the -warm-from snapshot stream: a peer base URL (the

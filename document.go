@@ -1,8 +1,10 @@
 package scratchmem
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"sync"
 
 	"scratchmem/internal/policy"
 )
@@ -179,14 +181,86 @@ func PlanDocument(p *Plan) *PlanDoc {
 	return doc
 }
 
+// indentBuf recycles MarshalIndent's scratch buffer. The document is
+// indented there, then copied into a body of exactly its length: rendered
+// bodies live on in the plan cache, where slack capacity would be resident
+// memory.
+var indentBuf = sync.Pool{New: func() any { return new([]byte) }}
+
 // MarshalIndent renders the document the one canonical way (two-space
 // indent, trailing newline) so CLI and server bodies compare byte-equal.
+// The bytes are those of json.MarshalIndent(d, "", "  ") plus "\n",
+// indented in one pass that trusts json.Marshal's output rather than
+// re-validating it.
 func (d *PlanDoc) MarshalIndent() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
+	compact, err := json.Marshal(d)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	bp := indentBuf.Get().(*[]byte)
+	buf := append(appendIndent((*bp)[:0], compact), '\n')
+	body := make([]byte, len(buf))
+	copy(body, buf)
+	*bp = buf
+	indentBuf.Put(bp)
+	return body, nil
+}
+
+// appendIndent appends src, compact JSON as json.Marshal writes it, to dst
+// with a two-space indent laid out exactly as json.Indent lays it out: a
+// newline after each opening bracket and comma and before each closing
+// bracket, empty objects and arrays kept as {} and [], one space after
+// each colon. Bytes between those punctuation marks are copied in runs.
+// Only string and escape state are tracked and nothing is validated, so
+// src must be trusted.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	run := 0 // src[run:i] is still to be copied verbatim
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			// Jump to the closing quote: the next one not escaped by an
+			// odd run of backslashes.
+			for {
+				i += 1 + bytes.IndexByte(src[i+1:], '"')
+				k := i - 1
+				for src[k] == '\\' {
+					k--
+				}
+				if (i-1-k)%2 == 0 {
+					break
+				}
+			}
+		case '{', '[':
+			if c := src[i+1]; c == '}' || c == ']' {
+				i++ // empty: copied as is
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case ',':
+			dst = appendNewline(append(dst, src[run:i+1]...), depth)
+			run = i + 1
+		case ':':
+			dst = append(append(dst, src[run:i+1]...), ' ')
+			run = i + 1
+		case '}', ']':
+			depth--
+			dst = appendNewline(append(dst, src[run:i]...), depth)
+			run = i
+		}
+	}
+	return append(dst, src[run:]...)
+}
+
+// appendNewline starts a new line indented depth levels deep.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, "  "...)
+	}
+	return dst
 }
 
 // Encode writes the canonical rendering to w.

@@ -183,6 +183,17 @@ func TestHealthLoopAndStop(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	h.Stop()
+	// Stop waits for the loop, so no probe runs after it returns.
+	mu.Lock()
+	stopped := probes
+	mu.Unlock()
+	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	after := probes
+	mu.Unlock()
+	if after != stopped {
+		t.Errorf("%d probes ran after Stop returned", after-stopped)
+	}
 	h.Stop() // idempotent
 }
 

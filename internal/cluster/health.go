@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scratchmem/internal/faultinject"
@@ -64,6 +65,7 @@ type Health struct {
 	members map[string]*memberState
 	order   []string // stable probe/view order
 
+	started  atomic.Bool
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -111,6 +113,7 @@ func (h *Health) Start() {
 	if h == nil {
 		return
 	}
+	h.started.Store(true)
 	go func() {
 		defer close(h.done)
 		t := time.NewTicker(h.opts.Interval)
@@ -135,10 +138,8 @@ func (h *Health) Stop() {
 	}
 	h.stopOnce.Do(func() {
 		close(h.stop)
-		select {
-		case <-h.done:
-		default:
-			// Start was never called; nothing to wait for.
+		if h.started.Load() {
+			<-h.done
 		}
 	})
 }

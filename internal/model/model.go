@@ -107,11 +107,18 @@ func BuiltinNames() []string {
 	return []string{"EfficientNetB0", "GoogLeNet", "MnasNet", "MobileNet", "MobileNetV2", "ResNet18"}
 }
 
+// AllBuiltinNames lists every built-in model once, in its canonical
+// spelling: the Table-2 six, then AlexNet, VGG16 and TinyCNN. It is the
+// list smm-serve's /v1/models advertises and an unknown-name error offers.
+func AllBuiltinNames() []string {
+	return append(BuiltinNames(), "AlexNet", "VGG16", "TinyCNN")
+}
+
 // Builtin returns the named built-in network (case-insensitive).
 func Builtin(name string) (*Network, error) {
 	b, ok := builtins[normalize(name)]
 	if !ok {
-		return nil, fmt.Errorf("model: unknown built-in model %q (have %v)", name, BuiltinNames())
+		return nil, fmt.Errorf("model: unknown built-in model %q (have %v)", name, AllBuiltinNames())
 	}
 	return b(), nil
 }
@@ -138,7 +145,7 @@ var graphBuilders = map[string]func() *netBuilder{
 func BuiltinGraph(name string) (*Graph, error) {
 	b, ok := graphBuilders[normalize(name)]
 	if !ok {
-		return nil, fmt.Errorf("model: unknown built-in model %q (have %v)", name, BuiltinNames())
+		return nil, fmt.Errorf("model: unknown built-in model %q (have %v)", name, AllBuiltinNames())
 	}
 	return b().buildGraph(), nil
 }

@@ -5,9 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
-
-	scratchmem "scratchmem"
 )
 
 // sweepRequests builds a 50-pair DSE-style sweep: two models crossed with
@@ -40,25 +39,12 @@ func sweepRequests() []PlanRequest {
 	return reqs[:50]
 }
 
-// canonicalDoc re-renders a wire plan document in the canonical form
-// (PlanDoc.MarshalIndent), the byte layout POST /v1/plan serves.
-func canonicalDoc(t *testing.T, raw json.RawMessage) []byte {
-	t.Helper()
-	var doc scratchmem.PlanDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	b, err := doc.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestBatchMatchesSequential pins the batch acceptance criterion: a 50-pair
 // sweep through POST /v1/plan/batch returns documents byte-identical to 50
 // sequential /v1/plan calls, and the batch-shared estimate memo records
 // hits (the sweep re-estimates the same layer shapes across GLB sizes).
+// Each item's raw plan bytes are the /v1/plan body minus its trailing
+// newline: the envelope splices cached documents in verbatim.
 func TestBatchMatchesSequential(t *testing.T) {
 	reqs := sweepRequests()
 
@@ -98,11 +84,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if item.Status != http.StatusOK {
 			t.Fatalf("item %d: status %d: %s", i, item.Status, item.Error)
 		}
-		// The batch envelope re-flows embedded JSON whitespace, so compare
-		// canonical renderings: parse the item's document and re-render it
-		// the one canonical way — it must be byte-identical to the lone
-		// /v1/plan response.
-		if !bytes.Equal(canonicalDoc(t, item.Plan), sequential[i]) {
+		if !bytes.Equal(item.Plan, bytes.TrimSuffix(sequential[i], []byte("\n"))) {
 			t.Errorf("item %d: batch document differs from the sequential one", i)
 		}
 	}
@@ -215,5 +197,123 @@ func TestBatchDeduplicatesInsideOneCall(t *testing.T) {
 	_, metricsBody := get(t, ts, "/metrics")
 	if got := metric(t, metricsBody, "smm_planner_latency_seconds_count"); got != 1 {
 		t.Errorf("planner ran %d times for 8 identical items, want 1", got)
+	}
+}
+
+// TestBatchEnvelope decodes a mixed envelope strictly: 200, 400 and 422
+// items (one error text carrying '"', '\' and '<'), a duplicate that hits
+// the cache, and memo counters that match /metrics. Re-encoded the way
+// writeJSON encodes a BatchResponse, it compacts to the same JSON, so the
+// hand-written envelope keeps the encoder's field names, order and escaping.
+func TestBatchEnvelope(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	odd := `No"Such\\Net<x>`
+	reqs := []PlanRequest{
+		{Model: "TinyCNN", GLBKiloBytes: 32},
+		{Model: odd, GLBKiloBytes: 32},
+		{Model: "ResNet18", GLBKiloBytes: 1, Strict: true},
+		{Model: "AlexNet", GLBKiloBytes: 128},
+		{Model: "TinyCNN", GLBKiloBytes: 32},
+	}
+	body, err := json.Marshal(BatchRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, respBody := post(t, ts, "/v1/plan/batch", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, respBody)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	dec := json.NewDecoder(bytes.NewReader(respBody))
+	dec.DisallowUnknownFields()
+	var br BatchResponse
+	if err := dec.Decode(&br); err != nil {
+		t.Fatalf("strict decode: %v\n%s", err, respBody)
+	}
+	if dec.More() {
+		t.Error("bytes after the envelope")
+	}
+	if len(br.Results) != len(reqs) {
+		t.Fatalf("%d results for %d requests", len(br.Results), len(reqs))
+	}
+
+	// Nothing has planned but the batch yet, so the server-wide estimate
+	// memo counters are the batch's.
+	_, metricsBody := get(t, ts, "/metrics")
+	if br.MemoMisses == 0 || br.MemoMisses != metric(t, metricsBody, "smm_estimate_memo_misses_total") ||
+		br.MemoHits != metric(t, metricsBody, "smm_estimate_memo_hits_total") {
+		t.Errorf("memo_hits %d, memo_misses %d disagree with /metrics", br.MemoHits, br.MemoMisses)
+	}
+
+	// Every item agrees with the lone /v1/plan answer to the same request:
+	// status, plan key, error text and document bytes.
+	for i, pr := range reqs {
+		one, err := json.Marshal(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, b := post(t, ts, "/v1/plan", string(one))
+		it := br.Results[i]
+		if it.Status != r.StatusCode {
+			t.Errorf("item %d: status %d, /v1/plan %d", i, it.Status, r.StatusCode)
+			continue
+		}
+		switch it.Status {
+		case http.StatusOK:
+			if it.PlanKey == "" || it.PlanKey != r.Header.Get("X-SMM-Plan-Key") {
+				t.Errorf("item %d: plan key %q, /v1/plan %q", i, it.PlanKey, r.Header.Get("X-SMM-Plan-Key"))
+			}
+			if !bytes.Equal(it.Plan, bytes.TrimSuffix(b, []byte("\n"))) {
+				t.Errorf("item %d: plan differs from the /v1/plan body", i)
+			}
+			if it.Error != "" {
+				t.Errorf("item %d: 200 with error %q", i, it.Error)
+			}
+		default:
+			var e errorResponse
+			if err := json.Unmarshal(b, &e); err != nil {
+				t.Fatal(err)
+			}
+			if it.Error != e.Error || len(it.Plan) != 0 || it.Cache != "" {
+				t.Errorf("item %d: error %q plan %dB cache %q; /v1/plan error %q", i, it.Error, len(it.Plan), it.Cache, e.Error)
+			}
+		}
+	}
+	if e := br.Results[1].Error; !strings.Contains(e, `"`) || !strings.Contains(e, `\`) || !strings.Contains(e, "<") {
+		t.Errorf("400 error text %q lost its quote, backslash or '<'", e)
+	}
+	if br.Results[1].PlanKey != "" {
+		t.Errorf("unresolvable item has plan key %q", br.Results[1].PlanKey)
+	}
+	if br.Results[2].PlanKey == "" {
+		t.Error("infeasible item lost its plan key")
+	}
+	// TinyCNN@32 appears twice: one planner run, one hit. Which of the two
+	// runs it is up to the fan-out.
+	if c0, c4 := br.Results[0].Cache, br.Results[4].Cache; c0+c4 != "hitmiss" && c0+c4 != "misshit" {
+		t.Errorf("duplicate items: cache %q and %q, want one hit and one miss", c0, c4)
+	}
+	if br.Results[3].Cache != "miss" {
+		t.Errorf("AlexNet item: cache %q, want miss", br.Results[3].Cache)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(br); err != nil {
+		t.Fatal(err)
+	}
+	var gotC, wantC bytes.Buffer
+	if err := json.Compact(&gotC, respBody); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&wantC, want.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotC.Bytes(), wantC.Bytes()) {
+		t.Errorf("envelope differs from the encoder's:\n got %s\nwant %s", gotC.Bytes(), wantC.Bytes())
 	}
 }

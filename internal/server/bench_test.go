@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -65,5 +67,43 @@ func BenchmarkPlanHandlerMiss(b *testing.B) {
 	b.ResetTimer()
 	for _, body := range bodies {
 		servePlan(b, h, body)
+	}
+}
+
+// BenchmarkBatchHandler sends one POST /v1/plan/batch of 64 inline
+// one-layer mutants of MobileNetV2 (layer i%L gets 1+i/L more filters, or
+// channels for depth-wise layers) through the real planner. The first
+// request plans them; after it every item is a plan-cache hit, so each
+// iteration times the batch decode, 64 network resolutions and plan keys,
+// and the response envelope.
+func BenchmarkBatchHandler(b *testing.B) {
+	net, err := scratchmem.BuiltinModel("MobileNetV2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]PlanRequest, 64)
+	for i := range reqs {
+		reqs[i] = PlanRequest{
+			Network:      neighborNetwork(b, "MobileNetV2", i%len(net.Layers), 1+i/len(net.Layers)),
+			GLBKiloBytes: 64,
+		}
+	}
+	body, err := json.Marshal(BatchRequest{Requests: reqs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := New(Config{}).Handler()
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"status": 200`)) != len(reqs) {
+			b.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 
 	scratchmem "scratchmem"
@@ -32,7 +33,8 @@ type BatchRequest struct {
 
 // BatchItem is one per-request result inside a BatchResponse, in request
 // order. Status carries the HTTP code the same request would have received
-// from POST /v1/plan; Plan is the byte-identical document body on 200.
+// from POST /v1/plan; Plan is the byte-identical document body on 200,
+// without its trailing newline.
 type BatchItem struct {
 	Status  int             `json:"status"`
 	PlanKey string          `json:"plan_key,omitempty"`
@@ -106,7 +108,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = BatchItem{Status: code, PlanKey: key, Error: msg}
 			return nil
 		}
-		item := BatchItem{Status: http.StatusOK, PlanKey: key, Cache: "miss", Plan: entry.body}
+		item := BatchItem{Status: http.StatusOK, PlanKey: key, Cache: "miss", Plan: entry.body[:len(entry.body)-1]}
 		if shared {
 			item.Cache = "hit"
 		}
@@ -119,7 +121,56 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, BatchResponse{Results: results, MemoHits: ms.Hits, MemoMisses: ms.Misses})
+	writeBatch(w, results, ms.Hits, ms.Misses)
+}
+
+// writeBatch writes a BatchResponse in writeJSON's layout, except that each
+// plan is the cached document spliced in verbatim: re-encoding it would
+// only compact and re-indent bytes the plan cache already holds, once per
+// item of every response.
+func writeBatch(w http.ResponseWriter, results []BatchItem, memoHits, memoMisses int64) {
+	w.Header().Set("Content-Type", "application/json")
+	buf := []byte("{\n  \"results\": [\n")
+	for i := range results {
+		it := &results[i]
+		if i > 0 {
+			buf = append(buf, ",\n"...)
+		}
+		buf = append(buf, "    {\n      \"status\": "...)
+		buf = strconv.AppendInt(buf, int64(it.Status), 10)
+		buf = appendBatchField(buf, "plan_key", it.PlanKey)
+		buf = appendBatchField(buf, "cache", it.Cache)
+		if len(it.Plan) > 0 {
+			buf = append(buf, ",\n      \"plan\": "...)
+			if _, err := w.Write(buf); err != nil {
+				return
+			}
+			if _, err := w.Write(it.Plan); err != nil {
+				return
+			}
+			buf = buf[:0]
+		}
+		buf = appendBatchField(buf, "error", it.Error)
+		buf = append(buf, "\n    }"...)
+	}
+	buf = append(buf, "\n  ],\n  \"memo_hits\": "...)
+	buf = strconv.AppendInt(buf, memoHits, 10)
+	buf = append(buf, ",\n  \"memo_misses\": "...)
+	buf = strconv.AppendInt(buf, memoMisses, 10)
+	w.Write(append(buf, "\n}\n"...))
+}
+
+// appendBatchField appends one omitempty string member of a batch item,
+// escaped as json.Marshal escapes it.
+func appendBatchField(buf []byte, name, val string) []byte {
+	if val == "" {
+		return buf
+	}
+	q, _ := json.Marshal(val) // a string always marshals
+	buf = append(buf, ",\n      \""...)
+	buf = append(buf, name...)
+	buf = append(buf, "\": "...)
+	return append(buf, q...)
 }
 
 // handlePeerFill computes a plan on behalf of a ring peer. It is the

@@ -608,12 +608,9 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, v)
 }
 
-// servedModels are the networks /v1/models advertises: the paper's Table-2
-// six plus the extra builtins.
-var servedModels = []string{
-	"EfficientNetB0", "GoogLeNet", "MnasNet", "MobileNet", "MobileNetV2",
-	"ResNet18", "AlexNet", "VGG16", "TinyCNN",
-}
+// servedModels are the networks /v1/models advertises: every builtin, the
+// same list an unknown "model" is answered with.
+var servedModels = model.AllBuiltinNames()
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	infos := make([]ModelInfo, 0, len(servedModels))

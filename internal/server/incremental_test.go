@@ -17,9 +17,16 @@ import (
 // builtin: layer idx gets delta more filters (channels for depth-wise).
 func neighborBody(t *testing.T, base string, idx, delta int) string {
 	t.Helper()
+	return fmt.Sprintf(`{"network": %s, "glb_kb": 64}`, neighborNetwork(t, base, idx, delta))
+}
+
+// neighborNetwork is neighborBody's inline network in the scratchmem JSON
+// format.
+func neighborNetwork(tb testing.TB, base string, idx, delta int) []byte {
+	tb.Helper()
 	net, err := scratchmem.BuiltinModel(base)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	layers := append([]layer.Layer(nil), net.Layers...)
 	l := layers[idx]
@@ -31,9 +38,9 @@ func neighborBody(t *testing.T, base string, idx, delta int) string {
 	nn := &scratchmem.Network{Name: fmt.Sprintf("%s-n%d-%d", base, idx, delta), Layers: layers}
 	var buf bytes.Buffer
 	if err := nn.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return fmt.Sprintf(`{"network": %s, "glb_kb": 64}`, buf.String())
+	return buf.Bytes()
 }
 
 // metricValue scrapes one counter (with its exact label string) out of a

@@ -362,6 +362,27 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownModelListsEveryBuiltin: the 400 for an unknown "model" offers
+// every name /v1/models advertises, extras included, not just Table 2's.
+func TestUnknownModelListsEveryBuiltin(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	resp, body := post(t, ts, "/v1/plan", `{"model": "NoSuchNet", "glb_kb": 32}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append([]string{"VGG16", "TinyCNN"}, servedModels...) {
+		if !strings.Contains(e.Error, name) {
+			t.Errorf("error %q does not name %s", e.Error, name)
+		}
+	}
+}
+
 // TestPlannerPanicIsA500 exercises the recover path end to end: a panic in
 // the planner must produce a 500 response, not kill the server.
 func TestPlannerPanicIsA500(t *testing.T) {

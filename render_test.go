@@ -1,0 +1,191 @@
+package scratchmem
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"scratchmem/internal/model"
+)
+
+// referenceRender is what PlanDoc.MarshalIndent must reproduce byte for
+// byte: the standard library's indent of the document plus a newline.
+func referenceRender(d *PlanDoc) ([]byte, error) {
+	b, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// checkRender compares d's canonical rendering with the reference and
+// requires the body to be allocated at exactly its length.
+func checkRender(t *testing.T, what string, d *PlanDoc) {
+	t.Helper()
+	want, wantErr := referenceRender(d)
+	got, err := d.MarshalIndent()
+	if wantErr != nil || err != nil {
+		if (wantErr == nil) != (err == nil) {
+			t.Fatalf("%s: MarshalIndent error %v, reference error %v", what, err, wantErr)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: rendering differs from json.MarshalIndent\n got %q\nwant %q", what, got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("%s: body has cap %d for len %d", what, cap(got), len(got))
+	}
+}
+
+// TestPlanDocRenderEquivalence pins the one-pass indent against
+// json.MarshalIndent over every builtin × GLB × option set, through both
+// the linear planner and PlanGraph. The 1 kB column degrades most models,
+// so degraded_reasons are covered; the DAG builtins add schedule and
+// tensors.
+func TestPlanDocRenderEquivalence(t *testing.T) {
+	sets := []struct {
+		name string
+		opts PlanOptions
+	}{
+		{"het", PlanOptions{}},
+		{"het+interlayer", PlanOptions{InterLayerReuse: true}},
+		{"hom", PlanOptions{Homogeneous: true}},
+		{"latency", PlanOptions{Objective: MinLatency}},
+	}
+	var degraded, dag int
+	for _, name := range model.AllBuiltinNames() {
+		net, err := BuiltinModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := BuiltinGraph(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kb := range []int{1, 16, 64, 256, 4096} {
+			for _, set := range sets {
+				o := set.opts
+				o.GLBKiloBytes = kb
+				p, err := PlanModel(net, o)
+				if err != nil {
+					t.Fatalf("%s@%d/%s: %v", name, kb, set.name, err)
+				}
+				checkRender(t, name+"/"+set.name, PlanDocument(p))
+				if p.Degraded {
+					degraded++
+				}
+				gp, err := PlanGraph(g, o)
+				if err != nil {
+					t.Fatalf("%s@%d/%s graph: %v", name, kb, set.name, err)
+				}
+				d := PlanDocument(gp)
+				checkRender(t, name+"/"+set.name+"/graph", d)
+				if len(d.Schedule) > 0 && len(d.Tensors) > 0 {
+					dag++
+				}
+			}
+		}
+	}
+	if degraded == 0 || dag == 0 {
+		t.Fatalf("coverage: %d degraded documents, %d with schedule and tensors; want both > 0", degraded, dag)
+	}
+}
+
+// FuzzPlanDocRender renders documents whose string fields carry quotes,
+// backslashes, HTML-escaped bytes, U+2028 and invalid UTF-8, and whose
+// numbers span the int64 and float64 ranges (NaN and ±Inf must fail in
+// both renderers). shape picks which optional sections are nil, empty or
+// populated, so empty objects and arrays are covered too.
+func FuzzPlanDocRender(f *testing.F) {
+	f.Add("TinyCNN", `p"4\`, int64(1)<<40, 0.5, uint8(0xff))
+	f.Add("<a&b>  ", "\xff\xfe\\\\\"", int64(-1), 1e-7, uint8(0))
+	f.Add("\x00\n\t\x1f", `A\"`, int64(math.MinInt64), 1e21, uint8(0x55))
+	f.Add("line\u2028sep\u2029", "", int64(0), math.Copysign(0, -1), uint8(0xaa))
+	f.Add("end\\", "\"", int64(math.MaxInt64), math.Inf(1), uint8(0x0f))
+	f.Fuzz(func(t *testing.T, s, u string, n int64, x float64, shape uint8) {
+		d := &PlanDoc{
+			Model:                s,
+			Scheme:               u,
+			Objective:            s + u,
+			Config:               ConfigDoc{GLBBytes: n, DataWidthBits: int(shape), Batch: int(n % 7)},
+			Totals:               PlanTotalsDoc{AccessElems: n, AccessBytes: -n, LatencyCycles: n / 3, MaxMemoryBytes: n >> 1},
+			PrefetchCoverage:     x,
+			InterLayerCoverage:   -x,
+			ChainableTransitions: int(n % 1000),
+			Feasible:             shape&1 != 0,
+			Degraded:             shape&2 != 0,
+			DegradedMode:         u,
+		}
+		layer := LayerPlanDoc{Name: u, Policy: s, Prefetch: shape&4 != 0, N: int(shape), MemoryBytes: n,
+			AccessElems: -n, AccessBytes: n, LatencyCycles: n, ConsumesResident: shape&8 != 0, KeepsResident: shape&16 != 0}
+		tensor := TensorAllocDoc{Name: s, Producer: int(shape), LastUse: -1, Bytes: n, Resident: shape&32 != 0,
+			Base: n, End: -n, Spill: u}
+		// Each two-bit field of shape picks nil, empty, one or two elements.
+		pick := func(k int) int { return int(shape>>(2*k)) & 3 }
+		if c := pick(0); c > 0 {
+			d.Layers = make([]LayerPlanDoc, c-1)
+			for i := range d.Layers {
+				d.Layers[i] = layer
+			}
+		}
+		if c := pick(1); c > 0 {
+			d.PolicyMix = make([]string, c-1)
+			for i := range d.PolicyMix {
+				d.PolicyMix[i] = s
+			}
+		}
+		if c := pick(2); c > 0 {
+			d.DegradedReasons = make([]DegradedReasonDoc, c-1)
+			for i := range d.DegradedReasons {
+				d.DegradedReasons[i] = DegradedReasonDoc{Mode: s, Error: u}
+			}
+			d.Schedule = make([]int, c-1)
+			for i := range d.Schedule {
+				d.Schedule[i] = int(n) - i
+			}
+		}
+		if c := pick(3); c > 0 {
+			d.Tensors = make([]TensorAllocDoc, c-1)
+			for i := range d.Tensors {
+				d.Tensors[i] = tensor
+			}
+		}
+		checkRender(t, "fuzz", d)
+	})
+}
+
+// BenchmarkPlanDocRender times the canonical render of a linear
+// MobileNetV2 plan and of a DAG GoogLeNet plan with schedule and tensors.
+func BenchmarkPlanDocRender(b *testing.B) {
+	net, err := BuiltinModel("MobileNetV2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	lin, err := PlanModel(net, PlanOptions{GLBKiloBytes: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := BuiltinGraph("GoogLeNet")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dag, err := PlanGraph(g, PlanOptions{GLBKiloBytes: 256})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		doc  *PlanDoc
+	}{{"MobileNetV2", PlanDocument(lin)}, {"GoogLeNet-DAG", PlanDocument(dag)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.doc.MarshalIndent(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

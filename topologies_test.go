@@ -13,7 +13,7 @@ import (
 // files under topologies/ stay byte-identical to what the builders emit —
 // they are the interchange artefacts users feed to SCALE-Sim itself.
 func TestShippedTopologiesInSync(t *testing.T) {
-	names := append(model.BuiltinNames(), "AlexNet", "VGG16", "TinyCNN")
+	names := model.AllBuiltinNames()
 	for _, name := range names {
 		n, err := model.Builtin(name)
 		if err != nil {
