@@ -370,3 +370,23 @@ func BenchmarkEngineLayer(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanKey times the content hash a planning request is cached
+// under: the network's canonical JSON, the options, SHA-256.
+func BenchmarkPlanKey(b *testing.B) {
+	for _, name := range []string{"MobileNetV2", "GoogLeNet"} {
+		b.Run(name, func(b *testing.B) {
+			n, err := model.Builtin(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := PlanOptions{GLBKiloBytes: 64}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PlanKey(n, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

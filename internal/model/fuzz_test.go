@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzReadJSON: arbitrary input must never panic, and any input the parser
-// accepts must round-trip through WriteJSON.
+// FuzzReadJSON: arbitrary input must never panic, and ReadJSON must agree
+// with encoding/json (referenceReadJSON) on every input: the same decision,
+// bar a duplicated member, and for accepted input a reflect.DeepEqual
+// network whose canonical and indented bytes match json.Marshal's.
 func FuzzReadJSON(f *testing.F) {
 	var seed strings.Builder
 	if err := ResNet18().WriteJSON(&seed); err != nil {
@@ -16,26 +18,11 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"name":"x","layers":[{"name":"l","type":"CV","ih":4,"iw":4,"ci":1,"fh":3,"fw":3,"f":2,"s":1,"p":1}]}`)
 	f.Add(`{"name":"","layers":[]}`)
 	f.Add(`not json at all`)
+	for _, c := range readJSONCases {
+		f.Add(c.in)
+	}
 	f.Fuzz(func(t *testing.T, data string) {
-		n, err := ReadJSON(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted input must be a valid network and survive a round trip.
-		if err := n.Validate(); err != nil {
-			t.Fatalf("parser accepted invalid network: %v", err)
-		}
-		var buf strings.Builder
-		if err := n.WriteJSON(&buf); err != nil {
-			t.Fatalf("re-serialise failed: %v", err)
-		}
-		back, err := ReadJSON(strings.NewReader(buf.String()))
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if len(back.Layers) != len(n.Layers) {
-			t.Fatalf("round trip lost layers: %d != %d", len(back.Layers), len(n.Layers))
-		}
+		checkReadJSON(t, []byte(data))
 	})
 }
 

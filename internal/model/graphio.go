@@ -235,10 +235,19 @@ func ReadTopologyGraphCSV(name string, r io.Reader) (*Graph, error) {
 	return InferGraph(n)
 }
 
-// jsonGraphLayer is jsonLayer plus the optional edge columns. Legacy files
-// without edges load as linear chains.
+// jsonGraphLayer is one layer of the Network JSON format plus the optional
+// edge columns. Legacy files without edges load as linear chains.
 type jsonGraphLayer struct {
-	jsonLayer
+	Name     string   `json:"name"`
+	Type     string   `json:"type"`
+	IH       int      `json:"ih"`
+	IW       int      `json:"iw"`
+	CI       int      `json:"ci"`
+	FH       int      `json:"fh"`
+	FW       int      `json:"fw"`
+	F        int      `json:"f"`
+	S        int      `json:"s"`
+	P        int      `json:"p"`
 	Inputs   []string `json:"inputs,omitempty"`
 	Residual []string `json:"residual,omitempty"`
 }
@@ -256,12 +265,9 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		nd := &g.Nodes[i]
 		l := nd.Layer
 		jg.Layers[i] = jsonGraphLayer{
-			jsonLayer: jsonLayer{
-				Name: l.Name, Type: l.Kind.String(),
-				IH: l.IH, IW: l.IW, CI: l.CI, FH: l.FH, FW: l.FW, F: l.F, S: l.S, P: l.P,
-			},
-			Inputs:   nd.Inputs,
-			Residual: nd.Residual,
+			Name: l.Name, Type: l.Kind.String(),
+			IH: l.IH, IW: l.IW, CI: l.CI, FH: l.FH, FW: l.FW, F: l.F, S: l.S, P: l.P,
+			Inputs: nd.Inputs, Residual: nd.Residual,
 		}
 	}
 	enc := json.NewEncoder(w)

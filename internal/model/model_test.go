@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -312,5 +313,26 @@ func TestValidateEmpty(t *testing.T) {
 	}
 	if err := (&Network{Layers: ResNet18().Layers}).Validate(); err == nil {
 		t.Error("unnamed network should fail validation")
+	}
+}
+
+// BenchmarkReadJSON times reading a builtin back from its compact JSON
+// form, the form request bodies and snapshot records carry: the decode,
+// layer.New for every layer and Network.Validate.
+func BenchmarkReadJSON(b *testing.B) {
+	for _, n := range []*Network{MobileNetV2(), GoogLeNet()} {
+		b.Run(n.Name, func(b *testing.B) {
+			data, err := CanonicalJSON(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadJSON(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -70,13 +70,10 @@ func BenchmarkPlanHandlerMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchHandler sends one POST /v1/plan/batch of 64 inline
-// one-layer mutants of MobileNetV2 (layer i%L gets 1+i/L more filters, or
-// channels for depth-wise layers) through the real planner. The first
-// request plans them; after it every item is a plan-cache hit, so each
-// iteration times the batch decode, 64 network resolutions and plan keys,
-// and the response envelope.
-func BenchmarkBatchHandler(b *testing.B) {
+// mutantBatch is a POST /v1/plan/batch body of 64 inline one-layer mutants
+// of MobileNetV2 at glbKB (layer i%L gets 1+i/L more filters, or channels
+// for depth-wise layers), the shape of a neighbor-batch request.
+func mutantBatch(b *testing.B, glbKB int) []byte {
 	net, err := scratchmem.BuiltinModel("MobileNetV2")
 	if err != nil {
 		b.Fatal(err)
@@ -85,25 +82,54 @@ func BenchmarkBatchHandler(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = PlanRequest{
 			Network:      neighborNetwork(b, "MobileNetV2", i%len(net.Layers), 1+i/len(net.Layers)),
-			GLBKiloBytes: 64,
+			GLBKiloBytes: glbKB,
 		}
 	}
 	body, err := json.Marshal(BatchRequest{Requests: reqs})
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := New(Config{}).Handler()
-	serve := func() {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan/batch", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"status": 200`)) != len(reqs) {
-			b.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
-		}
+	return body
+}
+
+// serveBatch sends one batch body through h and checks that every item
+// earned a plan.
+func serveBatch(b *testing.B, h http.Handler, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"status": 200`)) != 64 {
+		b.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
 	}
-	serve()
+}
+
+// BenchmarkBatchHandler sends one batch of 64 MobileNetV2 mutants through
+// the real planner. The first request plans them; after it every item is a
+// plan-cache hit, so each iteration times the batch decode, 64 network
+// resolutions and plan keys, and the response envelope.
+func BenchmarkBatchHandler(b *testing.B) {
+	body := mutantBatch(b, 64)
+	h := New(Config{}).Handler()
+	serveBatch(b, h, body)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serve()
+		serveBatch(b, h, body)
+	}
+}
+
+// BenchmarkBatchHandlerMiss is BenchmarkBatchHandler with a new GLB size
+// every iteration, so every item misses the plan cache and is planned, as
+// on the neighbor-batch workload: decode, resolve, key, the planner with
+// the batch's splice, render and envelope.
+func BenchmarkBatchHandlerMiss(b *testing.B) {
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
+		bodies[i] = mutantBatch(b, 32+i)
+	}
+	h := New(Config{}).Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		serveBatch(b, h, body)
 	}
 }

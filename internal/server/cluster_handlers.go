@@ -59,22 +59,19 @@ type BatchResponse struct {
 // single-flight / peer-fill path as a lone POST /v1/plan, so the returned
 // documents are byte-identical to sequential calls.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if len(req.Requests) == 0 {
-		s.fail(w, badRequestf("batch needs at least one request"))
+	items, err := ingestBatch(body)
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
-	if len(req.Requests) > maxBatchItems {
-		s.fail(w, badRequestf("batch of %d exceeds the %d-item limit", len(req.Requests), maxBatchItems))
-		return
-	}
-	s.met.observeBatch(len(req.Requests))
+	s.met.observeBatch(len(items))
 	span := obs.SpanFrom(r.Context())
-	span.SetAttr("batch_size", len(req.Requests))
+	span.SetAttr("batch_size", len(items))
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
@@ -84,31 +81,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// captured by early items splice later ones even before anything lands
 	// in the server-wide index.
 	batchFP := plancache.NewFingerprints(maxBatchItems)
-	results := make([]BatchItem, len(req.Requests))
+	results := make([]BatchItem, len(items))
 	// Fan out across the CPUs; the worker semaphore inside planned still
 	// bounds how many planner executions actually run at once, so a big
 	// batch queues exactly like a burst of individual requests.
-	err := parallel.ForEachCtx(ctx, len(req.Requests), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
-		pr := &req.Requests[i]
-		net, opts, err := pr.resolve()
-		if err != nil {
-			code, msg := statusOf(err)
+	err = parallel.ForEachCtx(ctx, len(items), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		in := &items[i]
+		if in.err != nil {
+			code, msg := statusOf(in.err)
 			results[i] = BatchItem{Status: code, Error: msg}
 			return nil
 		}
-		key, err := scratchmem.PlanKey(net, opts)
+		entry, shared, err := s.planned(ctx, in.key, &in.req, memo, batchFP, in.net, in.opts)
 		if err != nil {
 			code, msg := statusOf(err)
-			results[i] = BatchItem{Status: code, Error: msg}
+			results[i] = BatchItem{Status: code, PlanKey: in.key, Error: msg}
 			return nil
 		}
-		entry, shared, err := s.planned(ctx, key, pr, memo, batchFP, net, opts)
-		if err != nil {
-			code, msg := statusOf(err)
-			results[i] = BatchItem{Status: code, PlanKey: key, Error: msg}
-			return nil
-		}
-		item := BatchItem{Status: http.StatusOK, PlanKey: key, Cache: "miss", Plan: entry.body[:len(entry.body)-1]}
+		item := BatchItem{Status: http.StatusOK, PlanKey: in.key, Cache: "miss", Plan: entry.body[:len(entry.body)-1]}
 		if shared {
 			item.Cache = "hit"
 		}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
@@ -41,7 +43,15 @@ func (s *Server) replicateFresh(ctx context.Context, key string, entry *planEntr
 // corrupted push is rejected, never trusted.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var rec SnapshotRecord
-	if err := decodeBody(w, r, &rec); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if derr := dec.Decode(&rec); derr != nil {
+			err = bodyError(derr)
+		}
+	}
+	if err != nil {
 		s.met.replicaRejected()
 		s.fail(w, err)
 		return

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -100,50 +98,6 @@ func badRequestf(format string, args ...any) error {
 	return smmerr.BadModelf(format, args...)
 }
 
-// resolve turns the wire request into the planner's inputs.
-func (pr *PlanRequest) resolve() (*scratchmem.Network, scratchmem.PlanOptions, error) {
-	var opts scratchmem.PlanOptions
-	if (pr.Model == "") == (len(pr.Network) == 0) {
-		return nil, opts, badRequestf("exactly one of \"model\" or \"network\" is required")
-	}
-	var net *scratchmem.Network
-	var err error
-	if pr.Model != "" {
-		net, err = scratchmem.BuiltinModel(pr.Model)
-		if err != nil {
-			return nil, opts, badRequestf("%v", err)
-		}
-	} else {
-		net, err = model.ReadJSON(bytes.NewReader(pr.Network))
-		if err != nil {
-			return nil, opts, badRequestf("invalid \"network\": %v", err)
-		}
-	}
-	switch pr.Objective {
-	case "", "accesses":
-		opts.Objective = scratchmem.MinAccesses
-	case "latency":
-		opts.Objective = scratchmem.MinLatency
-	default:
-		return nil, opts, badRequestf("unknown objective %q (want accesses or latency)", pr.Objective)
-	}
-	if pr.Config != nil {
-		opts.Config = pr.Config.ToConfig()
-	} else if pr.GLBKiloBytes > 0 {
-		opts.Config = scratchmem.DefaultConfig(pr.GLBKiloBytes)
-	} else {
-		return nil, opts, badRequestf("one of \"glb_kb\" or \"config\" is required")
-	}
-	if err := opts.Config.Validate(); err != nil {
-		return nil, opts, badRequestf("invalid config: %v", err)
-	}
-	opts.Homogeneous = pr.Homogeneous
-	opts.DisablePrefetch = pr.DisablePrefetch
-	opts.InterLayerReuse = pr.InterLayerReuse
-	opts.Strict = pr.Strict
-	return net, opts, nil
-}
-
 // planEntry is the cached value for one plan key: the plan itself plus the
 // pre-rendered response body, so repeated requests return byte-identical
 // documents without re-marshalling. The network and options are retained so
@@ -155,21 +109,6 @@ type planEntry struct {
 	opts scratchmem.PlanOptions
 }
 
-// decodeBody parses a JSON request body strictly.
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
-}
-
-// decodeStrict parses the first JSON value in rd, rejecting unknown fields.
-func decodeStrict(rd io.Reader, dst any) error {
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequestf("invalid request body: %v", err)
-	}
-	return nil
-}
-
 // resolvedBody is everything /v1/plan and /v1/peer/fill derive from one
 // request body before they touch the plan cache. It is a pure function of
 // the body bytes, so the server memoizes it under their SHA-256 digest
@@ -179,33 +118,24 @@ func decodeStrict(rd io.Reader, dst any) error {
 // req reaches cluster.FillSpec.Request read-only.
 type resolvedBody struct {
 	digest string // raw SHA-256 of the body, the memo key
-	req    PlanRequest
-	net    *scratchmem.Network
-	opts   scratchmem.PlanOptions
-	key    string // scratchmem.PlanKey(net, opts)
+	planInput
 }
 
-// resolveBody reads a /v1/plan body under maxBodyBytes and resolves it. On
-// a memo hit (memoized) it returns the stored resolution; on a miss it runs
-// the strict decode, resolve and PlanKey. The handler stores a miss through
-// writePlan once it has answered with a plan, so errors never enter the memo.
+// resolveBody reads a /v1/plan body and resolves it. On a memo hit
+// (memoized) it returns the stored resolution; on a miss it runs the
+// ingest seam. The handler stores a miss through writePlan once it has
+// answered with a plan, so errors never enter the memo.
 func (s *Server) resolveBody(w http.ResponseWriter, r *http.Request) (res *resolvedBody, memoized bool, err error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		return nil, false, badRequestf("invalid request body: %v", err)
+		return nil, false, err
 	}
 	sum := sha256.Sum256(body)
 	if v, ok := s.resolved.Get(string(sum[:])); ok {
 		return v.(*resolvedBody), true, nil
 	}
 	res = &resolvedBody{digest: string(sum[:])}
-	if err := decodeStrict(bytes.NewReader(body), &res.req); err != nil {
-		return nil, false, err
-	}
-	if res.net, res.opts, err = res.req.resolve(); err != nil {
-		return nil, false, err
-	}
-	if res.key, err = scratchmem.PlanKey(res.net, res.opts); err != nil {
+	if err := ingest(&res.planInput, body, planBody); err != nil {
 		return nil, false, err
 	}
 	return res, false, nil
@@ -464,32 +394,23 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var in planInput
+	if err := ingestRequest(w, r, &in, simulateBody); err != nil {
 		s.fail(w, err)
 		return
 	}
-	net, opts, err := req.resolve()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	key, err := scratchmem.PlanKey(net, opts)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
+	net, opts, key := in.net, in.opts, in.key
 	obs.SpanFrom(r.Context()).SetAttr("model_hash", key)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	if req.Baseline != nil {
-		s.simulateBaseline(ctx, w, key, net, opts, req.Baseline)
+	if in.baseline != nil {
+		s.simulateBaseline(ctx, w, key, net, opts, in.baseline)
 		return
 	}
 	// Plan first (cached under its own key), then time it. The plan half
 	// may be filled from its ring owner; the timing below always runs
 	// locally.
-	entry, _, err := s.planned(ctx, key, &req.PlanRequest, nil, nil, net, opts)
+	entry, _, err := s.planned(ctx, key, &in.req, nil, nil, net, opts)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -569,23 +490,12 @@ func (s *Server) simulateBaseline(ctx context.Context, w http.ResponseWriter, ke
 }
 
 func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var in planInput
+	if err := ingestRequest(w, r, &in, dseBody); err != nil {
 		s.fail(w, err)
 		return
 	}
-	net, opts, err := req.resolve()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	// Only (network, config) matter to the search; strip the plan-shaping
-	// options so equivalent DSE requests share a key.
-	key, err := scratchmem.PlanKey(net, scratchmem.PlanOptions{Config: opts.Config})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
+	net, opts, key := in.net, in.opts, in.key
 	obs.SpanFrom(r.Context()).SetAttr("model_hash", key)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()

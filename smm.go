@@ -30,10 +30,10 @@ package scratchmem
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/hex"
 	"errors"
-	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"scratchmem/internal/core"
@@ -172,31 +172,42 @@ func PlanKey(n *Network, o PlanOptions) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	canon, err := model.CanonicalJSON(n)
-	if err != nil {
-		return "", err
-	}
 	if cfg.Batch == 1 {
 		cfg.Batch = 0 // same single inference as 0 (Config.BatchSize)
 	}
-	// Fixed-field struct, so json.Marshal emits a deterministic byte
-	// sequence for the non-network half of the request.
-	opts, err := json.Marshal(struct {
-		Cfg             Config
-		Objective       string
-		Homogeneous     bool
-		DisablePrefetch bool
-		InterLayerReuse bool
-		Strict          bool
-	}{cfg, o.Objective.String(), o.Homogeneous, o.DisablePrefetch, o.InterLayerReuse, o.Strict})
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	h.Write(canon)
-	h.Write([]byte{0}) // domain separator between network and options
-	h.Write(opts)
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	// The network's canonical JSON, a zero byte separating the domains, then
+	// the options as json.Marshal encodes this fixed-field struct:
+	//
+	//	struct{ Cfg Config; Objective string; Homogeneous, DisablePrefetch,
+	//		InterLayerReuse, Strict bool }
+	buf := make([]byte, 0, 128*len(n.Layers)+256)
+	buf = model.AppendCanonicalJSON(buf, n)
+	buf = append(buf, 0)
+	buf = append(buf, `{"Cfg":{"GLBBytes":`...)
+	buf = strconv.AppendInt(buf, cfg.GLBBytes, 10)
+	buf = append(buf, `,"DataWidthBits":`...)
+	buf = strconv.AppendInt(buf, int64(cfg.DataWidthBits), 10)
+	buf = append(buf, `,"OpsPerCycle":`...)
+	buf = strconv.AppendInt(buf, int64(cfg.OpsPerCycle), 10)
+	buf = append(buf, `,"DRAMBytesPerCycle":`...)
+	buf = strconv.AppendInt(buf, int64(cfg.DRAMBytesPerCycle), 10)
+	buf = append(buf, `,"IncludePadding":`...)
+	buf = strconv.AppendBool(buf, cfg.IncludePadding)
+	buf = append(buf, `,"Batch":`...)
+	buf = strconv.AppendInt(buf, int64(cfg.Batch), 10)
+	buf = append(buf, `},"Objective":"`...)
+	buf = append(buf, o.Objective.String()...)
+	buf = append(buf, `","Homogeneous":`...)
+	buf = strconv.AppendBool(buf, o.Homogeneous)
+	buf = append(buf, `,"DisablePrefetch":`...)
+	buf = strconv.AppendBool(buf, o.DisablePrefetch)
+	buf = append(buf, `,"InterLayerReuse":`...)
+	buf = strconv.AppendBool(buf, o.InterLayerReuse)
+	buf = append(buf, `,"Strict":`...)
+	buf = strconv.AppendBool(buf, o.Strict)
+	buf = append(buf, '}')
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // PlanModel runs the paper's memory-management technique on a network and
