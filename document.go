@@ -1,11 +1,13 @@
 package scratchmem
 
 import (
-	"bytes"
-	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 
+	"scratchmem/internal/model"
 	"scratchmem/internal/policy"
 )
 
@@ -181,84 +183,182 @@ func PlanDocument(p *Plan) *PlanDoc {
 	return doc
 }
 
-// indentBuf recycles MarshalIndent's scratch buffer. The document is
-// indented there, then copied into a body of exactly its length: rendered
+// renderBuf recycles MarshalIndent's scratch buffer. The document is
+// written there, then copied into a body of exactly its length: rendered
 // bodies live on in the plan cache, where slack capacity would be resident
 // memory.
-var indentBuf = sync.Pool{New: func() any { return new([]byte) }}
+var renderBuf = sync.Pool{New: func() any { return new([]byte) }}
 
 // MarshalIndent renders the document the one canonical way (two-space
 // indent, trailing newline) so CLI and server bodies compare byte-equal.
 // The bytes are those of json.MarshalIndent(d, "", "  ") plus "\n",
-// indented in one pass that trusts json.Marshal's output rather than
-// re-validating it.
+// written in one pass by an encoder for this schema. NaN and ±Inf have no
+// JSON form, so a document carrying one is an error, as it is for
+// encoding/json.
 func (d *PlanDoc) MarshalIndent() ([]byte, error) {
-	compact, err := json.Marshal(d)
-	if err != nil {
-		return nil, err
+	for _, x := range [...]float64{d.PrefetchCoverage, d.InterLayerCoverage} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("scratchmem: plan document: unsupported value %v", x)
+		}
 	}
-	bp := indentBuf.Get().(*[]byte)
-	buf := append(appendIndent((*bp)[:0], compact), '\n')
+	bp := renderBuf.Get().(*[]byte)
+	buf := append(d.appendIndented((*bp)[:0]), '\n')
 	body := make([]byte, len(buf))
 	copy(body, buf)
 	*bp = buf
-	indentBuf.Put(bp)
+	renderBuf.Put(bp)
 	return body, nil
 }
 
-// appendIndent appends src, compact JSON as json.Marshal writes it, to dst
-// with a two-space indent laid out exactly as json.Indent lays it out: a
-// newline after each opening bracket and comma and before each closing
-// bracket, empty objects and arrays kept as {} and [], one space after
-// each colon. Bytes between those punctuation marks are copied in runs.
-// Only string and escape state are tracked and nothing is validated, so
-// src must be trusted.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
-	run := 0 // src[run:i] is still to be copied verbatim
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '"':
-			// Jump to the closing quote: the next one not escaped by an
-			// odd run of backslashes.
-			for {
-				i += 1 + bytes.IndexByte(src[i+1:], '"')
-				k := i - 1
-				for src[k] == '\\' {
-					k--
-				}
-				if (i-1-k)%2 == 0 {
-					break
-				}
-			}
-		case '{', '[':
-			if c := src[i+1]; c == '}' || c == ']' {
-				i++ // empty: copied as is
-				continue
-			}
-			depth++
-			dst = appendNewline(append(dst, src[run:i+1]...), depth)
-			run = i + 1
-		case ',':
-			dst = appendNewline(append(dst, src[run:i+1]...), depth)
-			run = i + 1
-		case ':':
-			dst = append(append(dst, src[run:i+1]...), ' ')
-			run = i + 1
-		case '}', ']':
-			depth--
-			dst = appendNewline(append(dst, src[run:i]...), depth)
-			run = i
-		}
+// A new line at each indent depth of the canonical layout: nl1 starts the
+// document's members, nl2 the array elements and the members of config and
+// totals, nl3 the members of array elements.
+const (
+	nl1 = "\n  "
+	nl2 = "\n    "
+	nl3 = "\n      "
+)
+
+// appendIndented appends d in the canonical layout without the trailing
+// newline. Each member is written after its constant prefix, the comma,
+// line break, indent and name; members follow the struct tags, omitempty
+// and a nil slice as null included. TestPlanDocSchemaGuard fails when a
+// document struct gains a field this encoder does not write.
+func (d *PlanDoc) appendIndented(dst []byte) []byte {
+	dst = appendString(dst, "{"+nl1+`"model": `, d.Model)
+	dst = appendString(dst, ","+nl1+`"scheme": `, d.Scheme)
+	dst = appendString(dst, ","+nl1+`"objective": `, d.Objective)
+	c := &d.Config
+	dst = appendInt(dst, ","+nl1+`"config": {`+nl2+`"glb_bytes": `, c.GLBBytes)
+	dst = appendInt(dst, ","+nl2+`"data_width_bits": `, int64(c.DataWidthBits))
+	dst = appendInt(dst, ","+nl2+`"ops_per_cycle": `, int64(c.OpsPerCycle))
+	dst = appendInt(dst, ","+nl2+`"dram_bytes_per_cycle": `, int64(c.DRAMBytesPerCycle))
+	dst = appendBool(dst, ","+nl2+`"include_padding": `, c.IncludePadding)
+	if c.Batch != 0 {
+		dst = appendInt(dst, ","+nl2+`"batch": `, int64(c.Batch))
 	}
-	return append(dst, src[run:]...)
+	dst = appendArray(append(dst, nl1+"},"+nl1+`"layers": `...), d.Layers, appendLayerDoc)
+	t := &d.Totals
+	dst = appendInt(dst, ","+nl1+`"totals": {`+nl2+`"access_elems": `, t.AccessElems)
+	dst = appendInt(dst, ","+nl2+`"access_bytes": `, t.AccessBytes)
+	dst = appendInt(dst, ","+nl2+`"latency_cycles": `, t.LatencyCycles)
+	dst = appendInt(dst, ","+nl2+`"max_memory_bytes": `, t.MaxMemoryBytes)
+	dst = appendArray(append(dst, nl1+"},"+nl1+`"policy_mix": `...), d.PolicyMix,
+		func(dst []byte, s *string) []byte { return model.AppendJSONString(dst, *s) })
+	dst = appendFloat(dst, ","+nl1+`"prefetch_coverage": `, d.PrefetchCoverage)
+	dst = appendFloat(dst, ","+nl1+`"interlayer_coverage": `, d.InterLayerCoverage)
+	dst = appendInt(dst, ","+nl1+`"chainable_transitions": `, int64(d.ChainableTransitions))
+	dst = appendBool(dst, ","+nl1+`"feasible": `, d.Feasible)
+	if d.Degraded {
+		dst = append(dst, ","+nl1+`"degraded": true`...)
+	}
+	if d.DegradedMode != "" {
+		dst = appendString(dst, ","+nl1+`"degraded_mode": `, d.DegradedMode)
+	}
+	if len(d.DegradedReasons) > 0 {
+		dst = appendArray(append(dst, ","+nl1+`"degraded_reasons": `...), d.DegradedReasons, appendReasonDoc)
+	}
+	if len(d.Schedule) > 0 {
+		dst = appendArray(append(dst, ","+nl1+`"schedule": `...), d.Schedule,
+			func(dst []byte, v *int) []byte { return strconv.AppendInt(dst, int64(*v), 10) })
+	}
+	if len(d.Tensors) > 0 {
+		dst = appendArray(append(dst, ","+nl1+`"tensors": `...), d.Tensors, appendTensorDoc)
+	}
+	return append(dst, "\n}"...)
 }
 
-// appendNewline starts a new line indented depth levels deep.
-func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for ; depth > 0; depth-- {
-		dst = append(dst, "  "...)
+func appendLayerDoc(dst []byte, l *LayerPlanDoc) []byte {
+	dst = appendString(dst, "{"+nl3+`"name": `, l.Name)
+	dst = appendString(dst, ","+nl3+`"policy": `, l.Policy)
+	dst = appendBool(dst, ","+nl3+`"prefetch": `, l.Prefetch)
+	if l.N != 0 {
+		dst = appendInt(dst, ","+nl3+`"n": `, int64(l.N))
+	}
+	dst = appendInt(dst, ","+nl3+`"memory_bytes": `, l.MemoryBytes)
+	dst = appendInt(dst, ","+nl3+`"access_elems": `, l.AccessElems)
+	dst = appendInt(dst, ","+nl3+`"access_bytes": `, l.AccessBytes)
+	dst = appendInt(dst, ","+nl3+`"latency_cycles": `, l.LatencyCycles)
+	if l.ConsumesResident {
+		dst = append(dst, ","+nl3+`"consumes_resident": true`...)
+	}
+	if l.KeepsResident {
+		dst = append(dst, ","+nl3+`"keeps_resident": true`...)
+	}
+	return append(dst, nl2+"}"...)
+}
+
+func appendReasonDoc(dst []byte, r *DegradedReasonDoc) []byte {
+	dst = appendString(dst, "{"+nl3+`"mode": `, r.Mode)
+	dst = appendString(dst, ","+nl3+`"error": `, r.Error)
+	return append(dst, nl2+"}"...)
+}
+
+func appendTensorDoc(dst []byte, t *TensorAllocDoc) []byte {
+	dst = appendString(dst, "{"+nl3+`"name": `, t.Name)
+	dst = appendInt(dst, ","+nl3+`"producer": `, int64(t.Producer))
+	dst = appendInt(dst, ","+nl3+`"last_use": `, int64(t.LastUse))
+	dst = appendInt(dst, ","+nl3+`"bytes": `, t.Bytes)
+	if t.Resident {
+		dst = append(dst, ","+nl3+`"resident": true`...)
+	}
+	if t.Base != 0 {
+		dst = appendInt(dst, ","+nl3+`"base": `, t.Base)
+	}
+	if t.End != 0 {
+		dst = appendInt(dst, ","+nl3+`"end": `, t.End)
+	}
+	if t.Spill != "" {
+		dst = appendString(dst, ","+nl3+`"spill": `, t.Spill)
+	}
+	return append(dst, nl2+"}"...)
+}
+
+// appendArray appends s as the value of a document member: null when nil,
+// [] when empty, else each element on its own line at depth 2, written by
+// elem.
+func appendArray[T any](dst []byte, s []T, elem func([]byte, *T) []byte) []byte {
+	switch {
+	case s == nil:
+		return append(dst, "null"...)
+	case len(s) == 0:
+		return append(dst, "[]"...)
+	}
+	dst = append(dst, '[')
+	for i := range s {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = elem(append(dst, nl2...), &s[i])
+	}
+	return append(dst, nl1+"]"...)
+}
+
+func appendString(dst []byte, prefix, s string) []byte {
+	return model.AppendJSONString(append(dst, prefix...), s)
+}
+
+func appendInt(dst []byte, prefix string, v int64) []byte {
+	return strconv.AppendInt(append(dst, prefix...), v, 10)
+}
+
+func appendBool(dst []byte, prefix string, b bool) []byte {
+	return strconv.AppendBool(append(dst, prefix...), b)
+}
+
+// appendFloat appends a finite x as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 up in magnitude, with
+// a one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendFloat(dst []byte, prefix string, x float64) []byte {
+	dst = append(dst, prefix...)
+	format := byte('f')
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, x, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
 	}
 	return dst
 }

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"slices"
+
 	"scratchmem/internal/layer"
 	"scratchmem/internal/model"
 	"scratchmem/internal/policy"
@@ -122,18 +124,19 @@ func (p *Plan) Feasible() bool {
 }
 
 // PolicyMix returns the distinct policy variants the plan uses, in first-use
-// order — the contents of the paper's Table 4 rows.
+// order — the contents of the paper's Table 4 rows. A plan has at most
+// 2 × (NumPolicies+1) variants, so duplicates are found by a linear scan
+// of those collected so far, in a stack buffer copied out once.
 func (p *Plan) PolicyMix() []string {
-	seen := make(map[string]bool)
-	var mix []string
+	var buf [2 * (policy.NumPolicies + 1)]string
+	mix := buf[:0]
 	for i := range p.Layers {
 		v := policy.Variant(p.Layers[i].Est.Policy, p.Layers[i].Est.Opts.Prefetch)
-		if !seen[v] {
-			seen[v] = true
+		if !slices.Contains(mix, v) {
 			mix = append(mix, v)
 		}
 	}
-	return mix
+	return append([]string(nil), mix...)
 }
 
 // PrefetchCoverage returns the fraction of layers whose chosen variant

@@ -275,7 +275,7 @@ var compactLayout, indentedLayout = newJSONLayout(""), newJSONLayout("  ")
 // strings exactly as encoding/json does.
 func appendNetwork(dst []byte, n *Network, l *jsonLayout) []byte {
 	dst = append(dst, l.head...)
-	dst = appendJSONString(dst, n.Name)
+	dst = AppendJSONString(dst, n.Name)
 	dst = append(dst, l.layers...)
 	for i := range n.Layers {
 		ly := &n.Layers[i]
@@ -283,9 +283,9 @@ func appendNetwork(dst []byte, n *Network, l *jsonLayout) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, l.layer...)
-		dst = appendJSONString(dst, ly.Name)
+		dst = AppendJSONString(dst, ly.Name)
 		dst = append(dst, l.typ...)
-		dst = appendJSONString(dst, ly.Kind.String())
+		dst = AppendJSONString(dst, ly.Kind.String())
 		for j, v := range [8]int{ly.IH, ly.IW, ly.CI, ly.FH, ly.FW, ly.F, ly.S, ly.P} {
 			dst = append(dst, l.dims[j]...)
 			dst = strconv.AppendInt(dst, int64(v), 10)
@@ -298,10 +298,10 @@ func appendNetwork(dst []byte, n *Network, l *jsonLayout) []byte {
 	return append(dst, l.end...)
 }
 
-// appendJSONString appends s as json.Marshal encodes a string: HTML
+// AppendJSONString appends s as json.Marshal encodes a string: HTML
 // characters, U+2028 and U+2029 escaped, and each invalid UTF-8 byte
 // written as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	start := 0

@@ -206,9 +206,25 @@ type Options struct {
 	KeepOfmap bool
 }
 
+// variantNames and variantNamesP are Variant's labels, indexed by ID and
+// derived from String, so a plan's policy mix allocates no label.
+var variantNames, variantNamesP = func() (names, namesP [numPolicies + 1]string) {
+	for id := range names {
+		names[id] = ID(id).String()
+		namesP[id] = names[id] + " +p"
+	}
+	return names, namesP
+}()
+
 // Variant names the (policy, prefetch) pair the way the paper's Table 4
 // does, e.g. "policy 2 +p".
 func Variant(id ID, prefetch bool) string {
+	if id >= 0 && int(id) < len(variantNames) {
+		if prefetch {
+			return variantNamesP[id]
+		}
+		return variantNames[id]
+	}
 	if prefetch {
 		return id.String() + " +p"
 	}

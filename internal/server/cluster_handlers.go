@@ -156,11 +156,10 @@ func appendBatchField(buf []byte, name, val string) []byte {
 	if val == "" {
 		return buf
 	}
-	q, _ := json.Marshal(val) // a string always marshals
 	buf = append(buf, ",\n      \""...)
 	buf = append(buf, name...)
 	buf = append(buf, "\": "...)
-	return append(buf, q...)
+	return model.AppendJSONString(buf, val)
 }
 
 // handlePeerFill computes a plan on behalf of a ring peer. It is the

@@ -232,15 +232,19 @@ func (m *metrics) observeSpan(s *obs.Span) {
 // moves per data type (the trace totals, by the estimator-equals-execution
 // invariant), and the degradation rung when the ladder produced it.
 func (m *metrics) planOutcome(p *scratchmem.Plan) {
+	var ifmap, filter, ofmap int64
 	for i := range p.Layers {
 		est := &p.Layers[i].Est
 		if c, ok := m.policySelected[policy.ShortVariant(est.Policy, est.Opts.Prefetch)]; ok {
 			c.Add(1)
 		}
-		m.dramBytes["ifmap"].Add(p.Cfg.Bytes(est.AccessIfmap))
-		m.dramBytes["filter"].Add(p.Cfg.Bytes(est.AccessFilter))
-		m.dramBytes["ofmap"].Add(p.Cfg.Bytes(est.AccessOfmap))
+		ifmap += p.Cfg.Bytes(est.AccessIfmap)
+		filter += p.Cfg.Bytes(est.AccessFilter)
+		ofmap += p.Cfg.Bytes(est.AccessOfmap)
 	}
+	m.dramBytes["ifmap"].Add(ifmap)
+	m.dramBytes["filter"].Add(filter)
+	m.dramBytes["ofmap"].Add(ofmap)
 	if p.Degraded {
 		if c, ok := m.degradedMode[p.DegradedMode]; ok {
 			c.Add(1)

@@ -3,7 +3,9 @@ package scratchmem
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"scratchmem/internal/model"
@@ -156,8 +158,47 @@ func FuzzPlanDocRender(f *testing.F) {
 	})
 }
 
+// TestPlanDocSchemaGuard fills every field of the PlanDoc schema (PlanDoc,
+// ConfigDoc, LayerPlanDoc, PlanTotalsDoc, DegradedReasonDoc and
+// TensorAllocDoc) with a non-zero value and every slice with two elements,
+// so every member is written, and requires the encoder to match
+// json.MarshalIndent. A field added to a document struct but not to the
+// encoder fails here, as does a field of a kind the filler cannot set.
+func TestPlanDocSchemaGuard(t *testing.T) {
+	var n int64
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			fill(v.Index(0))
+			fill(v.Index(1))
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d <\"\\>", n))
+		case reflect.Int, reflect.Int64:
+			v.SetInt(n * -1000003)
+		case reflect.Float64:
+			v.SetFloat(float64(n) / 7)
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("%s: the guard cannot fill a %s field", v.Type(), v.Kind())
+		}
+	}
+	var d PlanDoc
+	fill(reflect.ValueOf(&d).Elem())
+	checkRender(t, "every field set", &d)
+}
+
 // BenchmarkPlanDocRender times the canonical render of a linear
 // MobileNetV2 plan and of a DAG GoogLeNet plan with schedule and tensors.
+// The +PlanDocument sub-benchmarks time PlanDocument and MarshalIndent
+// together, which is what the server pays for every fresh plan.
 func BenchmarkPlanDocRender(b *testing.B) {
 	net, err := BuiltinModel("MobileNetV2")
 	if err != nil {
@@ -177,15 +218,58 @@ func BenchmarkPlanDocRender(b *testing.B) {
 	}
 	for _, bc := range []struct {
 		name string
-		doc  *PlanDoc
-	}{{"MobileNetV2", PlanDocument(lin)}, {"GoogLeNet-DAG", PlanDocument(dag)}} {
+		plan *Plan
+	}{{"MobileNetV2", lin}, {"GoogLeNet-DAG", dag}} {
+		doc := PlanDocument(bc.plan)
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bc.doc.MarshalIndent(); err != nil {
+				if _, err := doc.MarshalIndent(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		b.Run(bc.name+"+PlanDocument", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PlanDocument(bc.plan).MarshalIndent(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector, whose
+// sync.Pool drops a random share of the items put back.
+var raceEnabled bool
+
+// TestPlanDocRenderAllocs bounds what every fresh plan's render allocates,
+// in the style of core's TestWarmPlanAllocs: PlanDocument allocates the
+// document, its layer slice and its policy mix, and nothing per layer;
+// MarshalIndent allocates only the body.
+func TestPlanDocRenderAllocs(t *testing.T) {
+	net, err := BuiltinModel("MobileNetV2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PlanModel(net, PlanOptions{GLBKiloBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc *PlanDoc
+	if got := testing.AllocsPerRun(50, func() { doc = PlanDocument(p) }); got > 5 {
+		t.Errorf("PlanDocument allocates %.1f objects/op, want <= 5", got)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops the render buffer at random")
+	}
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := doc.MarshalIndent(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("MarshalIndent allocates %.1f objects/op, want exactly 1 (the body)", got)
 	}
 }
