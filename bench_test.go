@@ -17,6 +17,7 @@ import (
 	"scratchmem/internal/experiments"
 	"scratchmem/internal/layer"
 	"scratchmem/internal/model"
+	"scratchmem/internal/obs"
 	"scratchmem/internal/policy"
 	"scratchmem/internal/scalesim"
 	"scratchmem/internal/simulate"
@@ -298,6 +299,36 @@ func BenchmarkPlanModel_Ctx(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := PlanModelCtx(ctx, n, opts, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanModelTraced measures PlanModelCtx the way smm-serve calls
+// it: with a tracer in the context, so every plan opens a span that
+// records the planner's progress events. GLB sizes cycle from 16 kB to
+// 4 MB, so both roomy and degraded plans are in the mix.
+func BenchmarkPlanModelTraced(b *testing.B) {
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(0))
+	sizes := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+	for _, name := range []string{"ResNet18", "MobileNetV2", "GoogLeNet"} {
+		n, err := model.Builtin(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, hom := range []bool{false, true} {
+			scheme := "het"
+			if hom {
+				scheme = "hom"
+			}
+			b.Run(scheme+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					o := PlanOptions{GLBKiloBytes: sizes[i%len(sizes)], Homogeneous: hom}
+					if _, err := PlanModelCtx(ctx, n, o, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

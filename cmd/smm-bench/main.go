@@ -1,9 +1,10 @@
 // Command smm-bench measures the planning hot paths and emits a
 // machine-readable before/after document (BENCH_10.json by default), so the
-// memoization + fan-out work of PR 5 and the differential planning of
-// PR 10 stay pinned to numbers a CI step or a reviewer can diff — and,
-// with -against, acts as the CI regression gate over a previously
-// committed document.
+// planner's memo (core.Memo), its parallel homogeneous sweep and
+// differential planning stay pinned to numbers a CI step or a reviewer can
+// diff against the memo-free, one-worker reference path — and, with
+// -against, acts as the CI regression gate over a previously committed
+// document.
 //
 // Document format (schema "smm-bench/v1"):
 //
@@ -110,8 +111,7 @@ type workload struct {
 	sequential func()
 }
 
-// seqPlanner is the pre-PR reference: no estimate memo, no winner caches,
-// one worker.
+// seqPlanner is the reference path: no memo, one worker.
 func seqPlanner(kb int, obj core.Objective) *core.Planner {
 	pl := &core.Planner{Cfg: policy.Default(kb), Objective: obj, Workers: 1}
 	pl.UseMemo(nil)
@@ -232,7 +232,7 @@ func workloads() []workload {
 			// differ, versus independent PlanModel calls.
 			name: "BatchNeighbors",
 			run: func() {
-				memo := policy.NewMemo()
+				memo := core.NewMemo()
 				fp := plancache.NewFingerprints(len(batchNets))
 				opts := scratchmem.PlanOptions{GLBKiloBytes: 64}
 				for _, nn := range batchNets {
@@ -240,7 +240,7 @@ func workloads() []workload {
 						ck, _ := fp.Best("bench", chain).(*core.Checkpoint)
 						return ck
 					}}
-					ctx := policy.WithMemo(context.Background(), memo)
+					ctx := core.WithMemo(context.Background(), memo)
 					ctx = core.WithDiffer(ctx, d)
 					if _, err := scratchmem.PlanModelCtx(ctx, nn, opts, nil); err != nil {
 						panic(err)

@@ -118,28 +118,35 @@ func TestCtxEntryPointsAgreeWithLegacyForms(t *testing.T) {
 }
 
 // TestProgressEventsCoverEveryLayer pins the hook contract: one "plan"
-// event per layer, in order, with running totals.
+// event per layer, in order, with running totals — for the
+// heterogeneous planner and for the homogeneous search alike.
 func TestProgressEventsCoverEveryLayer(t *testing.T) {
 	net, err := BuiltinModel("ResNet18")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []ProgressEvent
-	p, err := PlanModelCtx(context.Background(), net, PlanOptions{GLBKiloBytes: 64},
-		func(ev ProgressEvent) { events = append(events, ev) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(net.Layers) {
-		t.Fatalf("%d events for %d layers", len(events), len(net.Layers))
-	}
-	for i, ev := range events {
-		if ev.Phase != "plan" || ev.Index != i || ev.Total != len(net.Layers) {
-			t.Fatalf("event %d = %+v", i, ev)
+	for _, o := range []PlanOptions{
+		{GLBKiloBytes: 64},
+		{GLBKiloBytes: 64, Homogeneous: true},
+		{GLBKiloBytes: 64, Homogeneous: true, DisablePrefetch: true},
+	} {
+		var events []ProgressEvent
+		p, err := PlanModelCtx(context.Background(), net, o,
+			func(ev ProgressEvent) { events = append(events, ev) })
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	last := events[len(events)-1]
-	if last.AccessElems != p.AccessElems() {
-		t.Errorf("final running total %d != plan total %d", last.AccessElems, p.AccessElems())
+		if len(events) != len(net.Layers) {
+			t.Fatalf("%+v: %d events for %d layers", o, len(events), len(net.Layers))
+		}
+		for i, ev := range events {
+			if ev.Phase != "plan" || ev.Index != i || ev.Total != len(net.Layers) {
+				t.Fatalf("%+v: event %d = %+v", o, i, ev)
+			}
+		}
+		last := events[len(events)-1]
+		if last.AccessElems != p.AccessElems() {
+			t.Errorf("%+v: final running total %d != plan total %d", o, last.AccessElems, p.AccessElems())
+		}
 	}
 }

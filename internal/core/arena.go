@@ -30,7 +30,7 @@ func dpTablePut(dp [][2]dpCell) {
 	dpTablePool.Put(dp[:cap(dp)]) //nolint:staticcheck // slice header, one pointer
 }
 
-// homScratch is bestHomogeneousFast's per-call working set.
+// homScratch is BestHomogeneousCtx's per-call working set.
 type homScratch struct {
 	shapeIdx []int // layer -> dense shape index
 	repLayer []int // shape index -> representative layer

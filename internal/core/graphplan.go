@@ -101,7 +101,7 @@ func (pl *Planner) minimalNodeEstimator() nodeEstimator {
 func (pl *Planner) homNodeEstimator(id policy.ID, prefetch bool) nodeEstimator {
 	return func(e *policy.Result, l *layer.Layer, resident, keep bool) {
 		o := policy.Options{Prefetch: prefetch, ResidentIfmap: resident, KeepOfmap: keep}
-		pl.Memo.EstimateInto(e, l, id, o, pl.Cfg)
+		*e = policy.EstimateFast(l, id, o, pl.Cfg)
 		if !e.Feasible && !resident && !keep {
 			pl.bestFallbackInto(e, l)
 		}
@@ -125,8 +125,8 @@ func (pl *Planner) PlanGraph(g *model.Graph) (*Plan, error) {
 
 // BestHomogeneousGraphCtx searches every homogeneous policy variant over
 // the DAG pipeline and returns the best whole-graph plan under the
-// objective. Progress events are tagged with the variant's Cell label, as
-// in the linear BestHomogeneousCtx search.
+// objective. Progress events are tagged with the variant's Cell label:
+// every variant is planned in turn, and each pass emits its own events.
 func (pl *Planner) BestHomogeneousGraphCtx(ctx context.Context, g *model.Graph, prog progress.Func) (*Plan, error) {
 	var best *Plan
 	var lastErr error

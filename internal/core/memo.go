@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sync/atomic"
+	"context"
+	"sync"
 
 	"scratchmem/internal/policy"
 )
@@ -11,12 +12,12 @@ import (
 // planner knobs that shape the candidate set, and the inter-layer variant.
 // The objective is deliberately absent — one candidate sweep computes the
 // winner under both objectives (see bestPair) — so an access-objective
-// planner and a latency-objective planner sharing one estimate memo (the
-// figure drivers, one server batch) also share every per-layer decision.
+// planner and a latency-objective planner sharing one memo (the figure
+// drivers, one server batch) also share every per-layer decision.
 //
 // Cfg and the flags live in the key rather than being assumed constant:
 // the degradation ladder plans with copies of the Planner that share this
-// cache but flip DisablePrefetch, and some experiment drivers mutate Cfg
+// memo but flip DisablePrefetch, and some experiment drivers mutate Cfg
 // (e.g. Batch) between runs.
 type bestKey struct {
 	shape      policy.LayerKey
@@ -32,31 +33,6 @@ type bestKey struct {
 // not depend on the objective, so a single sweep fills both slots; when
 // nothing fits, both slots carry the same infeasible fallback report.
 type bestPair [2]policy.Result
-
-// bestBuckets sizes the winner cache's bucket array. One run sees at most
-// a few hundred distinct (shape, config, variant) questions, far fewer
-// than the estimate memo's keys, so a small table keeps chains short while
-// costing little on the many short-lived planners the drivers create.
-const bestBuckets = 256
-
-// bestEntry is one cached winner pair, immutable once published.
-type bestEntry struct {
-	key  bestKey
-	p    bestPair
-	next *bestEntry
-}
-
-// bestBlockLen sizes the entry arena's blocks: entries are ~650 bytes, so
-// a block is one mid-size allocation amortised over eight stores.
-const bestBlockLen = 8
-
-// bestBlock is a chunk of entry storage. Entries are claimed with an
-// atomic counter; a block never frees individual entries (the whole cache
-// dies together), so claimed slots stay address-stable for the chains.
-type bestBlock struct {
-	used atomic.Int64
-	e    [bestBlockLen]bestEntry
-}
 
 // homKey identifies one homogeneous-sweep question: what does a layer of
 // this shape contribute to the network totals under every (policy,
@@ -85,183 +61,141 @@ type homContrib struct {
 // indexed by position in homVariants' deterministic order.
 type homContribs [maxHomVariants]homContrib
 
-// homBuckets sizes the sweep cache: one run sees at most a few hundred
-// distinct (shape, config) rows.
-const homBuckets = 128
-
-// homEntry is one cached sweep row, immutable once published.
-type homEntry struct {
-	key  homKey
-	c    homContribs
-	next *homEntry
+// Memo is the table of candidate sweeps shared across one planning run
+// (a Planner and the degradation-ladder copies made from it) or one batch
+// of runs: each per-layer winner question and each homogeneous sweep row
+// is answered once and then looked up, so the inter-layer DP's
+// (resident, keep) re-probes, repeated layer shapes and a sibling planner
+// with the other objective cost one map probe. The estimators are pure
+// functions of (shape, options, config), so a stored answer is exactly
+// what a fresh sweep would return.
+//
+// A Memo is safe for concurrent use: sweeps run outside the lock and
+// publish their answer under it. A nil *Memo stores nothing and counts
+// nothing, so every question is swept afresh — the sequential reference
+// the golden equivalence tests compare against.
+type Memo struct {
+	mu   sync.Mutex
+	best map[bestKey]*bestPair
+	hom  map[homKey]*homContribs
+	// slab is bulk storage for best's pairs: one allocation per
+	// memoSlabLen stores instead of one per store.
+	slab         []bestPair
+	hits, misses int64
 }
 
-// bestCache memoizes per-layer winners and per-shape homogeneous-sweep
-// rows. It attaches to the run's policy.Memo (see bestCacheFor) so every
-// planner sharing that memo — the degradation ladder's relaxed rungs, the
-// figure drivers' per-objective planners, the server's requests — shares
-// one table, and the Planner itself stays trivially copyable (no embedded
-// locks). Like the estimate memo it is a lock-free chained table: a probe
-// is one atomic pointer load plus a short walk, and publication is a CAS
-// prepend.
-type bestCache struct {
-	blk     atomic.Pointer[bestBlock]
-	buckets [bestBuckets]atomic.Pointer[bestEntry]
-	hom     [homBuckets]atomic.Pointer[homEntry]
+// memoSlabLen and memoBestHint size the table for one plan of a typical
+// network (tens of distinct layer shapes, up to four inter-layer variants
+// each) without regrowth; a batch grows it as needed.
+const (
+	memoSlabLen  = 16
+	memoBestHint = 32
+)
+
+// NewMemo returns an empty table. A table lives for one planning run or
+// one batch of runs and is never bounded: no table outlives the work that
+// filled it, so its size is that work's distinct questions.
+func NewMemo() *Memo { return &Memo{} }
+
+// MemoStats is a point-in-time snapshot of a table's probe counters, or
+// of their sums over many tables (the server's counters).
+type MemoStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 }
 
-// alloc claims one entry slot from the current block, starting a new block
-// when the current one is exhausted. A slot claimed by a store that then
-// detects a racing duplicate is simply abandoned — blocks are bulk
-// storage, not a free list.
-func (c *bestCache) alloc() *bestEntry {
-	for {
-		b := c.blk.Load()
-		if b != nil {
-			if i := b.used.Add(1) - 1; i < bestBlockLen {
-				return &b.e[i]
-			}
-		}
-		c.blk.CompareAndSwap(b, &bestBlock{})
+// Stats snapshots the hit/miss counters. Nil-safe.
+func (m *Memo) Stats() MemoStats {
+	if m == nil {
+		return MemoStats{}
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return MemoStats{Hits: m.hits, Misses: m.misses}
 }
 
-func newBestCache() *bestCache { return &bestCache{} }
-
-// bestCacheFor returns the winner cache attached to m, installing one on
-// first use. All planners sharing m get the same cache.
-func bestCacheFor(m *policy.Memo) *bestCache {
-	return m.Companion(func() any { return newBestCache() }).(*bestCache)
-}
-
-// hash mixes every key field FNV-1a style, mirroring memoKey.hash.
-func (k *bestKey) hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(k.shape.Kind)) * prime
-	h = (h ^ uint64(k.shape.IH)) * prime
-	h = (h ^ uint64(k.shape.IW)) * prime
-	h = (h ^ uint64(k.shape.CI)) * prime
-	h = (h ^ uint64(k.shape.FH)) * prime
-	h = (h ^ uint64(k.shape.FW)) * prime
-	h = (h ^ uint64(k.shape.F)) * prime
-	h = (h ^ uint64(k.shape.S)) * prime
-	h = (h ^ uint64(k.shape.P)) * prime
-	var b uint64
-	if k.cfg.IncludePadding {
-		b |= 1
-	}
-	if k.noPrefetch {
-		b |= 2
-	}
-	if k.fallback {
-		b |= 4
-	}
-	if k.resident {
-		b |= 8
-	}
-	if k.keep {
-		b |= 16
-	}
-	h = (h ^ b) * prime
-	h = (h ^ uint64(k.cfg.GLBBytes)) * prime
-	h = (h ^ uint64(k.cfg.DataWidthBits)) * prime
-	h = (h ^ uint64(k.cfg.OpsPerCycle)) * prime
-	h = (h ^ uint64(k.cfg.DRAMBytesPerCycle)) * prime
-	h = (h ^ uint64(k.cfg.Batch)) * prime
-	return h
-}
-
-// hash mixes every key field FNV-1a style, mirroring bestKey.hash.
-func (k *homKey) hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	h = (h ^ uint64(k.shape.Kind)) * prime
-	h = (h ^ uint64(k.shape.IH)) * prime
-	h = (h ^ uint64(k.shape.IW)) * prime
-	h = (h ^ uint64(k.shape.CI)) * prime
-	h = (h ^ uint64(k.shape.FH)) * prime
-	h = (h ^ uint64(k.shape.FW)) * prime
-	h = (h ^ uint64(k.shape.F)) * prime
-	h = (h ^ uint64(k.shape.S)) * prime
-	h = (h ^ uint64(k.shape.P)) * prime
-	var b uint64
-	if k.cfg.IncludePadding {
-		b |= 1
-	}
-	if k.noPrefetch {
-		b |= 2
-	}
-	h = (h ^ b) * prime
-	h = (h ^ uint64(k.cfg.GLBBytes)) * prime
-	h = (h ^ uint64(k.cfg.DataWidthBits)) * prime
-	h = (h ^ uint64(k.cfg.OpsPerCycle)) * prime
-	h = (h ^ uint64(k.cfg.DRAMBytesPerCycle)) * prime
-	h = (h ^ uint64(k.cfg.Batch)) * prime
-	return h
-}
-
-// homGet returns the cached sweep row, or nil. The pointee is shared and
-// immutable.
-func (c *bestCache) homGet(k *homKey) *homContribs {
-	b := &c.hom[k.hash()&(homBuckets-1)]
-	for e := b.Load(); e != nil; e = e.next {
-		if e.key == *k {
-			return &e.c
-		}
-	}
-	return nil
-}
-
-// homPut publishes row under k. Sweep rows are small and rare enough that
-// entries come straight from the heap rather than an arena.
-func (c *bestCache) homPut(k *homKey, row *homContribs) {
-	e := &homEntry{key: *k, c: *row}
-	b := &c.hom[k.hash()&(homBuckets-1)]
-	for {
-		head := b.Load()
-		for dup := head; dup != nil; dup = dup.next {
-			if dup.key == *k {
-				return
-			}
-		}
-		e.next = head
-		if b.CompareAndSwap(head, e) {
-			return
-		}
+// count records one probe's outcome; m.mu must be held.
+func (m *Memo) count(hit bool) {
+	if hit {
+		m.hits++
+	} else {
+		m.misses++
 	}
 }
 
-// get returns the cached pair, or nil. The pointee is shared and must not
-// be mutated; callers copy the slot they need.
-func (c *bestCache) get(k *bestKey) *bestPair {
-	b := &c.buckets[k.hash()&(bestBuckets-1)]
-	for e := b.Load(); e != nil; e = e.next {
-		if e.key == *k {
-			return &e.p
-		}
+// winner returns the stored pair for k, or nil. The pointee is shared and
+// immutable; callers copy the slot they need.
+func (m *Memo) winner(k *bestKey) *bestPair {
+	if m == nil {
+		return nil
 	}
-	return nil
+	m.mu.Lock()
+	p := m.best[*k]
+	m.count(p != nil)
+	m.mu.Unlock()
+	return p
 }
 
-// put publishes p under k. Entries are immutable once published; a racing
-// duplicate (equal keys carry equal pairs) is skipped to keep chains tight.
-func (c *bestCache) put(k *bestKey, p *bestPair) {
-	e := c.alloc()
-	e.key, e.p = *k, *p
-	e.p[0].Layer = "" // keys are name-free; hits patch the name back
-	e.p[1].Layer = ""
-	b := &c.buckets[k.hash()&(bestBuckets-1)]
-	for {
-		head := b.Load()
-		for dup := head; dup != nil; dup = dup.next {
-			if dup.key == *k {
-				return
-			}
-		}
-		e.next = head
-		if b.CompareAndSwap(head, e) {
-			return
-		}
+// storeWinner publishes a copy of p under k. Equal keys carry equal pairs,
+// so a racing duplicate may overwrite the first: readers holding either
+// copy see the same answer.
+func (m *Memo) storeWinner(k *bestKey, p *bestPair) {
+	if m == nil {
+		return
 	}
+	m.mu.Lock()
+	if m.best == nil {
+		m.best = make(map[bestKey]*bestPair, memoBestHint)
+	}
+	if len(m.slab) == cap(m.slab) {
+		m.slab = make([]bestPair, 0, memoSlabLen)
+	}
+	m.slab = append(m.slab, *p)
+	m.best[*k] = &m.slab[len(m.slab)-1]
+	m.mu.Unlock()
+}
+
+// row returns the stored sweep row for k, or nil. The pointee is shared
+// and immutable.
+func (m *Memo) row(k *homKey) *homContribs {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	r := m.hom[*k]
+	m.count(r != nil)
+	m.mu.Unlock()
+	return r
+}
+
+// storeRow publishes a copy of r under k, as storeWinner does.
+func (m *Memo) storeRow(k *homKey, r *homContribs) {
+	if m == nil {
+		return
+	}
+	c := new(homContribs)
+	*c = *r
+	m.mu.Lock()
+	if m.hom == nil {
+		m.hom = make(map[homKey]*homContribs)
+	}
+	m.hom[*k] = c
+	m.mu.Unlock()
+}
+
+// memoCtxKey carries a *Memo through a context (see WithMemo).
+type memoCtxKey struct{}
+
+// WithMemo returns a context carrying m. The serving path uses this to
+// hand each planning run a fresh table, or every run of one batch the
+// same table; the façade's planner picks it up via MemoFrom, and the
+// caller reads the table's Stats once the run or batch is done.
+func WithMemo(ctx context.Context, m *Memo) context.Context {
+	return context.WithValue(ctx, memoCtxKey{}, m)
+}
+
+// MemoFrom returns the Memo carried by ctx, or nil.
+func MemoFrom(ctx context.Context) *Memo {
+	m, _ := ctx.Value(memoCtxKey{}).(*Memo)
+	return m
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"scratchmem/internal/faultinject"
 	"scratchmem/internal/layer"
 	"scratchmem/internal/model"
 	"scratchmem/internal/parallel"
@@ -34,48 +32,36 @@ type Planner struct {
 	// with a one-pass greedy rule (enable retention whenever the local pair
 	// improves); an ablation knob — the DP is never worse.
 	InterLayerGreedy bool
-	// Memo is the estimate table shared across one planning run: repeated
-	// layer shapes and the DP's (resident, keep) re-probes become map
-	// lookups. nil disables memoization entirely — the sequential
-	// reference path the golden equivalence tests compare against.
-	// NewPlanner installs a fresh table; literal constructions opt in via
-	// UseMemo. Every memoized path produces plans identical to the direct
-	// path.
-	Memo *policy.Memo
-	// Workers bounds BestHomogeneousCtx's per-variant fan-out: 0 uses
-	// GOMAXPROCS, 1 plans the variants sequentially on the caller's
-	// goroutine. The fan-out reduces results in deterministic variant
-	// order, so the worker count never changes the selected plan.
+	// Memo is the table of per-layer winners and homogeneous sweep rows
+	// shared across one planning run: repeated layer shapes and the DP's
+	// (resident, keep) re-probes become map lookups. nil disables
+	// memoization entirely — the sequential reference path the golden
+	// equivalence tests compare against. NewPlanner installs a fresh
+	// table; literal constructions opt in via UseMemo. Every memoized path
+	// produces plans identical to the direct path. A pointer, so value
+	// copies of the Planner (the degradation ladder's rungs) share it — the
+	// keys carry every field a copy might change.
+	Memo *Memo
+	// Workers bounds the fan-out of BestHomogeneousCtx's per-shape sweep:
+	// 0 uses GOMAXPROCS, 1 sweeps the shapes sequentially on the caller's
+	// goroutine. Every row lands in its own slot and variants are scored
+	// in deterministic order, so the worker count never changes the
+	// selected plan.
 	Workers int
-
-	// best caches bestForLayer/bestFallback winners; installed alongside
-	// Memo by UseMemo. A pointer, so value copies of the Planner (the
-	// degradation ladder's rungs) share it — the key carries every field a
-	// copy might change.
-	best *bestCache
 }
 
 // NewPlanner returns a Planner with the paper's default accelerator
 // specification for the given GLB size in kB and the given objective,
-// with a fresh estimate memo installed.
+// with a fresh memo installed.
 func NewPlanner(glbKB int, obj Objective) *Planner {
-	pl := &Planner{Cfg: policy.Default(glbKB), Objective: obj}
-	pl.UseMemo(policy.NewMemo())
-	return pl
+	return &Planner{Cfg: policy.Default(glbKB), Objective: obj, Memo: NewMemo()}
 }
 
-// UseMemo installs m as the planner's estimate table (sharing one table
-// across planners is safe and useful: the estimators do not depend on the
-// objective). A nil m removes memoization, restoring the sequential
-// reference behaviour.
-func (pl *Planner) UseMemo(m *policy.Memo) {
-	pl.Memo = m
-	if m == nil {
-		pl.best = nil
-		return
-	}
-	pl.best = bestCacheFor(m)
-}
+// UseMemo installs m as the planner's table (sharing one table across
+// planners is safe and useful: the keys do not depend on the objective).
+// A nil m removes memoization, restoring the sequential reference
+// behaviour.
+func (pl *Planner) UseMemo(m *Memo) { pl.Memo = m }
 
 // planIDs and prefetchAll back prefetchChoices and the candidate loops
 // without per-call allocations.
@@ -122,23 +108,24 @@ func (pl *Planner) bestForLayerInto(e *policy.Result, lp *model.Network, idx int
 // bestLayerInto is the layer-pointer form of bestForLayerInto, shared with
 // the DAG planner (graphplan.go), which has no Network to index into.
 func (pl *Planner) bestLayerInto(e *policy.Result, l *layer.Layer, resident, keep bool) {
-	if pl.best == nil {
-		p := pl.bestForLayerDirect(l, resident, keep)
-		*e = p[objIndex(pl.Objective)]
-		return
-	}
 	k := bestKey{shape: policy.KeyOf(l), cfg: pl.Cfg,
 		noPrefetch: pl.DisablePrefetch, resident: resident, keep: keep}
-	if p := pl.best.get(&k); p != nil {
-		pl.Memo.CountHit()
-		*e = p[objIndex(pl.Objective)]
-		e.Layer = l.Name
-		return
+	pl.winnerInto(e, &k, l.Name, func() bestPair { return pl.bestForLayerDirect(l, resident, keep) })
+}
+
+// winnerInto writes the answer to k under the planner's objective: the
+// memo's pair when it holds one, otherwise sweep's, which the memo then
+// keeps for both objectives. Keys are name-free, so the caller's layer
+// name is patched onto the result.
+func (pl *Planner) winnerInto(e *policy.Result, k *bestKey, name string, sweep func() bestPair) {
+	p := pl.Memo.winner(k)
+	if p == nil {
+		fresh := sweep()
+		p = &fresh
+		pl.Memo.storeWinner(k, p)
 	}
-	pl.Memo.CountMiss()
-	p := pl.bestForLayerDirect(l, resident, keep)
 	*e = p[objIndex(pl.Objective)]
-	pl.best.put(&k, &p)
+	e.Layer = name
 }
 
 func (pl *Planner) bestForLayerDirect(l *layer.Layer, resident, keep bool) bestPair {
@@ -431,8 +418,8 @@ func (pl *Planner) HomogeneousCtx(ctx context.Context, n *model.Network, id poli
 	return pl.homogeneousPlanned(ctx, n, id, prefetch, prog)
 }
 
-// homogeneousPlanned is HomogeneousCtx after validation — the per-variant
-// body BestHomogeneousCtx fans out (validating once, not twelve times).
+// homogeneousPlanned is HomogeneousCtx after validation — also the walk
+// that materialises BestHomogeneousCtx's winning variant.
 func (pl *Planner) homogeneousPlanned(ctx context.Context, n *model.Network, id policy.ID, prefetch bool, prog progress.Func) (*Plan, error) {
 	plan := &Plan{
 		Model: n.Name, Cfg: pl.Cfg, Objective: pl.Objective,
@@ -450,7 +437,7 @@ func (pl *Planner) homogeneousPlanned(ctx context.Context, n *model.Network, id 
 		// final location instead of bouncing through stack copies.
 		plan.Layers = append(plan.Layers, LayerPlan{Layer: *l})
 		e := &plan.Layers[i].Est
-		pl.Memo.EstimateInto(e, l, id, policy.Options{Prefetch: prefetch}, pl.Cfg)
+		*e = policy.EstimateFast(l, id, policy.Options{Prefetch: prefetch}, pl.Cfg)
 		if !e.Feasible {
 			pl.bestFallbackInto(e, l)
 			if !e.Feasible {
@@ -468,38 +455,19 @@ func (pl *Planner) homogeneousPlanned(ctx context.Context, n *model.Network, id 
 	return plan, nil
 }
 
-func (pl *Planner) bestFallback(l *layer.Layer) policy.Result {
-	var r policy.Result
-	pl.bestFallbackInto(&r, l)
-	return r
-}
-
-// bestFallbackInto is bestFallback writing the winner in place.
+// bestFallbackInto writes the best fallback tiling for l: the escape hatch
+// of a homogeneous variant that does not fit.
 func (pl *Planner) bestFallbackInto(e *policy.Result, l *layer.Layer) {
-	if pl.best == nil {
-		p := pl.bestFallbackDirect(l)
-		*e = p[objIndex(pl.Objective)]
-		return
-	}
 	k := bestKey{shape: policy.KeyOf(l), cfg: pl.Cfg,
 		noPrefetch: pl.DisablePrefetch, fallback: true}
-	if p := pl.best.get(&k); p != nil {
-		pl.Memo.CountHit()
-		*e = p[objIndex(pl.Objective)]
-		e.Layer = l.Name
-		return
-	}
-	pl.Memo.CountMiss()
-	p := pl.bestFallbackDirect(l)
-	*e = p[objIndex(pl.Objective)]
-	pl.best.put(&k, &p)
+	pl.winnerInto(e, &k, l.Name, func() bestPair { return pl.bestFallbackDirect(l) })
 }
 
 func (pl *Planner) bestFallbackDirect(l *layer.Layer) bestPair {
 	var p bestPair
 	found := false
 	for _, pf := range pl.prefetchChoices() {
-		e := pl.Memo.Fallback(l, policy.Options{Prefetch: pf}, pl.Cfg)
+		e := policy.FallbackEstimate(l, policy.Options{Prefetch: pf}, pl.Cfg)
 		if !e.Feasible {
 			continue
 		}
@@ -518,7 +486,7 @@ func (pl *Planner) bestFallbackDirect(l *layer.Layer) bestPair {
 	if found {
 		return p
 	}
-	e := pl.Memo.Fallback(l, policy.Options{}, pl.Cfg)
+	e := policy.FallbackEstimate(l, policy.Options{}, pl.Cfg)
 	p[0], p[1] = e, e
 	return p
 }
@@ -528,84 +496,6 @@ func (pl *Planner) bestFallbackDirect(l *layer.Layer) bestPair {
 // paper's Hom bars.
 func (pl *Planner) BestHomogeneous(n *model.Network) (*Plan, error) {
 	return pl.BestHomogeneousCtx(context.Background(), n, nil)
-}
-
-// BestHomogeneousCtx is BestHomogeneous with cancellation and, when
-// Workers permits, a parallel fan-out: the candidate (policy, ±prefetch)
-// variants are planned concurrently over a worker pool and reduced in
-// deterministic variant order, so the selected plan is byte-identical to
-// the sequential walk no matter the worker count or finish order.
-// Progress events from concurrent variant passes are tagged with the
-// variant's Cell label and delivered one at a time, so a single-goroutine
-// observer (a span, a log hook) needs no locking of its own. Cancellation
-// and injected faults surface immediately rather than being mistaken for
-// an infeasible variant.
-func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
-	if err := pl.Cfg.Validate(); err != nil {
-		return nil, smmerr.BadModel(err)
-	}
-	if err := n.Validate(); err != nil {
-		return nil, smmerr.BadModel(err)
-	}
-	if prog == nil {
-		// No observer to feed per-variant events: take the shape-deduped
-		// scoring path and assemble only the winning variant's plan.
-		return pl.bestHomogeneousFast(ctx, n)
-	}
-	variants := homVariants(pl.prefetchChoices())
-	plans := make([]*Plan, len(variants))
-	errs := make([]error, len(variants))
-	var emitMu sync.Mutex
-	err := parallel.ForEachCtx(ctx, len(variants), pl.Workers, func(ctx context.Context, i int) error {
-		v := variants[i]
-		cell := policy.ShortVariant(v.id, v.pf)
-		vprog := func(ev progress.Event) {
-			ev.Cell = cell
-			emitMu.Lock()
-			prog(ev)
-			emitMu.Unlock()
-		}
-		p, verr := pl.homogeneousPlanned(ctx, n, v.id, v.pf, vprog)
-		if verr != nil {
-			// Cancellation and injected faults are transient, not a
-			// property of the variant: stop the fan-out and surface them.
-			if smmerr.IsCanceled(verr) || faultinject.IsInjected(verr) {
-				return verr
-			}
-			errs[i] = verr
-			return nil
-		}
-		plans[i] = p
-		return nil
-	})
-	if err != nil {
-		// A bare sentinel means the fan-out feeder stopped before entering
-		// a variant (the sequential path's pre-variant ctx check); errors
-		// from inside a variant pass are already wrapped.
-		if err == context.Canceled || err == context.DeadlineExceeded { //nolint:errorlint // identity, not tree, distinguishes the feeder
-			return nil, fmt.Errorf("core: %s: %w", n.Name, err)
-		}
-		return nil, err
-	}
-	// Reduce in variant order: first-best wins ties, exactly as the
-	// sequential loop's strict planBetter comparison would.
-	var best *Plan
-	var firstErr error
-	for i := range variants {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-			continue
-		}
-		if p := plans[i]; p != nil && (best == nil || planBetter(pl.Objective, p, best)) {
-			best = p
-		}
-	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
 }
 
 // homVariant is one homogeneous candidate scheme: a policy with or without
@@ -625,17 +515,24 @@ func homVariants(prefetch []bool) []homVariant {
 	return variants
 }
 
-// bestHomogeneousFast is BestHomogeneousCtx without an observer: networks
-// repeat layer shapes heavily, and the estimators are pure functions of
-// (shape, variant, config), so the pass dedupes the network into its
-// distinct shapes, sweeps every variant once per shape (fanned over the
-// worker pool), and scores variants by accumulating the dense per-shape
-// contributions in layer order. Totals, failure layers and tie-breaks are
-// exactly those of the per-variant walk — the winning variant's plan,
-// assembled at the end from the now-warm caches, is byte-identical — but
-// the work drops from variants×layers probes to variants×shapes sweeps
-// and a single plan materialisation.
-func (pl *Planner) bestHomogeneousFast(ctx context.Context, n *model.Network) (*Plan, error) {
+// BestHomogeneousCtx is BestHomogeneous with cancellation and
+// observation. Networks repeat layer shapes heavily, and the estimators
+// are pure functions of (shape, variant, config), so the search dedupes
+// the network into its distinct shapes, sweeps every variant once per
+// shape (fanned over Workers, each row in its own slot), and scores
+// variants by accumulating the dense per-shape contributions in layer
+// order. Totals, failure layers and tie-breaks are exactly those of
+// planning each variant in turn; only the winning variant's plan is
+// materialised, and prog receives that walk's one event per layer.
+// Cancellation and injected faults surface immediately rather than being
+// mistaken for an infeasible variant.
+func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
+	if err := pl.Cfg.Validate(); err != nil {
+		return nil, smmerr.BadModel(err)
+	}
+	if err := n.Validate(); err != nil {
+		return nil, smmerr.BadModel(err)
+	}
 	variants := homVariants(pl.prefetchChoices())
 	L := len(n.Layers)
 	hs := homScratchGet(L)
@@ -664,18 +561,10 @@ func (pl *Planner) bestHomogeneousFast(ctx context.Context, n *model.Network) (*
 		}
 		l := &n.Layers[li]
 		k := homKey{shape: policy.KeyOf(l), cfg: pl.Cfg, noPrefetch: pl.DisablePrefetch}
-		if pl.best != nil {
-			if row := pl.best.homGet(&k); row != nil {
-				pl.Memo.CountHit()
-				contribs[si] = *row
-				return nil
-			}
-			pl.Memo.CountMiss()
+		if row := pl.Memo.row(&k); row != nil {
+			contribs[si] = *row
+			return nil
 		}
-		// Miss: estimate every variant straight from the shape. The shared
-		// estimate memo is deliberately bypassed here — its per-probe
-		// hash/store costs more than the estimator on this dense sweep —
-		// and the whole row is published once instead.
 		sh := policy.NewShape(l, pl.Cfg.IncludePadding)
 		var row homContribs
 		var e policy.Result
@@ -691,9 +580,7 @@ func (pl *Planner) bestHomogeneousFast(ctx context.Context, n *model.Network) (*
 			}
 		}
 		contribs[si] = row
-		if pl.best != nil {
-			pl.best.homPut(&k, &row)
-		}
+		pl.Memo.storeRow(&k, &row)
 		return nil
 	})
 	if err != nil {
@@ -734,7 +621,7 @@ func (pl *Planner) bestHomogeneousFast(ctx context.Context, n *model.Network) (*
 	if bestIdx < 0 {
 		return nil, firstErr
 	}
-	return pl.homogeneousPlanned(ctx, n, variants[bestIdx].id, variants[bestIdx].pf, nil)
+	return pl.homogeneousPlanned(ctx, n, variants[bestIdx].id, variants[bestIdx].pf, prog)
 }
 
 // totalsBetter is planBetter on precomputed {accesses, cycles} sums.

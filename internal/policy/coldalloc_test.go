@@ -1,26 +1,45 @@
 package policy
 
-import "testing"
+import (
+	"testing"
 
-// TestColdEstimatePathAllocs pins PR 10's cold-path property: estimating a
-// layer the memo has never seen — shape construction aside — allocates
-// nothing. The per-policy tile coefficients (Shape.tiles) replace the old
-// per-probe recomputation, and the memo's block arena amortizes stores, so
-// a cold sweep is bounded by arithmetic, not the garbage collector.
+	"scratchmem/internal/model"
+)
+
+// TestColdEstimatePathAllocs pins the estimators' allocation behaviour:
+// estimating a layer — shape construction included — allocates nothing.
+// The per-policy tile coefficients (Shape.tiles) replace per-probe
+// recomputation, so a sweep is bounded by arithmetic, not the garbage
+// collector.
 func TestColdEstimatePathAllocs(t *testing.T) {
-	layers := memoTestLayers(t)
+	n, err := model.Builtin("ResNet18")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Default(64)
-	l := &layers[1]
+	l := &n.Layers[1]
 	var e Result
 
-	// Package-level one-shot estimate of an unseen shape.
+	// Package-level one-shot estimates of an unseen shape.
 	if n := testing.AllocsPerRun(100, func() {
 		_ = EstimateFast(l, P4PartialIfmap, Options{Prefetch: true}, cfg)
 	}); n != 0 {
 		t.Errorf("cold EstimateFast allocates %.1f objects/op, want 0", n)
 	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = Estimate(l, IntraLayer, Options{}, cfg)
+	}); n != 0 {
+		t.Errorf("Estimate allocates %.1f objects/op, want 0", n)
+	}
 
-	// Shape construction plus a full policy sweep on it.
+	// One probe into a reused Result, and shape construction plus a full
+	// policy sweep on it.
+	sh := NewShape(l, cfg.IncludePadding)
+	if n := testing.AllocsPerRun(100, func() {
+		sh.EstimateFastInto(&e, P3PerChannel, Options{}, cfg)
+	}); n != 0 {
+		t.Errorf("EstimateFastInto allocates %.1f objects/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		sh := NewShape(l, cfg.IncludePadding)
 		for _, id := range allIDs {
@@ -28,17 +47,5 @@ func TestColdEstimatePathAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("NewShape + full sweep allocates %.1f objects/op, want 0", n)
-	}
-
-	// Memo cold paths: EstimateInto / EstimateN on always-fresh options so
-	// every call is a miss-and-store (the block arena absorbs entry churn;
-	// AllocsPerRun averaging tolerates the occasional new block).
-	m := NewMemo()
-	batch := int64(0)
-	if n := testing.AllocsPerRun(100, func() {
-		batch++
-		m.EstimateN(l, P5PartialPerChannel, Options{Prefetch: true}, cfg, batch)
-	}); n != 0 {
-		t.Errorf("cold Memo.EstimateN allocates %.1f objects/op, want 0", n)
 	}
 }

@@ -13,12 +13,12 @@ import (
 	"strings"
 
 	scratchmem "scratchmem"
+	"scratchmem/internal/core"
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/model"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/parallel"
 	"scratchmem/internal/plancache"
-	"scratchmem/internal/policy"
 )
 
 // maxBatchItems bounds one POST /v1/plan/batch. A DSE sweep over every
@@ -43,10 +43,11 @@ type BatchItem struct {
 	Error   string          `json:"error,omitempty"`
 }
 
-// BatchResponse answers POST /v1/plan/batch. MemoHits/MemoMisses report the
-// batch-shared estimate memo: a DSE-style sweep (same network, many
-// configurations) re-estimates the same (layer, policy, config) shapes over
-// and over, so sharing one memo across the batch is the point of the route.
+// BatchResponse answers POST /v1/plan/batch. MemoHits/MemoMisses count the
+// probes of the batch-shared memo (core.Memo): a DSE-style sweep (same
+// network, many configurations) asks the same per-layer winner and
+// homogeneous sweep-row questions over and over, so sharing one memo
+// across the batch is the point of the route.
 type BatchResponse struct {
 	Results    []BatchItem `json:"results"`
 	MemoHits   int64       `json:"memo_hits"`
@@ -75,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	memo := policy.NewMemo()
+	memo := core.NewMemo()
 	// One shared fingerprint index per batch: batch items are typically
 	// dense neighbor sets (DSE sweeps, one-layer mutations), so checkpoints
 	// captured by early items splice later ones even before anything lands

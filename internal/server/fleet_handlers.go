@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"scratchmem/internal/cluster"
+	"scratchmem/internal/core"
 	"scratchmem/internal/plancache"
-	"scratchmem/internal/policy"
 )
 
 // replicateFresh pushes a freshly computed plan toward its ring successor.
@@ -189,7 +189,7 @@ type ClusterStatus struct {
 	Replication cluster.ReplStats      `json:"replication"`
 	// Cache, Memo and Peer are this member's own data-plane counters.
 	Cache plancache.Stats   `json:"cache"`
-	Memo  policy.MemoStats  `json:"memo"`
+	Memo  core.MemoStats    `json:"memo"`
 	Peer  cluster.PeerStats `json:"peer"`
 	// DegradedPlans counts plans this member produced via the degradation
 	// ladder.

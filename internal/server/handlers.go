@@ -251,7 +251,7 @@ func cacheHeader(w http.ResponseWriter, shared bool) {
 // shared table, whose stats the batch counts once it finishes), otherwise
 // a fresh table counted here. No memo outlives its run or batch, so a cold
 // plan costs the same however long the server has been up.
-func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, memo *policy.Memo, batchFP *plancache.Fingerprints, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
+func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, memo *core.Memo, batchFP *plancache.Fingerprints, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
 	var spec *cluster.FillSpec
 	if wire != nil {
 		spec = &cluster.FillSpec{
@@ -283,10 +283,10 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, mem
 		defer s.sem.Release()
 		run := memo
 		if run == nil {
-			run = policy.NewMemo()
+			run = core.NewMemo()
 			defer func() { s.met.observeMemo(run.Stats()) }()
 		}
-		ctx = policy.WithMemo(ctx, run)
+		ctx = core.WithMemo(ctx, run)
 		if differ != nil {
 			ctx = core.WithDiffer(ctx, differ)
 		}

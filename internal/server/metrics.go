@@ -176,14 +176,14 @@ func (m *metrics) incrementalPlan(outcome string, layersReused int) {
 }
 
 // observeMemo adds one finished run's or batch's estimate-memo counters.
-func (m *metrics) observeMemo(ms policy.MemoStats) {
+func (m *metrics) observeMemo(ms core.MemoStats) {
 	m.memoHits.Add(ms.Hits)
 	m.memoMisses.Add(ms.Misses)
 }
 
 // memoStats reads the summed estimate-memo counters.
-func (m *metrics) memoStats() policy.MemoStats {
-	return policy.MemoStats{Hits: m.memoHits.Load(), Misses: m.memoMisses.Load()}
+func (m *metrics) memoStats() core.MemoStats {
+	return core.MemoStats{Hits: m.memoHits.Load(), Misses: m.memoMisses.Load()}
 }
 
 // breakerOpened counts one request fast-failed by an open circuit breaker.

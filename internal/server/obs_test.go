@@ -169,6 +169,31 @@ func TestRequestObservability(t *testing.T) {
 	}
 }
 
+// TestHomPlanSpanEvents: a homogeneous /v1/plan records one progress event
+// per layer on its plan span — the winning variant's walk — however many
+// candidate variants the search scored.
+func TestHomPlanSpanEvents(t *testing.T) {
+	tracer := obs.NewTracer(64)
+	ts := httptest.NewServer(New(Config{Tracer: tracer}).Handler())
+	defer ts.Close()
+	resp, body := post(t, ts, "/v1/plan", `{"model": "ResNet18", "glb_kb": 256, "homogeneous": true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan: status %d: %s", resp.StatusCode, body)
+	}
+	var plans []*obs.Span
+	for _, s := range tracer.Spans() {
+		if s.Name == "plan" {
+			plans = append(plans, s)
+		}
+	}
+	if len(plans) != 1 {
+		t.Fatalf("%d plan spans, want 1", len(plans))
+	}
+	if got, want := len(plans[0].Events), plans[0].Attr("layers"); got != want {
+		t.Errorf("plan span has %d events, want one per layer (%v)", got, want)
+	}
+}
+
 // TestTraceEndpoint covers GET /v1/trace/{key}: Perfetto JSON and CSV
 // renderings of a planned model, the 404 for unknown keys, and the 400 for
 // unknown formats.

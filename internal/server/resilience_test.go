@@ -17,7 +17,6 @@ import (
 
 	scratchmem "scratchmem"
 	"scratchmem/internal/core"
-	"scratchmem/internal/policy"
 )
 
 const infeasibleBody = `{"model": "ResNet18", "glb_kb": 1}`
@@ -281,10 +280,10 @@ func TestEstimateMemoMetrics(t *testing.T) {
 func TestEstimateMemoScope(t *testing.T) {
 	srv := New(Config{})
 	var mu sync.Mutex
-	seen := map[int]*policy.Memo{} // by GLB kB: each request below is unique
+	seen := map[int]*core.Memo{} // by GLB kB: each request below is unique
 	srv.planFn = func(ctx context.Context, n *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
 		mu.Lock()
-		seen[int(o.Config.GLBBytes/1024)] = policy.MemoFrom(ctx)
+		seen[int(o.Config.GLBBytes/1024)] = core.MemoFrom(ctx)
 		mu.Unlock()
 		return scratchmem.PlanModelCtx(ctx, n, o, nil)
 	}

@@ -274,14 +274,13 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 		DisablePrefetch: o.DisablePrefetch,
 		InterLayer:      o.InterLayerReuse,
 	}
-	// One estimate table per planning run, or the caller's via
-	// policy.WithMemo (the server hands each run a fresh table and each
-	// batch one shared table, and reads their stats for /metrics). The
-	// ladder's rungs are Planner copies, so they share the table and
-	// re-plan from cached estimates.
-	memo := policy.MemoFrom(ctx)
+	// One memo per planning run, or the caller's via core.WithMemo (the
+	// server hands each run a fresh table and each batch one shared table,
+	// and reads their stats for /metrics). The ladder's rungs are Planner
+	// copies, so they share the table and re-plan from cached sweeps.
+	memo := core.MemoFrom(ctx)
 	if memo == nil {
-		memo = policy.NewMemo()
+		memo = core.NewMemo()
 	}
 	pl.UseMemo(memo)
 	plan, err := planRequested(ctx, pl, n, o.Homogeneous, prog)

@@ -9,7 +9,6 @@ import (
 	"scratchmem/internal/core"
 	"scratchmem/internal/model"
 	"scratchmem/internal/obs"
-	"scratchmem/internal/policy"
 	"scratchmem/internal/smmerr"
 )
 
@@ -128,9 +127,9 @@ func planGraphLadder(ctx context.Context, cfg Config, g *Graph, o PlanOptions, p
 		DisablePrefetch: o.DisablePrefetch,
 		InterLayer:      o.InterLayerReuse,
 	}
-	memo := policy.MemoFrom(ctx)
+	memo := core.MemoFrom(ctx)
 	if memo == nil {
-		memo = policy.NewMemo()
+		memo = core.NewMemo()
 	}
 	pl.UseMemo(memo)
 	plan, err := planGraphRequested(ctx, pl, g, o.Homogeneous, prog)
