@@ -1,10 +1,9 @@
 // Command smm-bench measures the planning hot paths and emits a
-// machine-readable before/after document (BENCH_10.json by default), so the
-// planner's memo (core.Memo), its parallel homogeneous sweep and
-// differential planning stay pinned to numbers a CI step or a reviewer can
-// diff against the memo-free, one-worker reference path — and, with
-// -against, acts as the CI regression gate over a previously committed
-// document.
+// machine-readable before/after document (BENCH_10.json by default), so
+// the planner and differential planning stay pinned to numbers anyone can
+// diff — differential planning against its from-scratch baseline — and,
+// with -against, acts as the CI regression gate over a previously
+// committed document.
 //
 // Document format (schema "smm-bench/v1"):
 //
@@ -17,14 +16,14 @@
 //	      "before_ns_per_op": 7160979,        // pre-optimisation cost
 //	      "before_source": "seed",            // "seed": recorded at the seed
 //	                                          // commit; "measured": the
-//	                                          // sequential memo-free path run
-//	                                          // by this invocation
+//	                                          // from-scratch baseline run by
+//	                                          // this invocation
 //	      "after_ns_per_op": 2262410,         // measured by this invocation
 //	      "speedup": 3.17,
 //	      "allocs_per_op": 12,                // heap allocations per op on
 //	                                          // the measured (after) path
-//	      "sequential_ns_per_op": 7011234     // optional: the memo-free
-//	                                          // reference measured live, for
+//	      "sequential_ns_per_op": 7011234     // optional: the from-scratch
+//	                                          // baseline measured live, for
 //	                                          // workloads that expose one
 //	    }, ...
 //	  ]
@@ -103,19 +102,12 @@ type document struct {
 
 // workload names one measured code path. run must perform exactly one
 // operation (one figure regeneration, one plan, one estimate); sequential
-// optionally performs the same operation through the memo-free, one-worker
-// reference path.
+// optionally performs the same work without differential planning, every
+// network planned from scratch.
 type workload struct {
 	name       string
 	run        func()
 	sequential func()
-}
-
-// seqPlanner is the reference path: no memo, one worker.
-func seqPlanner(kb int, obj core.Objective) *core.Planner {
-	pl := &core.Planner{Cfg: policy.Default(kb), Objective: obj, Workers: 1}
-	pl.UseMemo(nil)
-	return pl
 }
 
 func mustPlan(_ *core.Plan, err error) {
@@ -164,16 +156,6 @@ func workloads() []workload {
 	estL := layer.MustNew("c", layer.Conv, 56, 56, 64, 3, 3, 128, 1, 1)
 	cfg64 := policy.Default(64)
 
-	allModels := func(newPlanner func(int, core.Objective) *core.Planner) {
-		for _, n := range nets {
-			for _, kb := range experiments.PaperSizesKB {
-				for _, obj := range []core.Objective{core.MinAccesses, core.MinLatency} {
-					mustPlan(newPlanner(kb, obj).Heterogeneous(n))
-				}
-			}
-		}
-	}
-
 	return []workload{
 		{
 			name: "Estimate",
@@ -186,27 +168,31 @@ func workloads() []workload {
 					panic(err)
 				}
 			},
-			sequential: func() { mustPlan(seqPlanner(64, core.MinAccesses).Heterogeneous(resnet)) },
 		},
 		{
-			name:       "PlannerHet",
-			run:        func() { mustPlan(core.NewPlanner(64, core.MinAccesses).Heterogeneous(resnet)) },
-			sequential: func() { mustPlan(seqPlanner(64, core.MinAccesses).Heterogeneous(resnet)) },
+			name: "PlannerHet",
+			run:  func() { mustPlan(core.NewPlanner(64, core.MinAccesses).Heterogeneous(resnet)) },
 		},
 		{
-			name:       "PlannerAllModels",
-			run:        func() { allModels(core.NewPlanner) },
-			sequential: func() { allModels(seqPlanner) },
+			name: "PlannerAllModels",
+			run: func() {
+				for _, n := range nets {
+					for _, kb := range experiments.PaperSizesKB {
+						for _, obj := range []core.Objective{core.MinAccesses, core.MinLatency} {
+							mustPlan(core.NewPlanner(kb, obj).Heterogeneous(n))
+						}
+					}
+				}
+			},
 		},
 		{
 			// NeighborSweep isolates differential planning at the core
 			// seam: plan ResNet18 once, then splice each of 16 one-layer
-			// variants against that checkpoint with a memo-free
-			// single-worker planner, versus planning all 17 from scratch
-			// on the same reference planner.
+			// variants against that checkpoint, versus planning all 17
+			// from scratch on the same planner.
 			name: "NeighborSweep",
 			run: func() {
-				pl := seqPlanner(64, core.MinAccesses)
+				pl := core.NewPlanner(64, core.MinAccesses)
 				_, ck, _, err := pl.HeterogeneousDiffCtx(context.Background(), resnet, nil)
 				if err != nil {
 					panic(err)
@@ -218,7 +204,7 @@ func workloads() []workload {
 				}
 			},
 			sequential: func() {
-				pl := seqPlanner(64, core.MinAccesses)
+				pl := core.NewPlanner(64, core.MinAccesses)
 				mustPlan(pl.Heterogeneous(resnet))
 				for _, nn := range neighbors {
 					mustPlan(pl.Heterogeneous(nn))
@@ -227,12 +213,11 @@ func workloads() []workload {
 		},
 		{
 			// BatchNeighbors is the same neighbor set through the public
-			// facade, wired the way /v1/plan/batch wires it: one shared
-			// estimate memo plus a batch-local fingerprint index feeding a
-			// differ, versus independent PlanModel calls.
+			// facade, wired the way /v1/plan/batch wires it: a batch-local
+			// fingerprint index feeding a differ, versus independent
+			// PlanModel calls.
 			name: "BatchNeighbors",
 			run: func() {
-				memo := core.NewMemo()
 				fp := plancache.NewFingerprints(len(batchNets))
 				opts := scratchmem.PlanOptions{GLBKiloBytes: 64}
 				for _, nn := range batchNets {
@@ -240,8 +225,7 @@ func workloads() []workload {
 						ck, _ := fp.Best("bench", chain).(*core.Checkpoint)
 						return ck
 					}}
-					ctx := core.WithMemo(context.Background(), memo)
-					ctx = core.WithDiffer(ctx, d)
+					ctx := core.WithDiffer(context.Background(), d)
 					if _, err := scratchmem.PlanModelCtx(ctx, nn, opts, nil); err != nil {
 						panic(err)
 					}

@@ -17,7 +17,7 @@
 // Endpoints:
 //
 //	POST /v1/plan           {"model": "ResNet18", "glb_kb": 64}
-//	POST /v1/plan/batch     {"requests": [{...}, ...]}                    (shared estimate memo)
+//	POST /v1/plan/batch     {"requests": [{...}, ...]}                    (one round trip)
 //	POST /v1/simulate       {"model": "TinyCNN", "glb_kb": 32}            (plan timing)
 //	POST /v1/simulate       {..., "baseline": {"split_percent": 50}}      (SCALE-Sim baseline)
 //	POST /v1/dse            {"model": "TinyCNN", "glb_kb": 32}

@@ -65,8 +65,7 @@ func FuzzIncrementalSplice(f *testing.F) {
 			t.Skip("mutation produced an invalid network")
 		}
 
-		pl := &core.Planner{Cfg: policy.Default(64), Objective: core.MinAccesses, Workers: 1, InterLayer: inter}
-		pl.UseMemo(nil)
+		pl := &core.Planner{Cfg: policy.Default(64), Objective: core.MinAccesses, InterLayer: inter}
 		ctx := context.Background()
 		_, ck, _, err := pl.HeterogeneousDiffCtx(ctx, base, nil)
 		if err != nil {
@@ -74,9 +73,7 @@ func FuzzIncrementalSplice(f *testing.F) {
 		}
 		got, _, stats, gotErr := pl.HeterogeneousDiffCtx(ctx, nn, ck)
 
-		ref := &core.Planner{Cfg: pl.Cfg, Objective: pl.Objective, Workers: 1, InterLayer: inter}
-		ref.UseMemo(nil)
-		want, wantErr := ref.HeterogeneousCtx(ctx, nn, nil)
+		want, wantErr := pl.HeterogeneousCtx(ctx, nn, nil)
 
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("errors diverge: ref=%v diff=%v", wantErr, gotErr)

@@ -61,25 +61,12 @@ var mutations = []mutation{
 	}},
 }
 
-// diffPlanner builds the planner under test for one equivalence cell.
-func diffPlanner(kb int, obj Objective, inter, warm bool) *core.Planner {
-	if warm {
-		pl := core.NewPlanner(kb, obj)
-		pl.InterLayer = inter
-		return pl
-	}
-	pl := &core.Planner{Cfg: policy.Default(kb), Objective: obj, Workers: 1, InterLayer: inter}
-	pl.UseMemo(nil)
-	return pl
-}
-
 // TestIncrementalPlanningEquivalence is PR 10's golden property: across
-// every builtin model, both objectives, independent and inter-layer modes,
-// warm (memoized) and cold (memo-free sequential) planners and a spread of
-// one-layer mutations, the plan spliced from a neighbor's checkpoint is
-// deeply equal — and renders to byte-identical canonical PlanDoc JSON — to
-// planning the mutated network from scratch on a memo-free sequential
-// reference. Run under -race to exercise checkpoint sharing.
+// every builtin model, both objectives, independent and inter-layer modes
+// and a spread of one-layer mutations, the plan spliced from a neighbor's
+// checkpoint is deeply equal — and renders to byte-identical canonical
+// PlanDoc JSON — to planning the mutated network from scratch. Run under
+// -race to exercise checkpoint sharing.
 func TestIncrementalPlanningEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const kb = 64
@@ -91,52 +78,49 @@ func TestIncrementalPlanningEquivalence(t *testing.T) {
 		}
 		for _, obj := range []Objective{MinAccesses, MinLatency} {
 			for _, inter := range []bool{false, true} {
-				for _, warm := range []bool{false, true} {
-					pl := diffPlanner(kb, obj, inter, warm)
-					_, ck, _, err := pl.HeterogeneousDiffCtx(ctx, base, nil)
-					if err != nil {
-						continue // infeasible base at this size: nothing to splice
+				pl := core.NewPlanner(kb, obj)
+				pl.InterLayer = inter
+				_, ck, _, err := pl.HeterogeneousDiffCtx(ctx, base, nil)
+				if err != nil {
+					continue // infeasible base at this size: nothing to splice
+				}
+				for _, mut := range mutations {
+					nn := mut.apply(base)
+					tag := fmt.Sprintf("%s/%v/inter=%v/%s", name, obj, inter, mut.name)
+
+					got, nck, stats, gotErr := pl.HeterogeneousDiffCtx(ctx, nn, ck)
+					want, wantErr := pl.HeterogeneousCtx(ctx, nn, nil)
+
+					if (wantErr == nil) != (gotErr == nil) {
+						t.Fatalf("%s: errors diverge: ref=%v diff=%v", tag, wantErr, gotErr)
 					}
-					for _, mut := range mutations {
-						nn := mut.apply(base)
-						tag := fmt.Sprintf("%s/%v/inter=%v/warm=%v/%s", name, obj, inter, warm, mut.name)
-
-						got, nck, stats, gotErr := pl.HeterogeneousDiffCtx(ctx, nn, ck)
-
-						ref := diffPlanner(kb, obj, inter, false)
-						want, wantErr := ref.HeterogeneousCtx(ctx, nn, nil)
-
-						if (wantErr == nil) != (gotErr == nil) {
-							t.Fatalf("%s: errors diverge: ref=%v diff=%v", tag, wantErr, gotErr)
+					if wantErr != nil {
+						continue
+					}
+					wantJSON, err := PlanDocument(want).MarshalIndent()
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotJSON, err := PlanDocument(got).MarshalIndent()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(wantJSON, gotJSON) {
+						t.Fatalf("%s: spliced plan is not byte-identical to from-scratch\nwant:\n%s\ngot:\n%s",
+							tag, wantJSON, gotJSON)
+					}
+					if stats.Outcome == core.OutcomeSpliced {
+						spliced++
+						if stats.LayersReused <= 0 {
+							t.Fatalf("%s: spliced outcome with %d layers reused", tag, stats.LayersReused)
 						}
-						if wantErr != nil {
-							continue
-						}
-						wantJSON, err := PlanDocument(want).MarshalIndent()
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotJSON, err := PlanDocument(got).MarshalIndent()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(wantJSON, gotJSON) {
-							t.Fatalf("%s: spliced plan is not byte-identical to from-scratch\nwant:\n%s\ngot:\n%s",
-								tag, wantJSON, gotJSON)
-						}
-						if stats.Outcome == core.OutcomeSpliced {
-							spliced++
-							if stats.LayersReused <= 0 {
-								t.Fatalf("%s: spliced outcome with %d layers reused", tag, stats.LayersReused)
-							}
-						}
-						if nck == nil {
-							t.Fatalf("%s: no checkpoint returned", tag)
-						}
-						if mut.name == "rename-only" && stats.LayersReused != len(nn.Layers) {
-							t.Errorf("%s: rename-only reused %d of %d layers",
-								tag, stats.LayersReused, len(nn.Layers))
-						}
+					}
+					if nck == nil {
+						t.Fatalf("%s: no checkpoint returned", tag)
+					}
+					if mut.name == "rename-only" && stats.LayersReused != len(nn.Layers) {
+						t.Errorf("%s: rename-only reused %d of %d layers",
+							tag, stats.LayersReused, len(nn.Layers))
 					}
 				}
 			}

@@ -8,10 +8,10 @@ import (
 )
 
 // TestWarmPlanAllocs bounds steady-state planning allocations: with the
-// memo warm and the scratch arenas (DP table pool, homogeneous scratch
-// pool) in rotation, a plan costs only its returned value — the Plan
-// struct and its layer slice — plus a couple of unavoidable escapes, not
-// per-layer or per-policy garbage. Generous bounds (2-3x the measured
+// scratch pools (sweep table, DP table, homogeneous scratch) warm, a plan
+// costs only its returned value — the Plan struct and its layer slice —
+// plus a couple of unavoidable escapes, not per-layer or per-policy
+// garbage. Generous bounds (2-3x the measured
 // counts) keep the test meaningful without being flaky.
 func TestWarmPlanAllocs(t *testing.T) {
 	n, err := model.Builtin("ResNet18")
@@ -33,9 +33,8 @@ func TestWarmPlanAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := NewPlanner(64, MinAccesses)
-			pl.Workers = 1 // parallel fan-out allocates per-goroutine state
 			pl.InterLayer = tc.inter
-			if err := tc.plan(pl); err != nil { // warm the memo and pools
+			if err := tc.plan(pl); err != nil { // warm the pools
 				t.Fatal(err)
 			}
 			got := testing.AllocsPerRun(50, func() {

@@ -52,19 +52,17 @@ type TensorPlan struct {
 }
 
 // nodeEstimator produces the winning estimate for one layer under the given
-// inter-layer flags — the pluggable per-node half of the DAG planner.
-// Implementations must honour the flags: the returned estimate's
-// Opts.ResidentIfmap/KeepOfmap equal the arguments even when infeasible, so
-// the planner's demotion loop can attribute the shortfall.
+// inter-layer flags — the pluggable per-node half of the DAG planner, and
+// the sweep a sweepTable runs on a miss. Implementations must be pure
+// functions of the layer's shape and the flags, and must honour the flags:
+// the returned estimate's Opts.ResidentIfmap/KeepOfmap equal the arguments
+// even when infeasible, so the planner's demotion loop can attribute the
+// shortfall.
 type nodeEstimator func(e *policy.Result, l *layer.Layer, resident, keep bool)
 
 // fullNodeEstimator is the Het per-node sweep: Algorithm 1's inner loop
 // over every policy, prefetch variant and fallback tiling.
-func (pl *Planner) fullNodeEstimator() nodeEstimator {
-	return func(e *policy.Result, l *layer.Layer, resident, keep bool) {
-		pl.bestLayerInto(e, l, resident, keep)
-	}
-}
+func (pl *Planner) fullNodeEstimator() nodeEstimator { return pl.sweepLayer }
 
 // minimalNodeEstimator restricts each node to the smallest-footprint
 // schedules — P4/P5 pinned to a single-filter block and fallback tiling,
@@ -103,7 +101,7 @@ func (pl *Planner) homNodeEstimator(id policy.ID, prefetch bool) nodeEstimator {
 		o := policy.Options{Prefetch: prefetch, ResidentIfmap: resident, KeepOfmap: keep}
 		*e = policy.EstimateFast(l, id, o, pl.Cfg)
 		if !e.Feasible && !resident && !keep {
-			pl.bestFallbackInto(e, l)
+			pl.sweepFallback(e, l, false, false)
 		}
 	}
 }
@@ -187,8 +185,17 @@ type nodeDecision struct {
 
 // planGraph is the engine behind every DAG entry point: schedule the graph,
 // decide tensor residency, allocate address ranges, pick per-node policies
-// and assemble the plan in schedule order.
+// and assemble the plan in schedule order. Every node question goes through
+// one sweep table, whatever the estimator, so the residency search's
+// demotion trials re-probe the table instead of re-running est.
 func (pl *Planner) planGraph(ctx context.Context, g *model.Graph, est nodeEstimator, scheme string, prog progress.Func) (*Plan, error) {
+	t := sweepTableGet()
+	defer sweepTablePut(t)
+	return pl.planGraphIn(ctx, t, g, est, scheme, prog)
+}
+
+// planGraphIn is planGraph answering every node question through t.
+func (pl *Planner) planGraphIn(ctx context.Context, t *sweepTable, g *model.Graph, est nodeEstimator, scheme string, prog progress.Func) (*Plan, error) {
 	if err := pl.Cfg.Validate(); err != nil {
 		return nil, smmerr.BadModel(err)
 	}
@@ -208,7 +215,7 @@ func (pl *Planner) planGraph(ctx context.Context, g *model.Graph, est nodeEstima
 			resident[lv.Tensors[i].Name] = true
 		}
 	}
-	dec, placed, err := pl.solveGraph(ctx, g, lv, exact, resident, est)
+	dec, placed, err := pl.solveGraph(ctx, t, g, lv, exact, resident, est)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +240,7 @@ func (pl *Planner) planGraph(ctx context.Context, g *model.Graph, est nodeEstima
 			}
 			trial := cloneSet(resident)
 			trial[name] = false
-			d2, p2, err := pl.solveGraph(ctx, g, lv, exact, trial, est)
+			d2, p2, err := pl.solveGraph(ctx, t, g, lv, exact, trial, est)
 			if err != nil {
 				continue
 			}
@@ -250,7 +257,7 @@ func (pl *Planner) planGraph(ctx context.Context, g *model.Graph, est nodeEstima
 	// Final guard: never ship a DAG plan worse than the residency-free one,
 	// which matches the linear planner's per-layer totals node for node.
 	off := make(map[string]bool)
-	if d0, err := pl.evalGraph(g, lv, exact, off, est); err == nil {
+	if d0, err := pl.evalGraph(t, g, lv, exact, off, est); err == nil {
 		if totalsBetter(pl.Objective, decTotals(d0), cur) {
 			dec, placed = d0, map[string]lifetime.Placement{}
 		}
@@ -292,12 +299,12 @@ func (pl *Planner) planGraph(ctx context.Context, g *model.Graph, est nodeEstima
 // Each failed check demotes one tensor and retries, so the loop terminates
 // (the resident set only shrinks, and the empty set always passes the
 // allocator and working-set checks).
-func (pl *Planner) solveGraph(ctx context.Context, g *model.Graph, lv *lifetime.Liveness, exact []bool, resident map[string]bool, est nodeEstimator) ([]nodeDecision, map[string]lifetime.Placement, error) {
+func (pl *Planner) solveGraph(ctx context.Context, t *sweepTable, g *model.Graph, lv *lifetime.Liveness, exact []bool, resident map[string]bool, est nodeEstimator) ([]nodeDecision, map[string]lifetime.Placement, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("core: planning graph %s: %w", g.Name, err)
 		}
-		dec, err := pl.evalGraph(g, lv, exact, resident, est)
+		dec, err := pl.evalGraph(t, g, lv, exact, resident, est)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -318,7 +325,7 @@ func (pl *Planner) solveGraph(ctx context.Context, g *model.Graph, lv *lifetime.
 // demoting tensors out of residency whenever a node's estimate exceeds the
 // GLB with inter-layer flags raised. It mutates resident. A node infeasible
 // even with no flags raised fails the whole evaluation with ErrInfeasible.
-func (pl *Planner) evalGraph(g *model.Graph, lv *lifetime.Liveness, exact []bool, resident map[string]bool, est nodeEstimator) ([]nodeDecision, error) {
+func (pl *Planner) evalGraph(t *sweepTable, g *model.Graph, lv *lifetime.Liveness, exact []bool, resident map[string]bool, est nodeEstimator) ([]nodeDecision, error) {
 restart:
 	for {
 		dec := make([]nodeDecision, len(lv.Order))
@@ -327,7 +334,7 @@ restart:
 			d := &dec[k]
 			d.resIn = residentInputs(nd, exact[i], resident)
 			d.keep = resident[nd.Layer.Name]
-			est(&d.est, &nd.Layer, d.resIn, d.keep)
+			t.answer(&d.est, &nd.Layer, d.resIn, d.keep, false, est)
 			if d.est.Feasible {
 				continue
 			}

@@ -118,6 +118,8 @@ func (pl *Planner) HeterogeneousDiffCtx(ctx context.Context, n *model.Network, c
 	if err := n.Validate(); err != nil {
 		return nil, nil, stats, smmerr.BadModel(err)
 	}
+	t := sweepTableGet()
+	defer sweepTablePut(t)
 	plan := &Plan{
 		Model: n.Name, Cfg: pl.Cfg, Objective: pl.Objective,
 		Scheme:               "het",
@@ -131,13 +133,13 @@ func (pl *Planner) HeterogeneousDiffCtx(ctx context.Context, n *model.Network, c
 	)
 	switch {
 	case ck.compatible(pl) && pl.InterLayer:
-		out, dp, err = pl.interLayerDPResume(ctx, n, chain, ck, &stats)
+		out, dp, err = pl.interLayerDPResume(ctx, t, n, chain, ck, &stats)
 	case ck.compatible(pl):
-		out, err = pl.independentResume(ctx, n, chain, ck, &stats)
+		out, err = pl.independentResume(ctx, t, n, chain, ck, &stats)
 	case pl.InterLayer:
-		out, dp, err = pl.interLayerDPKeep(ctx, n, nil, true)
+		out, dp, err = pl.interLayerDPKeep(ctx, t, n, nil, true)
 	default:
-		out, err = pl.independentLayers(ctx, n, nil)
+		out, err = pl.independentLayers(ctx, t, n, nil)
 	}
 	if err != nil {
 		return nil, nil, stats, err
@@ -183,11 +185,11 @@ func overlap(a, b []policy.LayerKey) (p, s int) {
 // without inter-layer state every layer's decision is a pure function of
 // (shape, config, options), so decisions for shape-matched prefix and
 // suffix layers splice verbatim and only the middle span is re-swept.
-func (pl *Planner) independentResume(ctx context.Context, n *model.Network, chain []policy.LayerKey, ck *Checkpoint, stats *DiffStats) ([]LayerPlan, error) {
+func (pl *Planner) independentResume(ctx context.Context, t *sweepTable, n *model.Network, chain []policy.LayerKey, ck *Checkpoint, stats *DiffStats) ([]LayerPlan, error) {
 	L, Lc := len(chain), len(ck.chain)
 	p, s := overlap(chain, ck.chain)
 	if p == 0 && s == 0 {
-		return pl.independentLayers(ctx, n, nil)
+		return pl.independentLayers(ctx, t, n, nil)
 	}
 	out := make([]LayerPlan, L)
 	for i := 0; i < p; i++ {
@@ -202,7 +204,7 @@ func (pl *Planner) independentResume(ctx context.Context, n *model.Network, chai
 		}
 		out[i].Layer = n.Layers[i]
 		e := &out[i].Est
-		pl.bestForLayerInto(e, n, i, false, false)
+		t.answer(e, &n.Layers[i], false, false, false, pl.sweepLayer)
 		if !e.Feasible {
 			// Spliced layers were feasible in the cached run, so this is
 			// also the first infeasible layer the full walk would report.
@@ -247,7 +249,7 @@ func uniformShift(a, b *[2]dpCell) bool {
 //     aligned row (uniformShift), all remaining transitions and the
 //     terminal pick coincide — the cached tail decisions splice verbatim
 //     and the remaining table rows are the cached rows plus the shift.
-func (pl *Planner) interLayerDPResume(ctx context.Context, n *model.Network, chain []policy.LayerKey, ck *Checkpoint, stats *DiffStats) ([]LayerPlan, [][2]dpCell, error) {
+func (pl *Planner) interLayerDPResume(ctx context.Context, t *sweepTable, n *model.Network, chain []policy.LayerKey, ck *Checkpoint, stats *DiffStats) ([]LayerPlan, [][2]dpCell, error) {
 	L, Lc := len(chain), len(ck.chain)
 	p, s := overlap(chain, ck.chain)
 	d := Lc - L // cached-table position offset of the matched suffix
@@ -278,7 +280,7 @@ func (pl *Planner) interLayerDPResume(ctx context.Context, n *model.Network, cha
 		if err := layerGate(ctx); err != nil {
 			return nil, nil, smmerr.Layer(i, n.Layers[i].Name, err)
 		}
-		dp[i+1] = pl.dpStep(n, i, &dp[i])
+		dp[i+1] = pl.dpStep(t, n, i, &dp[i])
 		if j := i + 1; s > 0 && j >= L-s && j < L && uniformShift(&dp[j], &ck.dp[j+d]) {
 			conv = j
 			break
@@ -286,7 +288,7 @@ func (pl *Planner) interLayerDPResume(ctx context.Context, n *model.Network, cha
 	}
 
 	if conv < 0 {
-		out, err := pl.dpFinish(n, dp)
+		out, err := pl.dpFinish(t, n, dp)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"scratchmem/internal/layer"
 	"scratchmem/internal/model"
-	"scratchmem/internal/parallel"
 	"scratchmem/internal/policy"
 	"scratchmem/internal/progress"
 	"scratchmem/internal/smmerr"
@@ -32,36 +31,13 @@ type Planner struct {
 	// with a one-pass greedy rule (enable retention whenever the local pair
 	// improves); an ablation knob — the DP is never worse.
 	InterLayerGreedy bool
-	// Memo is the table of per-layer winners and homogeneous sweep rows
-	// shared across one planning run: repeated layer shapes and the DP's
-	// (resident, keep) re-probes become map lookups. nil disables
-	// memoization entirely — the sequential reference path the golden
-	// equivalence tests compare against. NewPlanner installs a fresh
-	// table; literal constructions opt in via UseMemo. Every memoized path
-	// produces plans identical to the direct path. A pointer, so value
-	// copies of the Planner (the degradation ladder's rungs) share it — the
-	// keys carry every field a copy might change.
-	Memo *Memo
-	// Workers bounds the fan-out of BestHomogeneousCtx's per-shape sweep:
-	// 0 uses GOMAXPROCS, 1 sweeps the shapes sequentially on the caller's
-	// goroutine. Every row lands in its own slot and variants are scored
-	// in deterministic order, so the worker count never changes the
-	// selected plan.
-	Workers int
 }
 
 // NewPlanner returns a Planner with the paper's default accelerator
-// specification for the given GLB size in kB and the given objective,
-// with a fresh memo installed.
+// specification for the given GLB size in kB and the given objective.
 func NewPlanner(glbKB int, obj Objective) *Planner {
-	return &Planner{Cfg: policy.Default(glbKB), Objective: obj, Memo: NewMemo()}
+	return &Planner{Cfg: policy.Default(glbKB), Objective: obj}
 }
-
-// UseMemo installs m as the planner's table (sharing one table across
-// planners is safe and useful: the keys do not depend on the objective).
-// A nil m removes memoization, restoring the sequential reference
-// behaviour.
-func (pl *Planner) UseMemo(m *Memo) { pl.Memo = m }
 
 // planIDs and prefetchAll back prefetchChoices and the candidate loops
 // without per-call allocations.
@@ -79,73 +55,26 @@ func (pl *Planner) prefetchChoices() []bool {
 	return prefetchAll[:]
 }
 
-// objIndex maps an objective to its bestPair slot.
-func objIndex(o Objective) int {
-	if o == MinLatency {
-		return 1
-	}
-	return 0
-}
-
-// bestForLayer runs Algorithm 1's inner loop (lines 6-19) for one layer
+// bestForLayer runs Algorithm 1's inner loop (lines 6-19) for layer idx
 // under the given inter-layer options, returning the winning estimate or an
-// infeasible fallback estimate if nothing fits. With a memo installed the
-// whole candidate sweep is cached per layer shape — under both objectives
-// at once — so the inter-layer DP's re-probes, repeated shapes, and a
-// sibling planner with the other objective all answer without
-// re-estimating anything.
-func (pl *Planner) bestForLayer(lp *model.Network, idx int, resident, keep bool) policy.Result {
+// infeasible fallback estimate if nothing fits. The question is answered
+// through t, so the inter-layer DP's re-probes and repeated layer shapes
+// sweep once per call.
+func (pl *Planner) bestForLayer(t *sweepTable, n *model.Network, idx int, resident, keep bool) policy.Result {
 	var r policy.Result
-	pl.bestForLayerInto(&r, lp, idx, resident, keep)
+	t.answer(&r, &n.Layers[idx], resident, keep, false, pl.sweepLayer)
 	return r
 }
 
-// bestForLayerInto is bestForLayer writing the winner in place.
-func (pl *Planner) bestForLayerInto(e *policy.Result, lp *model.Network, idx int, resident, keep bool) {
-	pl.bestLayerInto(e, &lp.Layers[idx], resident, keep)
-}
-
-// bestLayerInto is the layer-pointer form of bestForLayerInto, shared with
-// the DAG planner (graphplan.go), which has no Network to index into.
-func (pl *Planner) bestLayerInto(e *policy.Result, l *layer.Layer, resident, keep bool) {
-	k := bestKey{shape: policy.KeyOf(l), cfg: pl.Cfg,
-		noPrefetch: pl.DisablePrefetch, resident: resident, keep: keep}
-	pl.winnerInto(e, &k, l.Name, func() bestPair { return pl.bestForLayerDirect(l, resident, keep) })
-}
-
-// winnerInto writes the answer to k under the planner's objective: the
-// memo's pair when it holds one, otherwise sweep's, which the memo then
-// keeps for both objectives. Keys are name-free, so the caller's layer
-// name is patched onto the result.
-func (pl *Planner) winnerInto(e *policy.Result, k *bestKey, name string, sweep func() bestPair) {
-	p := pl.Memo.winner(k)
-	if p == nil {
-		fresh := sweep()
-		p = &fresh
-		pl.Memo.storeWinner(k, p)
-	}
-	*e = p[objIndex(pl.Objective)]
-	e.Layer = name
-}
-
-func (pl *Planner) bestForLayerDirect(l *layer.Layer, resident, keep bool) bestPair {
-	var p bestPair
+// sweepLayer is the candidate sweep behind bestForLayer: every policy and
+// prefetch variant plus fallback tiling, keeping the first best under the
+// planner's objective.
+func (pl *Planner) sweepLayer(best *policy.Result, l *layer.Layer, resident, keep bool) {
 	found := false
-	// consider folds a feasible candidate into both objectives' running
-	// winners with the same strict first-best-wins comparison the
-	// single-objective loop used, so each slot is exactly what a dedicated
-	// sweep under that objective would have picked.
 	consider := func(e *policy.Result) {
-		if !found {
-			p[0], p[1] = *e, *e
+		if !found || better(pl.Objective, e, best) {
+			*best = *e
 			found = true
-			return
-		}
-		if better(MinAccesses, e, &p[0]) {
-			p[0] = *e
-		}
-		if better(MinLatency, e, &p[1]) {
-			p[1] = *e
 		}
 	}
 	sh := policy.NewShape(l, pl.Cfg.IncludePadding)
@@ -172,14 +101,11 @@ func (pl *Planner) bestForLayerDirect(l *layer.Layer, resident, keep bool) bestP
 		}
 		consider(&e)
 	}
-	if found {
-		return p
+	if !found {
+		// Even fallback tiling does not fit; report the (infeasible)
+		// fallback so callers can surface a precise error.
+		sh.FallbackInto(best, policy.Options{ResidentIfmap: resident, KeepOfmap: keep}, pl.Cfg)
 	}
-	// Even fallback tiling does not fit; report the (infeasible) fallback
-	// so callers can surface a precise error.
-	sh.FallbackInto(&e, policy.Options{ResidentIfmap: resident, KeepOfmap: keep}, pl.Cfg)
-	p[0], p[1] = e, e
-	return p
 }
 
 // Heterogeneous produces the paper's Het scheme: the best feasible policy
@@ -195,6 +121,14 @@ func (pl *Planner) Heterogeneous(n *model.Network) (*Plan, error) {
 // one progress event per planned layer. A canceled context returns an error
 // wrapping ctx.Err() and identifying the layer reached.
 func (pl *Planner) HeterogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
+	t := sweepTableGet()
+	defer sweepTablePut(t)
+	return pl.heterogeneousIn(ctx, t, n, prog)
+}
+
+// heterogeneousIn is HeterogeneousCtx answering every per-layer question
+// through t.
+func (pl *Planner) heterogeneousIn(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func) (*Plan, error) {
 	if err := pl.Cfg.Validate(); err != nil {
 		return nil, smmerr.BadModel(err)
 	}
@@ -209,11 +143,11 @@ func (pl *Planner) HeterogeneousCtx(ctx context.Context, n *model.Network, prog 
 	var err error
 	switch {
 	case pl.InterLayer && pl.InterLayerGreedy:
-		plan.Layers, err = pl.interLayerGreedy(ctx, n, prog)
+		plan.Layers, err = pl.interLayerGreedy(ctx, t, n, prog)
 	case pl.InterLayer:
-		plan.Layers, err = pl.interLayerDP(ctx, n, prog)
+		plan.Layers, err = pl.interLayerDP(ctx, t, n, prog)
 	default:
-		plan.Layers, err = pl.independentLayers(ctx, n, prog)
+		plan.Layers, err = pl.independentLayers(ctx, t, n, prog)
 	}
 	if err != nil {
 		return nil, err
@@ -221,7 +155,7 @@ func (pl *Planner) HeterogeneousCtx(ctx context.Context, n *model.Network, prog 
 	return plan, nil
 }
 
-func (pl *Planner) independentLayers(ctx context.Context, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
+func (pl *Planner) independentLayers(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
 	out := make([]LayerPlan, len(n.Layers))
 	var accesses, cycles int64
 	for i := range n.Layers {
@@ -230,7 +164,7 @@ func (pl *Planner) independentLayers(ctx context.Context, n *model.Network, prog
 		}
 		out[i].Layer = n.Layers[i]
 		e := &out[i].Est
-		pl.bestForLayerInto(e, n, i, false, false)
+		t.answer(e, &n.Layers[i], false, false, false, pl.sweepLayer)
 		if !e.Feasible {
 			return nil, smmerr.Layer(i, n.Layers[i].Name,
 				&smmerr.InfeasibleError{Model: n.Name, Layer: n.Layers[i].Name, Need: e.MemoryBytes, Have: pl.Cfg.GLBBytes})
@@ -263,7 +197,7 @@ type dpCell struct {
 // KeepOfmap only when the shapes chain. It is shared verbatim by the
 // from-scratch DP and the incremental resume path, so both make identical
 // decisions by construction.
-func (pl *Planner) dpStep(n *model.Network, i int, cur *[2]dpCell) [2]dpCell {
+func (pl *Planner) dpStep(t *sweepTable, n *model.Network, i int, cur *[2]dpCell) [2]dpCell {
 	L := len(n.Layers)
 	next := [2]dpCell{{prim: dpInf, sec: dpInf}, {prim: dpInf, sec: dpInf}}
 	canKeep := i+1 < L && chainable(&n.Layers[i], &n.Layers[i+1])
@@ -276,7 +210,7 @@ func (pl *Planner) dpStep(n *model.Network, i int, cur *[2]dpCell) [2]dpCell {
 			keeps = prefetchAll[:] // {false, true}
 		}
 		for _, keep := range keeps {
-			e := pl.bestForLayer(n, i, s == 1, keep)
+			e := pl.bestForLayer(t, n, i, s == 1, keep)
 			if !e.Feasible {
 				continue
 			}
@@ -331,9 +265,9 @@ func dpWalkBack(n *model.Network, dp [][2]dpCell, out []LayerPlan, hi, state int
 // dpInfeasible reports the no-feasible-plan failure precisely: the first
 // layer that cannot be scheduled at all, or the generic inter-layer error
 // when every layer fits in isolation.
-func (pl *Planner) dpInfeasible(n *model.Network) error {
+func (pl *Planner) dpInfeasible(t *sweepTable, n *model.Network) error {
 	for i := range n.Layers {
-		e := pl.bestForLayer(n, i, false, false)
+		e := pl.bestForLayer(t, n, i, false, false)
 		if !e.Feasible {
 			return smmerr.Layer(i, n.Layers[i].Name,
 				&smmerr.InfeasibleError{Model: n.Name, Layer: n.Layers[i].Name, Need: e.MemoryBytes, Have: pl.Cfg.GLBBytes})
@@ -344,11 +278,11 @@ func (pl *Planner) dpInfeasible(n *model.Network) error {
 
 // dpFinish picks the terminal state of a complete table and walks the
 // decisions back into layer plans.
-func (pl *Planner) dpFinish(n *model.Network, dp [][2]dpCell) ([]LayerPlan, error) {
+func (pl *Planner) dpFinish(t *sweepTable, n *model.Network, dp [][2]dpCell) ([]LayerPlan, error) {
 	L := len(n.Layers)
 	end, ok := dpPickEnd(&dp[L])
 	if !ok {
-		return nil, pl.dpInfeasible(n)
+		return nil, pl.dpInfeasible(t, n)
 	}
 	out := make([]LayerPlan, L)
 	dpWalkBack(n, dp, out, L, end)
@@ -359,8 +293,8 @@ func (pl *Planner) dpFinish(n *model.Network, dp [][2]dpCell) ([]LayerPlan, erro
 // state s indicates whether layer i's ifmap is resident in the GLB. The
 // transition cost is the layer's objective key; retention (KeepOfmap) is
 // only permitted on transitions whose shapes chain.
-func (pl *Planner) interLayerDP(ctx context.Context, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
-	out, _, err := pl.interLayerDPKeep(ctx, n, prog, false)
+func (pl *Planner) interLayerDP(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
+	out, _, err := pl.interLayerDPKeep(ctx, t, n, prog, false)
 	return out, err
 }
 
@@ -368,7 +302,7 @@ func (pl *Planner) interLayerDP(ctx context.Context, n *model.Network, prog prog
 // checkpoint capture. When keepDP is false the table comes from (and
 // returns to) a pool; when true it is freshly allocated and handed to the
 // caller, which owns it from then on.
-func (pl *Planner) interLayerDPKeep(ctx context.Context, n *model.Network, prog progress.Func, keepDP bool) ([]LayerPlan, [][2]dpCell, error) {
+func (pl *Planner) interLayerDPKeep(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func, keepDP bool) ([]LayerPlan, [][2]dpCell, error) {
 	L := len(n.Layers)
 	// dp[i][s]: best cumulative cost entering layer i with resident state s.
 	var dp [][2]dpCell
@@ -385,10 +319,10 @@ func (pl *Planner) interLayerDPKeep(ctx context.Context, n *model.Network, prog 
 		if err := layerGate(ctx); err != nil {
 			return nil, nil, smmerr.Layer(i, n.Layers[i].Name, err)
 		}
-		dp[i+1] = pl.dpStep(n, i, &dp[i])
+		dp[i+1] = pl.dpStep(t, n, i, &dp[i])
 		prog.Emit(progress.Event{Phase: "plan", Index: i, Total: L, Name: n.Layers[i].Name})
 	}
-	out, err := pl.dpFinish(n, dp)
+	out, err := pl.dpFinish(t, n, dp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -415,12 +349,14 @@ func (pl *Planner) HomogeneousCtx(ctx context.Context, n *model.Network, id poli
 	if err := n.Validate(); err != nil {
 		return nil, smmerr.BadModel(err)
 	}
-	return pl.homogeneousPlanned(ctx, n, id, prefetch, prog)
+	t := sweepTableGet()
+	defer sweepTablePut(t)
+	return pl.homogeneousPlanned(ctx, t, n, id, prefetch, prog)
 }
 
 // homogeneousPlanned is HomogeneousCtx after validation — also the walk
 // that materialises BestHomogeneousCtx's winning variant.
-func (pl *Planner) homogeneousPlanned(ctx context.Context, n *model.Network, id policy.ID, prefetch bool, prog progress.Func) (*Plan, error) {
+func (pl *Planner) homogeneousPlanned(ctx context.Context, t *sweepTable, n *model.Network, id policy.ID, prefetch bool, prog progress.Func) (*Plan, error) {
 	plan := &Plan{
 		Model: n.Name, Cfg: pl.Cfg, Objective: pl.Objective,
 		Scheme:               "hom " + policy.Variant(id, prefetch),
@@ -439,7 +375,7 @@ func (pl *Planner) homogeneousPlanned(ctx context.Context, n *model.Network, id 
 		e := &plan.Layers[i].Est
 		*e = policy.EstimateFast(l, id, policy.Options{Prefetch: prefetch}, pl.Cfg)
 		if !e.Feasible {
-			pl.bestFallbackInto(e, l)
+			t.answer(e, l, false, false, true, pl.sweepFallback)
 			if !e.Feasible {
 				return nil, smmerr.Layer(i, l.Name,
 					&smmerr.InfeasibleError{Model: n.Name, Layer: l.Name, Need: e.MemoryBytes, Have: pl.Cfg.GLBBytes})
@@ -455,40 +391,20 @@ func (pl *Planner) homogeneousPlanned(ctx context.Context, n *model.Network, id 
 	return plan, nil
 }
 
-// bestFallbackInto writes the best fallback tiling for l: the escape hatch
-// of a homogeneous variant that does not fit.
-func (pl *Planner) bestFallbackInto(e *policy.Result, l *layer.Layer) {
-	k := bestKey{shape: policy.KeyOf(l), cfg: pl.Cfg,
-		noPrefetch: pl.DisablePrefetch, fallback: true}
-	pl.winnerInto(e, &k, l.Name, func() bestPair { return pl.bestFallbackDirect(l) })
-}
-
-func (pl *Planner) bestFallbackDirect(l *layer.Layer) bestPair {
-	var p bestPair
+// sweepFallback writes the best fallback tiling for l under the inter-layer
+// flags: the escape hatch of a homogeneous variant that does not fit.
+func (pl *Planner) sweepFallback(best *policy.Result, l *layer.Layer, resident, keep bool) {
 	found := false
 	for _, pf := range pl.prefetchChoices() {
-		e := policy.FallbackEstimate(l, policy.Options{Prefetch: pf}, pl.Cfg)
-		if !e.Feasible {
-			continue
-		}
-		if !found {
-			p[0], p[1] = e, e
+		e := policy.FallbackEstimate(l, policy.Options{Prefetch: pf, ResidentIfmap: resident, KeepOfmap: keep}, pl.Cfg)
+		if e.Feasible && (!found || better(pl.Objective, &e, best)) {
+			*best = e
 			found = true
-			continue
-		}
-		if better(MinAccesses, &e, &p[0]) {
-			p[0] = e
-		}
-		if better(MinLatency, &e, &p[1]) {
-			p[1] = e
 		}
 	}
-	if found {
-		return p
+	if !found {
+		*best = policy.FallbackEstimate(l, policy.Options{ResidentIfmap: resident, KeepOfmap: keep}, pl.Cfg)
 	}
-	e := policy.FallbackEstimate(l, policy.Options{}, pl.Cfg)
-	p[0], p[1] = e, e
-	return p
 }
 
 // BestHomogeneous evaluates every homogeneous scheme (each policy, with and
@@ -515,18 +431,41 @@ func homVariants(prefetch []bool) []homVariant {
 	return variants
 }
 
+// maxHomVariants bounds the homogeneous candidate set: every policy with
+// and without prefetching.
+const maxHomVariants = 2 * policy.NumPolicies
+
+// homContrib is one (shape, variant) cell of the homogeneous search: the
+// totals a layer of this shape adds under that variant, or the fallback's
+// footprint when even it does not fit (the infeasibility report needs it).
+type homContrib struct {
+	acc, lat, need int64
+	ok             bool
+}
+
+// homContribs is the dense per-variant contribution row for one shape,
+// indexed by position in homVariants' deterministic order.
+type homContribs [maxHomVariants]homContrib
+
 // BestHomogeneousCtx is BestHomogeneous with cancellation and
 // observation. Networks repeat layer shapes heavily, and the estimators
 // are pure functions of (shape, variant, config), so the search dedupes
 // the network into its distinct shapes, sweeps every variant once per
-// shape (fanned over Workers, each row in its own slot), and scores
-// variants by accumulating the dense per-shape contributions in layer
-// order. Totals, failure layers and tie-breaks are exactly those of
-// planning each variant in turn; only the winning variant's plan is
-// materialised, and prog receives that walk's one event per layer.
-// Cancellation and injected faults surface immediately rather than being
-// mistaken for an infeasible variant.
+// shape, and scores variants by accumulating the dense per-shape
+// contributions in layer order. Totals, failure layers and tie-breaks are
+// exactly those of planning each variant in turn; only the winning
+// variant's plan is materialised, and prog receives that walk's one event
+// per layer. Cancellation and injected faults surface immediately rather
+// than being mistaken for an infeasible variant.
 func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
+	t := sweepTableGet()
+	defer sweepTablePut(t)
+	return pl.bestHomogeneousIn(ctx, t, n, prog)
+}
+
+// bestHomogeneousIn is BestHomogeneousCtx answering every fallback
+// question through t.
+func (pl *Planner) bestHomogeneousIn(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func) (*Plan, error) {
 	if err := pl.Cfg.Validate(); err != nil {
 		return nil, smmerr.BadModel(err)
 	}
@@ -536,7 +475,7 @@ func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, pro
 	variants := homVariants(pl.prefetchChoices())
 	L := len(n.Layers)
 	hs := homScratchGet(L)
-	defer homScratchPut(hs) // ForEachCtx joins its workers before returning
+	defer homScratchPut(hs)
 	shapeIdx := hs.shapeIdx // layer -> dense shape index
 	idxOf := hs.idxOf
 	for i := range n.Layers {
@@ -554,24 +493,18 @@ func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, pro
 		hs.contribs = make([]homContribs, len(repLayer))
 	}
 	contribs := hs.contribs[:len(repLayer)]
-	err := parallel.ForEachCtx(ctx, len(repLayer), pl.Workers, func(ctx context.Context, si int) error {
-		li := repLayer[si]
+	for si, li := range repLayer {
 		if err := layerGate(ctx); err != nil {
-			return smmerr.Layer(li, n.Layers[li].Name, err)
+			return nil, smmerr.Layer(li, n.Layers[li].Name, err)
 		}
 		l := &n.Layers[li]
-		k := homKey{shape: policy.KeyOf(l), cfg: pl.Cfg, noPrefetch: pl.DisablePrefetch}
-		if row := pl.Memo.row(&k); row != nil {
-			contribs[si] = *row
-			return nil
-		}
 		sh := policy.NewShape(l, pl.Cfg.IncludePadding)
-		var row homContribs
+		row := &contribs[si]
 		var e policy.Result
 		for vi, v := range variants {
 			sh.EstimateFastInto(&e, v.id, policy.Options{Prefetch: v.pf}, pl.Cfg)
 			if !e.Feasible {
-				pl.bestFallbackInto(&e, l)
+				t.answer(&e, l, false, false, true, pl.sweepFallback)
 			}
 			if e.Feasible {
 				row[vi] = homContrib{acc: e.AccessElems, lat: e.LatencyCycles, ok: true}
@@ -579,15 +512,6 @@ func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, pro
 				row[vi] = homContrib{need: e.MemoryBytes}
 			}
 		}
-		contribs[si] = row
-		pl.Memo.storeRow(&k, &row)
-		return nil
-	})
-	if err != nil {
-		if err == context.Canceled || err == context.DeadlineExceeded { //nolint:errorlint // identity, not tree, distinguishes the feeder
-			return nil, fmt.Errorf("core: %s: %w", n.Name, err)
-		}
-		return nil, err
 	}
 	// Score variants in variant order; within one, walk layers in order so
 	// the failure layer and the running sums match the sequential pass.
@@ -613,15 +537,15 @@ func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, pro
 			}
 			continue
 		}
-		t := [2]int64{acc, lat}
-		if bestIdx < 0 || totalsBetter(pl.Objective, t, bestTotals) {
-			bestIdx, bestTotals = vi, t
+		totals := [2]int64{acc, lat}
+		if bestIdx < 0 || totalsBetter(pl.Objective, totals, bestTotals) {
+			bestIdx, bestTotals = vi, totals
 		}
 	}
 	if bestIdx < 0 {
 		return nil, firstErr
 	}
-	return pl.homogeneousPlanned(ctx, n, variants[bestIdx].id, variants[bestIdx].pf, prog)
+	return pl.homogeneousPlanned(ctx, t, n, variants[bestIdx].id, variants[bestIdx].pf, prog)
 }
 
 // totalsBetter is planBetter on precomputed {accesses, cycles} sums.
@@ -657,7 +581,7 @@ func planBetter(o Objective, a, b *Plan) bool {
 // retains when the pair improves. Unlike the DP it cannot see that an early
 // retention forecloses a better one later, so it serves as the ablation
 // baseline for interLayerDP.
-func (pl *Planner) interLayerGreedy(ctx context.Context, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
+func (pl *Planner) interLayerGreedy(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
 	L := len(n.Layers)
 	out := make([]LayerPlan, L)
 	resident := false
@@ -666,14 +590,14 @@ func (pl *Planner) interLayerGreedy(ctx context.Context, n *model.Network, prog 
 		if err := layerGate(ctx); err != nil {
 			return nil, smmerr.Layer(i, n.Layers[i].Name, err)
 		}
-		plain := pl.bestForLayer(n, i, resident, false)
+		plain := pl.bestForLayer(t, n, i, resident, false)
 		keep := false
 		best := plain
 		if i+1 < L && chainable(&n.Layers[i], &n.Layers[i+1]) {
-			withKeep := pl.bestForLayer(n, i, resident, true)
+			withKeep := pl.bestForLayer(t, n, i, resident, true)
 			if withKeep.Feasible {
-				nextPlain := pl.bestForLayer(n, i+1, false, false)
-				nextResident := pl.bestForLayer(n, i+1, true, false)
+				nextPlain := pl.bestForLayer(t, n, i+1, false, false)
+				nextResident := pl.bestForLayer(t, n, i+1, true, false)
 				if nextResident.Feasible {
 					kp, ks := objectiveKey(pl.Objective, &withKeep)
 					np, ns := objectiveKey(pl.Objective, &nextResident)

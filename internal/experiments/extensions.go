@@ -168,9 +168,6 @@ func ExtInterLayerAblationCtx(ctx context.Context, s Setup, prog progress.Func) 
 		dpPl := core.NewPlanner(kb, core.MinAccesses)
 		dpPl.InterLayer = true
 		grPl := core.NewPlanner(kb, core.MinAccesses)
-		// DP and greedy ask the same per-layer questions in a different
-		// order; sharing the memo makes the second traversal all hits.
-		grPl.UseMemo(dpPl.Memo)
 		grPl.InterLayer = true
 		grPl.InterLayerGreedy = true
 		dpPlan, err := dpPl.HeterogeneousCtx(ctx, n, nil)

@@ -165,12 +165,8 @@ func Fig8Ctx(ctx context.Context, s Setup, prog progress.Func) ([]Fig8Cell, *rep
 		if err != nil {
 			return err
 		}
-		// Both planners share one estimate memo: candidate sweeps are
-		// cached under both objectives at once, so the latency-optimised
-		// pair answers mostly from the access-optimised pair's work.
 		plA := core.NewPlanner(kb, core.MinAccesses)
 		plL := core.NewPlanner(kb, core.MinLatency)
-		plL.UseMemo(plA.Memo)
 		cell := Fig8Cell{Model: m, SizeKB: kb, Baseline: base.Cycles()}
 		for _, p := range []struct {
 			dst *int64
@@ -232,7 +228,6 @@ func Fig9Ctx(ctx context.Context, s Setup, glbKB int, prog progress.Func) ([]Fig
 		n := mustBuiltin(models[i])
 		pla := core.NewPlanner(glbKB, core.MinAccesses)
 		pll := core.NewPlanner(glbKB, core.MinLatency)
-		pll.UseMemo(pla.Memo) // one sweep serves both objectives
 		pa, err := pla.HeterogeneousCtx(ctx, n, nil)
 		if err != nil {
 			return err
@@ -290,7 +285,6 @@ func Fig10Ctx(ctx context.Context, s Setup, modelName string, prog progress.Func
 		kb := sizes[i]
 		with := core.NewPlanner(kb, core.MinLatency)
 		without := core.NewPlanner(kb, core.MinLatency)
-		without.UseMemo(with.Memo) // DisablePrefetch is part of the cache key
 		without.DisablePrefetch = true
 		pw, err := with.HeterogeneousCtx(ctx, n, nil)
 		if err != nil {
@@ -349,9 +343,6 @@ func Fig11Ctx(ctx context.Context, s Setup, modelName string, prog progress.Func
 		kb := sizes[i]
 		base := core.NewPlanner(kb, core.MinAccesses)
 		inter := core.NewPlanner(kb, core.MinAccesses)
-		// The DP probes every (resident, keep) variant; the independent
-		// pass only (false, false) — shared cache, disjoint-or-equal keys.
-		inter.UseMemo(base.Memo)
 		inter.InterLayer = true
 		pb, err := base.HeterogeneousCtx(ctx, n, nil)
 		if err != nil {
@@ -395,7 +386,6 @@ func Fig11Ctx(ctx context.Context, s Setup, modelName string, prog progress.Func
 			return err
 		}
 		ipl := core.NewPlanner(big, core.MinAccesses)
-		ipl.UseMemo(bpl.Memo)
 		ipl.InterLayer = true
 		pi, err := ipl.HeterogeneousCtx(ctx, nn, nil)
 		if err != nil {

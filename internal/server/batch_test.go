@@ -11,9 +11,7 @@ import (
 
 // sweepRequests builds a 50-pair DSE-style sweep: two models crossed with
 // objective/scheme/reuse options over a few GLB sizes. Every pair is a
-// distinct plan key, but the (layer shape, config) estimator invocations
-// overlap heavily between pairs — which is exactly what the batch-shared
-// estimate memo exists to exploit.
+// distinct plan key.
 func sweepRequests() []PlanRequest {
 	var reqs []PlanRequest
 	for _, model := range []string{"TinyCNN", "AlexNet"} {
@@ -41,9 +39,7 @@ func sweepRequests() []PlanRequest {
 
 // TestBatchMatchesSequential pins the batch acceptance criterion: a 50-pair
 // sweep through POST /v1/plan/batch returns documents byte-identical to 50
-// sequential /v1/plan calls, and the batch-shared estimate memo records
-// hits (the sweep re-estimates the same layer shapes across GLB sizes).
-// Each item's raw plan bytes are the /v1/plan body minus its trailing
+// sequential /v1/plan calls. Each item's raw plan bytes are the /v1/plan body minus its trailing
 // newline: the envelope splices cached documents in verbatim.
 func TestBatchMatchesSequential(t *testing.T) {
 	reqs := sweepRequests()
@@ -88,10 +84,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Errorf("item %d: batch document differs from the sequential one", i)
 		}
 	}
-	if br.MemoHits == 0 {
-		t.Error("batch-shared memo recorded no hits across the sweep")
-	}
-
 	_, metricsBody := get(t, bat, "/metrics")
 	if got := metric(t, metricsBody, "smm_batch_size_sum"); got != int64(len(reqs)) {
 		t.Errorf("smm_batch_size_sum = %d, want %d", got, len(reqs))
@@ -201,8 +193,8 @@ func TestBatchDeduplicatesInsideOneCall(t *testing.T) {
 }
 
 // TestBatchEnvelope decodes a mixed envelope strictly: 200, 400 and 422
-// items (one error text carrying '"', '\' and '<'), a duplicate that hits
-// the cache, and memo counters that match /metrics. Re-encoded the way
+// items (one error text carrying '"', '\' and '<') and a duplicate that
+// hits the cache. Re-encoded the way
 // writeJSON encodes a BatchResponse, it compacts to the same JSON, so the
 // hand-written envelope keeps the encoder's field names, order and escaping.
 func TestBatchEnvelope(t *testing.T) {
@@ -239,14 +231,6 @@ func TestBatchEnvelope(t *testing.T) {
 	}
 	if len(br.Results) != len(reqs) {
 		t.Fatalf("%d results for %d requests", len(br.Results), len(reqs))
-	}
-
-	// Nothing has planned but the batch yet, so the server-wide estimate
-	// memo counters are the batch's.
-	_, metricsBody := get(t, ts, "/metrics")
-	if br.MemoMisses == 0 || br.MemoMisses != metric(t, metricsBody, "smm_estimate_memo_misses_total") ||
-		br.MemoHits != metric(t, metricsBody, "smm_estimate_memo_hits_total") {
-		t.Errorf("memo_hits %d, memo_misses %d disagree with /metrics", br.MemoHits, br.MemoMisses)
 	}
 
 	// Every item agrees with the lone /v1/plan answer to the same request:

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	scratchmem "scratchmem"
-	"scratchmem/internal/core"
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/model"
 	"scratchmem/internal/obs"
@@ -43,19 +42,14 @@ type BatchItem struct {
 	Error   string          `json:"error,omitempty"`
 }
 
-// BatchResponse answers POST /v1/plan/batch. MemoHits/MemoMisses count the
-// probes of the batch-shared memo (core.Memo): a DSE-style sweep (same
-// network, many configurations) asks the same per-layer winner and
-// homogeneous sweep-row questions over and over, so sharing one memo
-// across the batch is the point of the route.
+// BatchResponse answers POST /v1/plan/batch.
 type BatchResponse struct {
-	Results    []BatchItem `json:"results"`
-	MemoHits   int64       `json:"memo_hits"`
-	MemoMisses int64       `json:"memo_misses"`
+	Results []BatchItem `json:"results"`
 }
 
-// handleBatch plans every request in the body concurrently under one shared
-// estimate memo. Items succeed and fail independently — the response is
+// handleBatch plans every request in the body concurrently, sharing one
+// batch-local fingerprint index so neighbors splice from each other's
+// checkpoints. Items succeed and fail independently — the response is
 // always 200 with per-item statuses — and each item takes the same cache /
 // single-flight / peer-fill path as a lone POST /v1/plan, so the returned
 // documents are byte-identical to sequential calls.
@@ -76,7 +70,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	memo := core.NewMemo()
 	// One shared fingerprint index per batch: batch items are typically
 	// dense neighbor sets (DSE sweeps, one-layer mutations), so checkpoints
 	// captured by early items splice later ones even before anything lands
@@ -93,7 +86,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = BatchItem{Status: code, Error: msg}
 			return nil
 		}
-		entry, shared, err := s.planned(ctx, in.key, &in.req, memo, batchFP, in.net, in.opts)
+		entry, shared, err := s.planned(ctx, in.key, &in.req, batchFP, in.net, in.opts)
 		if err != nil {
 			code, msg := statusOf(err)
 			results[i] = BatchItem{Status: code, PlanKey: in.key, Error: msg}
@@ -106,20 +99,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results[i] = item
 		return nil
 	})
-	ms := memo.Stats()
-	s.met.observeMemo(ms)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	writeBatch(w, results, ms.Hits, ms.Misses)
+	writeBatch(w, results)
 }
 
 // writeBatch writes a BatchResponse in writeJSON's layout, except that each
 // plan is the cached document spliced in verbatim: re-encoding it would
 // only compact and re-indent bytes the plan cache already holds, once per
 // item of every response.
-func writeBatch(w http.ResponseWriter, results []BatchItem, memoHits, memoMisses int64) {
+func writeBatch(w http.ResponseWriter, results []BatchItem) {
 	w.Header().Set("Content-Type", "application/json")
 	buf := []byte("{\n  \"results\": [\n")
 	for i := range results {
@@ -144,11 +135,7 @@ func writeBatch(w http.ResponseWriter, results []BatchItem, memoHits, memoMisses
 		buf = appendBatchField(buf, "error", it.Error)
 		buf = append(buf, "\n    }"...)
 	}
-	buf = append(buf, "\n  ],\n  \"memo_hits\": "...)
-	buf = strconv.AppendInt(buf, memoHits, 10)
-	buf = append(buf, ",\n  \"memo_misses\": "...)
-	buf = strconv.AppendInt(buf, memoMisses, 10)
-	w.Write(append(buf, "\n}\n"...))
+	w.Write(append(buf, "\n  ]\n}\n"...))
 }
 
 // appendBatchField appends one omitempty string member of a batch item,
@@ -194,7 +181,7 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	entry, shared, err := s.planned(ctx, res.key, nil, nil, nil, res.net, res.opts)
+	entry, shared, err := s.planned(ctx, res.key, nil, nil, res.net, res.opts)
 	if err != nil {
 		s.fail(w, err)
 		return

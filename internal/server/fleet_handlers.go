@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scratchmem/internal/cluster"
-	"scratchmem/internal/core"
 	"scratchmem/internal/plancache"
 )
 
@@ -187,9 +186,8 @@ type ClusterStatus struct {
 	Self        string                 `json:"self,omitempty"`
 	Members     []cluster.MemberHealth `json:"members,omitempty"`
 	Replication cluster.ReplStats      `json:"replication"`
-	// Cache, Memo and Peer are this member's own data-plane counters.
+	// Cache and Peer are this member's own data-plane counters.
 	Cache plancache.Stats   `json:"cache"`
-	Memo  core.MemoStats    `json:"memo"`
 	Peer  cluster.PeerStats `json:"peer"`
 	// DegradedPlans counts plans this member produced via the degradation
 	// ladder.
@@ -201,7 +199,6 @@ type ClusterStatus struct {
 func (s *Server) statusDoc() ClusterStatus {
 	resp := ClusterStatus{
 		Cache:         s.cache.Stats(),
-		Memo:          s.met.memoStats(),
 		DegradedPlans: s.met.degradedCount(),
 	}
 	if ps, ok := s.cache.(cluster.PeerStatser); ok {

@@ -246,12 +246,8 @@ func cacheHeader(w http.ResponseWriter, shared bool) {
 // observation. A non-nil wire request makes the key eligible for a peer
 // cache-fill (the request is what the key's ring owner computes from); the
 // peer-fill handler itself passes nil so rings that momentarily disagree
-// cannot forward a request in a loop. The flight context carries the
-// estimate memo for its one planning run: memo when non-nil (a batch's
-// shared table, whose stats the batch counts once it finishes), otherwise
-// a fresh table counted here. No memo outlives its run or batch, so a cold
-// plan costs the same however long the server has been up.
-func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, memo *core.Memo, batchFP *plancache.Fingerprints, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
+// cannot forward a request in a loop.
+func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, batchFP *plancache.Fingerprints, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
 	var spec *cluster.FillSpec
 	if wire != nil {
 		spec = &cluster.FillSpec{
@@ -281,12 +277,6 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, mem
 			return nil, err
 		}
 		defer s.sem.Release()
-		run := memo
-		if run == nil {
-			run = core.NewMemo()
-			defer func() { s.met.observeMemo(run.Stats()) }()
-		}
-		ctx = core.WithMemo(ctx, run)
 		if differ != nil {
 			ctx = core.WithDiffer(ctx, differ)
 		}
@@ -382,7 +372,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("model_hash", res.key)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	entry, shared, err := s.planned(ctx, res.key, &res.req, nil, nil, res.net, res.opts)
+	entry, shared, err := s.planned(ctx, res.key, &res.req, nil, res.net, res.opts)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -410,7 +400,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// Plan first (cached under its own key), then time it. The plan half
 	// may be filled from its ring owner; the timing below always runs
 	// locally.
-	entry, _, err := s.planned(ctx, key, &in.req, nil, nil, net, opts)
+	entry, _, err := s.planned(ctx, key, &in.req, nil, net, opts)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -109,10 +109,6 @@ type metrics struct {
 	incremental       map[string]*atomic.Int64 // per outcome
 	incrementalLayers atomic.Int64
 
-	// Estimate-memo counters summed over every finished planning run's (or
-	// batch's) table; the tables themselves die with their run.
-	memoHits, memoMisses atomic.Int64
-
 	planner *histogram            // planner wall time (observePlanner)
 	phase   map[string]*histogram // span-derived phase latencies
 }
@@ -173,17 +169,6 @@ func (m *metrics) incrementalPlan(outcome string, layersReused int) {
 		c.Add(1)
 	}
 	m.incrementalLayers.Add(int64(layersReused))
-}
-
-// observeMemo adds one finished run's or batch's estimate-memo counters.
-func (m *metrics) observeMemo(ms core.MemoStats) {
-	m.memoHits.Add(ms.Hits)
-	m.memoMisses.Add(ms.Misses)
-}
-
-// memoStats reads the summed estimate-memo counters.
-func (m *metrics) memoStats() core.MemoStats {
-	return core.MemoStats{Hits: m.memoHits.Load(), Misses: m.memoMisses.Load()}
 }
 
 // breakerOpened counts one request fast-failed by an open circuit breaker.
@@ -340,8 +325,6 @@ func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, ps cluster.PeerStat
 	fmt.Fprintf(w, "smm_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintf(w, "smm_cache_entries %d\n", cs.Entries)
 	fmt.Fprintf(w, "smm_cache_capacity %d\n", cs.Capacity)
-	fmt.Fprintf(w, "smm_estimate_memo_hits_total %d\n", m.memoHits.Load())
-	fmt.Fprintf(w, "smm_estimate_memo_misses_total %d\n", m.memoMisses.Load())
 	fmt.Fprintf(w, "smm_resolve_memo_hits_total %d\n", rs.Hits)
 	fmt.Fprintf(w, "smm_resolve_memo_misses_total %d\n", rs.Misses)
 	fmt.Fprintf(w, "smm_inflight_executions %d\n", inflight)

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -249,86 +247,5 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(body, want) {
 		t.Errorf("metrics drifted from golden file:\ngot:\n%s\nwant:\n%s", body, want)
-	}
-}
-
-// TestEstimateMemoMetrics: each planning run's estimate memo is summed into
-// /metrics and the cluster status once the run finishes. One ResNet18 plan
-// repeats its basic blocks' shapes, so the run both fills its table
-// (misses) and answers from it (hits).
-func TestEstimateMemoMetrics(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if resp, body := post(t, ts, "/v1/plan", `{"model": "ResNet18", "glb_kb": 64}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan: status %d: %s", resp.StatusCode, body)
-	}
-	_, mbody := get(t, ts, "/metrics")
-	hits := metric(t, mbody, "smm_estimate_memo_hits_total")
-	misses := metric(t, mbody, "smm_estimate_memo_misses_total")
-	if hits == 0 || misses == 0 {
-		t.Errorf("one ResNet18 run: memo hits %d, misses %d; want both non-zero", hits, misses)
-	}
-	if st := srv.statusDoc().Memo; st.Hits != hits || st.Misses != misses {
-		t.Errorf("cluster status memo %+v disagrees with /metrics (hits %d, misses %d)", st, hits, misses)
-	}
-}
-
-// TestEstimateMemoScope: no estimate memo outlives its planning run, except
-// that every item of one batch shares the batch's memo.
-func TestEstimateMemoScope(t *testing.T) {
-	srv := New(Config{})
-	var mu sync.Mutex
-	seen := map[int]*core.Memo{} // by GLB kB: each request below is unique
-	srv.planFn = func(ctx context.Context, n *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
-		mu.Lock()
-		seen[int(o.Config.GLBBytes/1024)] = core.MemoFrom(ctx)
-		mu.Unlock()
-		return scratchmem.PlanModelCtx(ctx, n, o, nil)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, glb := range []int{32, 40} {
-		body := fmt.Sprintf(`{"model": "TinyCNN", "glb_kb": %d}`, glb)
-		if resp, b := post(t, ts, "/v1/plan", body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("plan glb %d: status %d: %s", glb, resp.StatusCode, b)
-		}
-	}
-	batch := func(glbs ...int) {
-		t.Helper()
-		reqs := make([]PlanRequest, len(glbs))
-		for i, g := range glbs {
-			reqs[i] = PlanRequest{Model: "TinyCNN", GLBKiloBytes: g}
-		}
-		body, err := json.Marshal(BatchRequest{Requests: reqs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp, b := post(t, ts, "/v1/plan/batch", string(body)); resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch: status %d: %s", resp.StatusCode, b)
-		}
-	}
-	batch(48, 56, 64)
-	batch(72, 80)
-
-	mu.Lock()
-	defer mu.Unlock()
-	for _, glb := range []int{32, 40, 48, 56, 64, 72, 80} {
-		if seen[glb] == nil {
-			t.Fatalf("glb %d: planner ran without a memo", glb)
-		}
-	}
-	if seen[32] == seen[40] {
-		t.Error("two /v1/plan misses shared one memo")
-	}
-	if seen[48] != seen[56] || seen[48] != seen[64] || seen[72] != seen[80] {
-		t.Error("items of one batch saw different memos")
-	}
-	for _, glb := range []int{32, 40, 72} {
-		if seen[48] == seen[glb] {
-			t.Errorf("the first batch's memo also served glb %d", glb)
-		}
 	}
 }

@@ -11,7 +11,7 @@
 // Routes:
 //
 //	POST /v1/plan           — run the analyser (paper Algorithm 1), return a PlanDoc
-//	POST /v1/plan/batch     — plan many requests sharing one estimate memo
+//	POST /v1/plan/batch     — plan many requests in one round trip
 //	POST /v1/simulate       — time a plan end-to-end, or run the SCALE-Sim baseline
 //	POST /v1/dse            — exhaustive tile-size search (off-chip traffic optimum)
 //	POST /v1/peer/fill      — internal: compute a plan on behalf of a ring peer

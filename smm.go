@@ -274,15 +274,6 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 		DisablePrefetch: o.DisablePrefetch,
 		InterLayer:      o.InterLayerReuse,
 	}
-	// One memo per planning run, or the caller's via core.WithMemo (the
-	// server hands each run a fresh table and each batch one shared table,
-	// and reads their stats for /metrics). The ladder's rungs are Planner
-	// copies, so they share the table and re-plan from cached sweeps.
-	memo := core.MemoFrom(ctx)
-	if memo == nil {
-		memo = core.NewMemo()
-	}
-	pl.UseMemo(memo)
 	plan, err := planRequested(ctx, pl, n, o.Homogeneous, prog)
 	if err == nil {
 		return plan, nil

@@ -127,11 +127,6 @@ func planGraphLadder(ctx context.Context, cfg Config, g *Graph, o PlanOptions, p
 		DisablePrefetch: o.DisablePrefetch,
 		InterLayer:      o.InterLayerReuse,
 	}
-	memo := core.MemoFrom(ctx)
-	if memo == nil {
-		memo = core.NewMemo()
-	}
-	pl.UseMemo(memo)
 	plan, err := planGraphRequested(ctx, pl, g, o.Homogeneous, prog)
 	if err == nil {
 		return plan, nil
