@@ -185,16 +185,9 @@ func (c *Client) do(ctx context.Context, method, path string, payload any) ([]by
 // the server's Retry-After as a floor), respect the deadline budget. The
 // base URL is explicit so the same client (and its retry policy, jitter
 // source, and test seams) can address any member of a fleet — the
-// cluster.Transport adapter depends on this.
+// cluster.Transport adapter depends on this. A non-nil payload is sent as
+// its JSON encoding.
 func (c *Client) doAt(ctx context.Context, baseURL, method, path string, payload any) ([]byte, error) {
-	return c.doChecked(ctx, baseURL, method, path, payload, nil)
-}
-
-// doChecked is doAt with a per-attempt response check: a 200 body that
-// fails check counts as that attempt's failure and goes through the same
-// classify/back-off loop as a wire error. Snapshot uses it to retry
-// truncated streams.
-func (c *Client) doChecked(ctx context.Context, baseURL, method, path string, payload any, check func(body []byte, hdr http.Header) error) ([]byte, error) {
 	var body []byte
 	if payload != nil {
 		var err error
@@ -202,6 +195,14 @@ func (c *Client) doChecked(ctx context.Context, baseURL, method, path string, pa
 			return nil, fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
+	return c.doChecked(ctx, baseURL, method, path, body, nil)
+}
+
+// doChecked is doAt with the request body already encoded (nil sends none)
+// and a per-attempt response check: a 200 body that fails check counts as
+// that attempt's failure and goes through the same classify/back-off loop
+// as a wire error. Snapshot uses it to retry truncated streams.
+func (c *Client) doChecked(ctx context.Context, baseURL, method, path string, body []byte, check func(body []byte, hdr http.Header) error) ([]byte, error) {
 	retries := c.MaxRetries
 	switch {
 	case retries == 0:

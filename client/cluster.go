@@ -127,10 +127,11 @@ func (c *Client) LookupTransport() cluster.LookupFunc {
 }
 
 // ReplicateTransport adapts the client into a cluster.PushFunc: POST
-// /v1/peer/replicate delivering one snapshot record to a ring successor.
+// /v1/peer/replicate delivering one encoded snapshot record to a ring
+// successor, as the body it is.
 func (c *Client) ReplicateTransport() cluster.PushFunc {
-	return func(ctx context.Context, baseURL string, payload any) error {
-		_, err := c.doAt(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/replicate", payload)
+	return func(ctx context.Context, baseURL string, payload []byte) error {
+		_, err := c.doChecked(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/replicate", payload, nil)
 		return err
 	}
 }

@@ -19,9 +19,9 @@ type FillSpec struct {
 	// compute the value from (the server's PlanRequest).
 	Request any
 	// Decode turns the owner's canonical response body into the cache
-	// value, verifying the peer's plan matches what this build would have
-	// computed (scratchmem.RehydratePlan). An error falls the caller back
-	// to computing locally.
+	// value, verifying that the body is what this build renders for the
+	// plan its decisions rebuild (scratchmem.VerifyPlanDocument). An error
+	// falls the caller back to computing locally.
 	Decode func(body []byte) (any, error)
 }
 

@@ -222,7 +222,7 @@ type recordingPush struct {
 	err   error
 }
 
-func (r *recordingPush) push(ctx context.Context, baseURL string, payload any) error {
+func (r *recordingPush) push(ctx context.Context, baseURL string, payload []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.err != nil {
@@ -255,7 +255,7 @@ func TestReplicatorPushesToSuccessor(t *testing.T) {
 	defer r.Stop()
 
 	key := keyOwnedBy(t, ring, memberA)
-	r.Enqueue(context.Background(), key, "payload")
+	r.Enqueue(context.Background(), key, []byte("payload"))
 	flushReplicator(t, r)
 	if got := rp.got(); len(got) != 1 || got[0] != memberB {
 		t.Fatalf("pushes = %v, want [%s]", got, memberB)
@@ -271,7 +271,7 @@ func TestReplicatorSkipsSelfAndSingleMember(t *testing.T) {
 	ring := twoRing(t)
 	rp := &recordingPush{}
 	r := NewReplicator(ring, memberA, rp.push, nil, ReplicatorOptions{})
-	r.Enqueue(context.Background(), keyOwnedBy(t, ring, memberB), "payload")
+	r.Enqueue(context.Background(), keyOwnedBy(t, ring, memberB), []byte("payload"))
 	if st := r.Stats(); st.Skipped != 1 || st.Enqueued != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -281,7 +281,7 @@ func TestReplicatorSkipsSelfAndSingleMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := NewReplicator(single, memberA, rp.push, nil, ReplicatorOptions{})
-	r2.Enqueue(context.Background(), "plan:x", "payload")
+	r2.Enqueue(context.Background(), "plan:x", []byte("payload"))
 	if st := r2.Stats(); st.Skipped != 1 {
 		t.Fatalf("single-member stats = %+v", st)
 	}
@@ -299,7 +299,7 @@ func TestReplicatorSkipsDeadSuccessor(t *testing.T) {
 
 	rp := &recordingPush{}
 	r := NewReplicator(ring, memberA, rp.push, h, ReplicatorOptions{})
-	r.Enqueue(context.Background(), keyOwnedBy(t, ring, memberA), "payload")
+	r.Enqueue(context.Background(), keyOwnedBy(t, ring, memberA), []byte("payload"))
 	if st := r.Stats(); st.Skipped != 1 || st.Enqueued != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -311,9 +311,9 @@ func TestReplicatorDropOldestBackpressure(t *testing.T) {
 	// Not started: the queue fills without draining.
 	r := NewReplicator(ring, memberA, rp.push, nil, ReplicatorOptions{QueueDepth: 2})
 	key := keyOwnedBy(t, ring, memberA)
-	r.Enqueue(context.Background(), key, "oldest")
-	r.Enqueue(context.Background(), key, "middle")
-	r.Enqueue(context.Background(), key, "newest")
+	r.Enqueue(context.Background(), key, []byte("oldest"))
+	r.Enqueue(context.Background(), key, []byte("middle"))
+	r.Enqueue(context.Background(), key, []byte("newest"))
 	if st := r.Stats(); st.Dropped != 1 || st.Queued != 2 || st.Enqueued != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -334,7 +334,7 @@ func TestReplicatorFaultInjection(t *testing.T) {
 	r := NewReplicator(ring, memberA, rp.push, nil, ReplicatorOptions{})
 	r.Start()
 	defer r.Stop()
-	r.Enqueue(context.Background(), keyOwnedBy(t, ring, memberA), "payload")
+	r.Enqueue(context.Background(), keyOwnedBy(t, ring, memberA), []byte("payload"))
 	flushReplicator(t, r)
 	if st := r.Stats(); st.Errors != 1 || st.Sent != 0 {
 		t.Fatalf("stats = %+v", st)

@@ -11,10 +11,11 @@ import (
 )
 
 // PushFunc delivers one replication payload to a member (POST
-// /v1/peer/replicate through the client's transport). The payload is a
-// server.SnapshotRecord — self-contained and rehydration-verifiable, so the
-// receiver trusts nothing it cannot re-derive.
-type PushFunc func(ctx context.Context, baseURL string, payload any) error
+// /v1/peer/replicate through the client's transport). The payload is an
+// encoded server.SnapshotRecord, posted as it is: self-contained and
+// verifiable by re-rendering, so the receiver trusts nothing it cannot
+// re-derive.
+type PushFunc func(ctx context.Context, baseURL string, payload []byte) error
 
 // Defaults for ReplicatorOptions zero values.
 const (
@@ -58,23 +59,24 @@ type ReplStats struct {
 	Queued int `json:"queued"`
 }
 
-// replItem is one pending push: the payload and the successor it goes to,
-// resolved at enqueue time so the worker never touches the ring, plus the
-// enqueuing request's trace context so the asynchronous push still lands
-// in the originating trace.
+// replItem is one pending push: the encoded payload and the successor it
+// goes to, resolved at enqueue time so the worker never touches the ring,
+// plus the enqueuing request's trace context so the asynchronous push still
+// lands in the originating trace.
 type replItem struct {
 	succ    string
-	payload any
+	payload []byte
 	tc      obs.TraceContext
 }
 
-// Replicator asynchronously pushes freshly computed plans from their ring
-// owner to the key's ring successor, so an owner death costs zero duplicate
-// planner runs for already-replicated keys: the survivors find the replica
-// where the re-assigned ring arc now points. Replication is strictly
-// best-effort — a lost push degrades to one recompute, and every received
-// payload is rehydration-verified before it is trusted — so no
-// acknowledgement, retry or ordering protocol is needed.
+// Replicator asynchronously pushes freshly computed plans, as encoded
+// records, from their ring owner to the key's ring successor, so an owner
+// death costs zero duplicate planner runs for already-replicated keys: the
+// survivors find the replica where the re-assigned ring arc now points.
+// Replication is strictly best-effort — a lost push degrades to one
+// recompute, and every received payload is verified by re-rendering before
+// it is trusted — so no acknowledgement, retry or ordering protocol is
+// needed.
 type Replicator struct {
 	ring   *Ring
 	self   string
@@ -117,14 +119,15 @@ func NewReplicator(ring *Ring, self string, push PushFunc, health *Health, opts 
 	}
 }
 
-// Enqueue queues key's payload for its ring successor. Payloads with no
-// distinct successor (single-member ring, or the successor is this process)
-// or a known-dead successor are counted skipped. A full queue drops the
-// oldest pending push (drop-oldest: fresh plans win under backpressure).
+// Enqueue queues key's encoded payload for its ring successor. Payloads
+// with no distinct successor (single-member ring, or the successor is this
+// process) or a known-dead successor are counted skipped. A full queue
+// drops the oldest pending push (drop-oldest: fresh plans win under
+// backpressure).
 // ctx is only read for its trace context — the push itself outlives the
 // caller and runs under the worker's own timeout — so the replica push
 // appears in the trace of the request that computed the plan.
-func (r *Replicator) Enqueue(ctx context.Context, key string, payload any) {
+func (r *Replicator) Enqueue(ctx context.Context, key string, payload []byte) {
 	if r == nil {
 		return
 	}

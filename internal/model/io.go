@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -351,6 +352,38 @@ func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
+
+// AppendCompact appends the JSON text src with the white space outside its
+// strings removed. For the output of this module's encoders, indented or
+// not, that is json.Compact's result; unlike json.Compact it does not
+// validate, so src must be well-formed JSON.
+func AppendCompact(dst, src []byte) []byte {
+	dst = slices.Grow(dst, len(src))
+	start := 0
+	for i := 0; i < len(src); {
+		switch compactClass[src[i]] {
+		case 0:
+			i++
+		case '"':
+			for i++; i < len(src) && src[i] != '"'; i++ {
+				if src[i] == '\\' {
+					i++
+				}
+			}
+			i++
+		default: // a run of white space
+			dst = append(dst, src[start:i]...)
+			for i++; i < len(src) && compactClass[src[i]] == ' '; i++ {
+			}
+			start = i
+		}
+	}
+	return append(dst, src[start:]...)
+}
+
+// compactClass maps the bytes AppendCompact stops at to a class: '"' opens
+// a string, ' ' is white space, and 0 is every other byte.
+var compactClass = [256]byte{'"': '"', ' ': ' ', '\t': ' ', '\n': ' ', '\r': ' '}
 
 // WriteJSON serialises the network as indented JSON.
 func (n *Network) WriteJSON(w io.Writer) error {

@@ -133,3 +133,84 @@ func BenchmarkBatchHandlerMiss(b *testing.B) {
 		serveBatch(b, h, body)
 	}
 }
+
+// fleetDoc is one non-degraded plan of the fleet benchmark grid: its key
+// and its cache entry, whose body is the plan's peer-fill body.
+type fleetDoc struct {
+	key   string
+	entry *planEntry
+}
+
+// fleetGrid plans every builtin at 64, 256 and 1024 kB under the four
+// option sets smm-loadbench's workloads cycle through: het, het with the
+// latency objective, het with inter-layer reuse, and hom.
+func fleetGrid(b *testing.B) []fleetDoc {
+	b.Helper()
+	var grid []fleetDoc
+	for _, name := range servedModels {
+		net, err := scratchmem.BuiltinModel(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kb := range []int{64, 256, 1024} {
+			for _, o := range []scratchmem.PlanOptions{{}, {Objective: scratchmem.MinLatency}, {InterLayerReuse: true}, {Homogeneous: true}} {
+				o.Config = scratchmem.DefaultConfig(kb)
+				p, err := scratchmem.PlanModel(net, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if p.Degraded {
+					continue
+				}
+				body, err := scratchmem.PlanDocument(p).MarshalIndent()
+				if err != nil {
+					b.Fatal(err)
+				}
+				key, err := scratchmem.PlanKey(net, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				grid = append(grid, fleetDoc{key: key, entry: &planEntry{plan: p, body: body, net: net, opts: o}})
+			}
+		}
+	}
+	return grid
+}
+
+// BenchmarkPeerFillDecode decodes and verifies one peer-fill body per
+// iteration, cycling through the grid: what a fleet member does with an
+// owner's answer before it caches the plan.
+func BenchmarkPeerFillDecode(b *testing.B) {
+	grid := fleetGrid(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := &grid[i%len(grid)]
+		if _, err := decodePeerPlan(d.entry.body, d.entry.net, d.entry.opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReplicaRoundTrip is one successor replication per iteration,
+// cycling through the grid: the owner encodes the plan's record, and the
+// successor receives it through POST /v1/peer/replicate, verifies it and
+// stores it.
+func BenchmarkReplicaRoundTrip(b *testing.B) {
+	grid := fleetGrid(b)
+	h := New(Config{}).Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := &grid[i%len(grid)]
+		payload, err := appendRecord(nil, d.key, d.entry)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/peer/replicate", bytes.NewReader(payload)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+}

@@ -1,19 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 
-	scratchmem "scratchmem"
-	"scratchmem/internal/faultinject"
 	"scratchmem/internal/model"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/parallel"
@@ -190,179 +184,6 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 		span.SetAttr("degraded_mode", entry.plan.DegradedMode)
 	}
 	s.writePlan(w, res, memoized, entry, shared)
-}
-
-// SnapshotOptions carries the plan options a PlanDoc does not itself
-// record; together with the document's config and objective they rebuild
-// the exact PlanOptions — and therefore the exact PlanKey — of the
-// original request.
-type SnapshotOptions struct {
-	Homogeneous     bool `json:"homogeneous,omitempty"`
-	DisablePrefetch bool `json:"disable_prefetch,omitempty"`
-	InterLayerReuse bool `json:"interlayer,omitempty"`
-	Strict          bool `json:"strict,omitempty"`
-}
-
-// SnapshotRecord is one line of the GET /v1/cache/snapshot stream: a
-// self-contained, restorable description of one cached plan. The network
-// travels in canonical JSON so the restorer recomputes the identical
-// content hash.
-type SnapshotRecord struct {
-	Key     string              `json:"key"`
-	Network json.RawMessage     `json:"network"`
-	Options SnapshotOptions     `json:"options"`
-	Doc     *scratchmem.PlanDoc `json:"doc"`
-}
-
-// handleSnapshot streams the cached plans as newline-delimited JSON
-// records, most recently used first. Only plan entries travel — simulation
-// and DSE results are cheap to recompute and not rehydratable — and
-// degraded plans are skipped because their documents are explicitly not
-// decision-reproducible.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Hit("cluster.snapshot"); err != nil {
-		s.fail(w, err)
-		return
-	}
-	var recs []SnapshotRecord
-	for _, e := range s.cache.Snapshot() {
-		key, ok := strings.CutPrefix(e.Key, "plan:")
-		if !ok {
-			continue
-		}
-		pe, ok := e.Val.(*planEntry)
-		if !ok {
-			continue
-		}
-		rec, err := snapshotRecordFor(pe, key)
-		if err != nil {
-			continue
-		}
-		recs = append(recs, *rec)
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-SMM-Snapshot-Entries", fmt.Sprint(len(recs)))
-	enc := json.NewEncoder(w)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return // mid-stream: the connection is gone, nothing to report
-		}
-	}
-}
-
-// snapshotRecordFor renders one cached plan entry as a self-contained,
-// restorable record — the currency of both GET /v1/cache/snapshot and the
-// successor-replication push. Degraded plans are refused: their documents
-// are explicitly not decision-reproducible, so they must be recomputed,
-// never copied.
-func snapshotRecordFor(pe *planEntry, key string) (*SnapshotRecord, error) {
-	if pe.net == nil {
-		return nil, fmt.Errorf("entry for %s has no network", key)
-	}
-	if pe.plan.Degraded {
-		return nil, fmt.Errorf("plan for %s is degraded", key)
-	}
-	canon, err := model.CanonicalJSON(pe.net)
-	if err != nil {
-		return nil, err
-	}
-	return &SnapshotRecord{
-		Key:     key,
-		Network: canon,
-		Options: SnapshotOptions{
-			Homogeneous:     pe.opts.Homogeneous,
-			DisablePrefetch: pe.opts.DisablePrefetch,
-			InterLayerReuse: pe.opts.InterLayerReuse,
-			Strict:          pe.opts.Strict,
-		},
-		Doc: scratchmem.PlanDocument(pe.plan),
-	}, nil
-}
-
-// RestoreSnapshot replays a snapshot stream into the local cache (the
-// smm-serve -warm-from boot path). Every record is verified before it is
-// trusted: the network must hash back to the record's key and the document
-// must rehydrate against this build's estimators, so a stale or foreign
-// snapshot degrades to skipped records, never to wrong answers. Records
-// stream most-recently-used first, so they are inserted in reverse to
-// reproduce the source's LRU order.
-func (s *Server) RestoreSnapshot(r io.Reader) (added, skipped int, err error) {
-	return s.restoreStream(r, false)
-}
-
-// RestoreSnapshotMissing is RestoreSnapshot for the periodic re-warm loop:
-// records whose key is already cached are left untouched (no LRU
-// promotion, no overwrite of a fresher local copy), so a rewarm tick
-// against an unchanged peer is free.
-func (s *Server) RestoreSnapshotMissing(r io.Reader) (added, skipped int, err error) {
-	return s.restoreStream(r, true)
-}
-
-func (s *Server) restoreStream(r io.Reader, onlyMissing bool) (added, skipped int, err error) {
-	dec := json.NewDecoder(r)
-	var recs []SnapshotRecord
-	for {
-		var rec SnapshotRecord
-		if derr := dec.Decode(&rec); derr == io.EOF {
-			break
-		} else if derr != nil {
-			return added, skipped, fmt.Errorf("server: snapshot stream: %v", derr)
-		}
-		recs = append(recs, rec)
-	}
-	for i := len(recs) - 1; i >= 0; i-- {
-		if onlyMissing && s.local.Contains("plan:"+recs[i].Key) {
-			continue
-		}
-		entry, key, rerr := restoreRecord(&recs[i])
-		if rerr != nil {
-			skipped++
-			s.log.Warn("snapshot record skipped", "key", recs[i].Key, "error", rerr)
-			continue
-		}
-		s.local.Put("plan:"+key, entry)
-		added++
-	}
-	return added, skipped, nil
-}
-
-// restoreRecord verifies and rehydrates one snapshot record.
-func restoreRecord(rec *SnapshotRecord) (*planEntry, string, error) {
-	if rec.Doc == nil {
-		return nil, "", fmt.Errorf("record has no plan document")
-	}
-	net, err := model.ReadJSON(bytes.NewReader(rec.Network))
-	if err != nil {
-		return nil, "", fmt.Errorf("network: %v", err)
-	}
-	obj, err := scratchmem.ParseObjective(rec.Doc.Objective)
-	if err != nil {
-		return nil, "", err
-	}
-	opts := scratchmem.PlanOptions{
-		Config:          rec.Doc.Config.ToConfig(),
-		Objective:       obj,
-		Homogeneous:     rec.Options.Homogeneous,
-		DisablePrefetch: rec.Options.DisablePrefetch,
-		InterLayerReuse: rec.Options.InterLayerReuse,
-		Strict:          rec.Options.Strict,
-	}
-	key, err := scratchmem.PlanKey(net, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	if key != rec.Key {
-		return nil, "", fmt.Errorf("content hash %s does not match record key %s", key, rec.Key)
-	}
-	p, err := scratchmem.RehydratePlan(net, rec.Doc)
-	if err != nil {
-		return nil, "", err
-	}
-	body, err := scratchmem.PlanDocument(p).MarshalIndent()
-	if err != nil {
-		return nil, "", err
-	}
-	return &planEntry{plan: p, body: body, net: net, opts: opts}, key, nil
 }
 
 // VersionInfo answers GET /v1/version and the smm-serve -version flag.

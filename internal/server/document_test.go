@@ -1,0 +1,396 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	scratchmem "scratchmem"
+	"scratchmem/internal/cluster"
+	"scratchmem/internal/core"
+	"scratchmem/internal/model"
+	"scratchmem/internal/plancache"
+	"scratchmem/internal/policy"
+)
+
+// fillThroughPeer runs one peer fill of key through a two-member ring whose
+// other member owns it and answers with body, as decodePeerPlan decodes a
+// fill of net under opts. It returns the fill counters and whether the
+// asker fell back to computing locally.
+func fillThroughPeer(t *testing.T, body []byte, net *scratchmem.Network, opts scratchmem.PlanOptions) (cluster.PeerStats, bool) {
+	t.Helper()
+	const self, owner = "http://self", "http://owner"
+	ring, err := cluster.NewRing([]string{self, owner}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("plan:%d", i); ring.Owner(k) == owner {
+			key = k
+		}
+	}
+	answer := cluster.TransportFunc(func(context.Context, string, any) ([]byte, error) { return body, nil })
+	peer := cluster.NewPeer(cluster.NewLocal(plancache.New(4)), ring, self, answer, cluster.PeerOptions{})
+	local := false
+	spec := &cluster.FillSpec{Request: struct{}{}, Decode: func(b []byte) (any, error) { return decodePeerPlan(b, net, opts) }}
+	if _, _, err := peer.Do(context.Background(), key, spec, func(context.Context) (any, error) {
+		local = true
+		return &planEntry{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return peer.PeerStats(), local
+}
+
+// TestPeerFillRefusesTampering: a peer-fill body with any single byte
+// changed — in the totals, the policy mix, a coverage figure, the feasible
+// flag, a layer name or the white space — is refused and counted bad, and
+// the asker computes the plan itself. The untouched body fills.
+func TestPeerFillRefusesTampering(t *testing.T) {
+	for _, name := range []string{"TinyCNN", "ResNet18"} {
+		net, err := scratchmem.BuiltinModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := scratchmem.PlanOptions{Config: scratchmem.DefaultConfig(64)}
+		p, err := scratchmem.PlanModel(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := scratchmem.PlanDocument(p).MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps, local := fillThroughPeer(t, body, net, opts); ps.Hit != 1 || local {
+			t.Fatalf("%s: the untouched body did not fill: %+v", name, ps)
+		}
+		// region returns the bytes from the first match of from up to and
+		// including the first match of to after it.
+		region := func(from, to string) (int, int) {
+			i := bytes.Index(body, []byte(from))
+			if i < 0 {
+				t.Fatalf("%s: no %q in the document", name, from)
+			}
+			j := bytes.Index(body[i:], []byte(to))
+			if j < 0 {
+				t.Fatalf("%s: no %q after %q in the document", name, to, from)
+			}
+			return i, i + j + len(to)
+		}
+		var positions []int
+		for _, r := range [][2]string{
+			{`"totals"`, "}"},
+			{`"policy_mix"`, "]"},
+			{`"prefetch_coverage"`, ","},
+			{`"interlayer_coverage"`, ","},
+			{`"feasible"`, "\n"},
+			{`"name": "`, `",`},
+		} {
+			i, j := region(r[0], r[1])
+			for k := i; k < j; k++ {
+				positions = append(positions, k)
+			}
+		}
+		positions = append(positions, 1, bytes.IndexByte(body, ' '), len(body)-1)
+		for _, k := range positions {
+			for _, b := range []byte{body[k] ^ 1, ' ', '0'} {
+				if b == body[k] {
+					continue
+				}
+				tampered := bytes.Clone(body)
+				tampered[k] = b
+				if ps, local := fillThroughPeer(t, tampered, net, opts); ps.Bad != 1 || ps.Hit != 0 || !local {
+					t.Fatalf("%s: byte %d %q -> %q: fill counted %+v, local compute %t; want refused as bad",
+						name, k, body[k], b, ps, local)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotRecordEncoding: appendRecord writes exactly json.Marshal's
+// encoding of the documented wire type, SnapshotRecord, for every option
+// combination, so a field added to the type without the encoder fails here.
+func TestSnapshotRecordEncoding(t *testing.T) {
+	net, err := model.ReadJSON(strings.NewReader(escapedNetwork))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mask := 0; mask < 32; mask++ {
+		opts := scratchmem.PlanOptions{Config: scratchmem.DefaultConfig(32), Objective: scratchmem.Objective(mask >> 4),
+			Homogeneous: mask&1 != 0, DisablePrefetch: mask&2 != 0, InterLayerReuse: mask&4 != 0, Strict: mask&8 != 0}
+		p, err := scratchmem.PlanModel(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := scratchmem.PlanDocument(p).MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := scratchmem.PlanKey(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendRecord(nil, key, &planEntry{plan: p, body: body, net: net, opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := model.CanonicalJSON(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(SnapshotRecord{Key: key, Network: canon, Doc: scratchmem.PlanDocument(p),
+			Options: SnapshotOptions{Homogeneous: opts.Homogeneous, DisablePrefetch: opts.DisablePrefetch,
+				InterLayerReuse: opts.InterLayerReuse, Strict: opts.Strict}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("options %+v: appendRecord\n%s\nwant json.Marshal\n%s", opts, got, want)
+		}
+		rd := model.NewJSONReader(got)
+		entry, gotKey, err := readRecord(rd, got).restore()
+		if err != nil || rd.Err() != nil || gotKey != key || !bytes.Equal(entry.body, body) {
+			t.Fatalf("options %+v: the record does not restore: %v %v", opts, err, rd.Err())
+		}
+	}
+}
+
+// FuzzPlanDocument: the document seam never panics, and accepts only what
+// the rule it replaced accepted, with the same rendering. which picks the
+// input's kind: a peer-fill body for fuzzNets[which], or else one
+// SnapshotRecord as POST /v1/peer/replicate takes it. The reference rule
+// decodes with encoding/json and checks the decisions figure by figure
+// (referenceRehydrate), so the seam's accept set is a subset of its.
+func FuzzPlanDocument(f *testing.F) {
+	nets := fuzzNets(f)
+	for which, net := range nets {
+		for _, opts := range []scratchmem.PlanOptions{{GLBKiloBytes: 64}, {GLBKiloBytes: 16, Objective: scratchmem.MinLatency},
+			{GLBKiloBytes: 64, InterLayerReuse: true}, {GLBKiloBytes: 256, Homogeneous: true}} {
+			p, err := scratchmem.PlanModel(net, opts)
+			if err != nil || p.Degraded {
+				continue
+			}
+			body, err := scratchmem.PlanDocument(p).MarshalIndent()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(which), body)
+		}
+	}
+	g, err := scratchmem.BuiltinGraph("ResNet18")
+	if err != nil {
+		f.Fatal(err)
+	}
+	dag, err := scratchmem.PlanGraph(g, scratchmem.PlanOptions{GLBKiloBytes: 256})
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, err := scratchmem.PlanDocument(dag).MarshalIndent()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(len(nets)-1), body)
+	golden, err := os.ReadFile(snapshotGoldenPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range bytes.Split(golden, []byte("\n")) {
+		if len(line) > 0 && len(line) < 8<<10 {
+			f.Add(uint8(255), line)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		if int(which) < len(nets) {
+			checkPeerFillBody(t, nets[which], data)
+		} else {
+			checkReplicaBody(t, data)
+		}
+	})
+}
+
+// fuzzNets are the networks FuzzPlanDocument's peer-fill bodies are
+// planned for: small builtins, the escaped inline network and, last, the
+// ResNet18 graph for DAG documents.
+func fuzzNets(f *testing.F) []*scratchmem.Network {
+	var nets []*scratchmem.Network
+	for _, name := range []string{"TinyCNN", "MobileNet"} {
+		n, err := scratchmem.BuiltinModel(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		nets = append(nets, n)
+	}
+	esc, err := model.ReadJSON(strings.NewReader(escapedNetwork))
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := scratchmem.BuiltinGraph("ResNet18")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return append(nets, esc, g.Network())
+}
+
+func checkPeerFillBody(t *testing.T, net *scratchmem.Network, data []byte) {
+	p, body, err := scratchmem.VerifyPlanDocument(net, data)
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(body, data) {
+		t.Fatalf("accepted a body that is not its rendering:\n%s", data)
+	}
+	var doc scratchmem.PlanDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("accepted a body encoding/json refuses: %v", err)
+	}
+	ref, err := referenceRehydrate(net, &doc)
+	if err != nil {
+		t.Fatalf("accepted a body the figure-by-figure rule refuses: %v", err)
+	}
+	if want, err := scratchmem.PlanDocument(ref).MarshalIndent(); err != nil || !bytes.Equal(want, body) {
+		t.Fatalf("the reference rule renders the body differently (%v)", err)
+	}
+	if p.Model != net.Name {
+		t.Fatalf("rehydrated plan is named %q, network %q", p.Model, net.Name)
+	}
+}
+
+func checkReplicaBody(t *testing.T, data []byte) {
+	rd := model.NewJSONReader(data)
+	rec := readRecord(rd, data)
+	if rd.Err() != nil {
+		return
+	}
+	entry, key, err := rec.restore()
+	if err != nil {
+		return
+	}
+	var ref SnapshotRecord
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ref); err != nil {
+		t.Fatalf("accepted a record encoding/json refuses: %v", err)
+	}
+	if ref.Doc == nil {
+		t.Fatal("accepted a record without a document")
+	}
+	net, err := model.ReadJSON(bytes.NewReader(ref.Network))
+	if err != nil {
+		t.Fatalf("accepted a record whose network does not read: %v", err)
+	}
+	obj, err := scratchmem.ParseObjective(ref.Doc.Objective)
+	if err != nil {
+		t.Fatalf("accepted a record with objective %q", ref.Doc.Objective)
+	}
+	refKey, err := scratchmem.PlanKey(net, scratchmem.PlanOptions{Config: ref.Doc.Config.ToConfig(), Objective: obj,
+		Homogeneous: ref.Options.Homogeneous, DisablePrefetch: ref.Options.DisablePrefetch,
+		InterLayerReuse: ref.Options.InterLayerReuse, Strict: ref.Options.Strict})
+	if err != nil || refKey != ref.Key || key != ref.Key {
+		t.Fatalf("key %s, reference %s (%v)", key, refKey, err)
+	}
+	p, err := referenceRehydrate(net, ref.Doc)
+	if err != nil {
+		t.Fatalf("accepted a record the figure-by-figure rule refuses: %v", err)
+	}
+	if want, err := scratchmem.PlanDocument(p).MarshalIndent(); err != nil || !bytes.Equal(want, entry.body) {
+		t.Fatalf("the reference rule renders the record's document differently (%v)", err)
+	}
+}
+
+// referenceRehydrate is the figure-by-figure rule the document seam
+// replaced: rebuild each layer from its decisions and require the
+// document's figures to match, then check the DAG tensor table.
+func referenceRehydrate(net *scratchmem.Network, doc *scratchmem.PlanDoc) (*scratchmem.Plan, error) {
+	if doc.Degraded {
+		return nil, fmt.Errorf("degraded")
+	}
+	if len(doc.Layers) != len(net.Layers) {
+		return nil, fmt.Errorf("%d layers for %d", len(doc.Layers), len(net.Layers))
+	}
+	obj, err := scratchmem.ParseObjective(doc.Objective)
+	if err != nil {
+		return nil, err
+	}
+	cfg := doc.Config.ToConfig()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	perm := make([]int, len(net.Layers))
+	for i := range perm {
+		perm[i] = i
+	}
+	if len(doc.Schedule) > 0 {
+		if len(doc.Schedule) != len(perm) {
+			return nil, fmt.Errorf("schedule length")
+		}
+		seen := make([]bool, len(perm))
+		for k, i := range doc.Schedule {
+			if i < 0 || i >= len(perm) || seen[i] {
+				return nil, fmt.Errorf("schedule is not a permutation")
+			}
+			seen[i], perm[k] = true, i
+		}
+	}
+	p := &scratchmem.Plan{Model: doc.Model, Cfg: cfg, Objective: obj, Scheme: doc.Scheme,
+		Layers: make([]core.LayerPlan, len(net.Layers)), ChainableTransitions: doc.ChainableTransitions}
+	if len(doc.Schedule) > 0 {
+		p.Schedule = append([]int(nil), doc.Schedule...)
+	}
+	for i := range net.Layers {
+		l, ld := &net.Layers[perm[i]], &doc.Layers[i]
+		if ld.Name != l.Name {
+			return nil, fmt.Errorf("layer %d is %q, network has %q", i, ld.Name, l.Name)
+		}
+		id, ok := policy.ShortID(ld.Policy)
+		if !ok {
+			return nil, fmt.Errorf("unknown policy %q", ld.Policy)
+		}
+		o := policy.Options{Prefetch: ld.Prefetch, ResidentIfmap: ld.ConsumesResident, KeepOfmap: ld.KeepsResident}
+		var est policy.Result
+		switch {
+		case id == policy.FallbackTiled:
+			est = policy.FallbackEstimate(l, o, cfg)
+		case ld.N > 0:
+			est = policy.EstimateN(l, id, o, cfg, int64(ld.N))
+		default:
+			est = policy.Estimate(l, id, o, cfg)
+		}
+		if est.MemoryBytes != ld.MemoryBytes || est.AccessElems != ld.AccessElems || est.AccessBytes != ld.AccessBytes ||
+			est.LatencyCycles != ld.LatencyCycles || (ld.N != 0 && est.N != ld.N) || !est.Feasible {
+			return nil, fmt.Errorf("layer %s disagrees with the estimators", ld.Name)
+		}
+		p.Layers[i] = core.LayerPlan{Layer: *l, Est: est, ConsumesResident: ld.ConsumesResident, KeepsResident: ld.KeepsResident}
+	}
+	for i := range doc.Tensors {
+		td := &doc.Tensors[i]
+		if td.Producer < 0 || td.Producer > td.LastUse || td.LastUse >= len(p.Layers) {
+			return nil, fmt.Errorf("tensor %s: lifetime", td.Name)
+		}
+		prod := &p.Layers[td.Producer].Layer
+		elems := prod.OfmapElems()
+		switch {
+		case td.Name != prod.Name, td.Bytes != cfg.Bytes(elems):
+			return nil, fmt.Errorf("tensor %s: name or size", td.Name)
+		case td.Spill != "" && td.Spill != core.SpillEvict && td.Spill != core.SpillRecompute:
+			return nil, fmt.Errorf("tensor %s: spill", td.Name)
+		case td.Resident && (td.Spill != "" || td.Base < 0 || td.Base >= td.End || td.End > cfg.GLBBytes || td.End-td.Base != td.Bytes):
+			return nil, fmt.Errorf("tensor %s: range", td.Name)
+		case !td.Resident && (td.Base != 0 || td.End != 0):
+			return nil, fmt.Errorf("tensor %s: range", td.Name)
+		}
+		for _, u := range p.Tensors {
+			if td.Resident && u.Resident && td.Producer <= u.LastUse && u.Producer <= td.LastUse && td.End > u.Base && u.End > td.Base {
+				return nil, fmt.Errorf("tensors %s and %s overlap", td.Name, u.Name)
+			}
+		}
+		p.Tensors = append(p.Tensors, core.TensorPlan{Name: td.Name, Producer: td.Producer, LastUse: td.LastUse, Elems: elems,
+			Bytes: td.Bytes, Resident: td.Resident, Base: td.Base, End: td.End, Spill: td.Spill})
+	}
+	return p, nil
+}

@@ -74,12 +74,8 @@ func chaosLookup(ctx context.Context, baseURL string, request any) ([]byte, erro
 	}
 }
 
-func chaosPush(ctx context.Context, baseURL string, payload any) error {
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/peer/replicate", bytes.NewReader(b))
+func chaosPush(ctx context.Context, baseURL string, payload []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/peer/replicate", bytes.NewReader(payload))
 	if err != nil {
 		return err
 	}

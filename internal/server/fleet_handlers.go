@@ -1,14 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
 
 	"scratchmem/internal/cluster"
+	"scratchmem/internal/model"
 	"scratchmem/internal/plancache"
 )
 
@@ -28,26 +27,28 @@ func (s *Server) replicateFresh(ctx context.Context, key string, entry *planEntr
 	if f.Ring.Owner(cacheKey) != f.Self {
 		return
 	}
-	rec, err := snapshotRecordFor(entry, key)
+	rec, err := appendRecord(nil, key, entry)
 	if err != nil {
-		return // degraded or unrenderable: recompute material, not replica material
+		return // degraded: recompute material, not replica material
 	}
 	f.Repl.Enqueue(ctx, cacheKey, rec)
 }
 
 // handleReplicate stores a replica pushed by a ring owner — the receiving
 // half of successor replication. The payload is a SnapshotRecord and goes
-// through exactly the warm-restore verification (key recompute +
-// rehydration against this build's estimators), so a version-skewed or
-// corrupted push is rejected, never trusted.
+// through exactly the warm-restore verification (the document re-rendered
+// and compared byte for byte, the key recomputed), so a version-skewed or
+// corrupted push is rejected, never trusted: a body that is not a record
+// is a 400, a record that does not verify a 422.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var rec SnapshotRecord
+	var rec *record
 	body, err := readBody(w, r)
 	if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if derr := dec.Decode(&rec); derr != nil {
-			err = bodyError(derr)
+		rd := model.NewJSONReader(body)
+		if rec = readRecord(rd, body); rd.Err() != nil {
+			err = bodyError(rd.Err())
+		} else {
+			err = rec.err
 		}
 	}
 	if err != nil {
@@ -55,7 +56,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	entry, key, err := restoreRecord(&rec)
+	entry, key, err := rec.restore()
 	if err != nil {
 		s.met.replicaRejected()
 		s.writeError(w, http.StatusUnprocessableEntity, "replica rejected: "+err.Error())
@@ -63,7 +64,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.local.Put("plan:"+key, entry)
 	s.met.replicaReceived()
-	writeJSON(w, map[string]any{"stored": true, "key": key})
+	// writeJSON's layout of {"key": key, "stored": true}.
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(model.AppendJSONString([]byte("{\n  \"key\": "), key), ",\n  \"stored\": true\n}\n"...))
 }
 
 // derivedCacheKeys lists every cache entry a plan key anchors: the plan

@@ -114,8 +114,8 @@ type planEntry struct {
 // the body bytes, so the server memoizes it under their SHA-256 digest
 // (Server.resolved). A memoized value is shared by every request with the
 // same body and by every re-plan after an eviction or invalidation, so
-// nothing may mutate it: the planner and RehydratePlan only read net, and
-// req reaches cluster.FillSpec.Request read-only.
+// nothing may mutate it: the planner and the document seam only read net,
+// and req reaches cluster.FillSpec.Request read-only.
 type resolvedBody struct {
 	digest string // raw SHA-256 of the body, the memo key
 	planInput
@@ -341,23 +341,20 @@ func fpGroup(opts scratchmem.PlanOptions) string {
 		cfg.IncludePadding, cfg.Batch, opts.Objective, opts.DisablePrefetch, opts.InterLayerReuse)
 }
 
-// decodePeerPlan turns a peer's /v1/peer/fill response into a planEntry:
-// parse the document, rehydrate it against this build's estimators
-// (scratchmem.RehydratePlan verifies every figure, so a version-skewed
-// owner is detected, not trusted) and re-render the body locally — the
-// round-trip property guarantees it is byte-identical to the owner's.
+// decodePeerPlan turns a peer's /v1/peer/fill response into a planEntry.
+// scratchmem.VerifyPlanDocument rebuilds the plan from the document's
+// decisions and accepts the body only when it is this build's rendering of
+// that plan, so a version-skewed or corrupted answer is refused, not
+// served; the plan must also answer this request's config and objective.
+// The rendering made for the compare is the entry's body.
 func decodePeerPlan(body []byte, net *scratchmem.Network, opts scratchmem.PlanOptions) (any, error) {
-	var doc scratchmem.PlanDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("peer fill: %v", err)
-	}
-	p, err := scratchmem.RehydratePlan(net, &doc)
+	p, rendered, err := scratchmem.VerifyPlanDocument(net, body)
 	if err != nil {
 		return nil, fmt.Errorf("peer fill: %w", err)
 	}
-	rendered, err := scratchmem.PlanDocument(p).MarshalIndent()
-	if err != nil {
-		return nil, err
+	if scratchmem.NewConfigDoc(p.Cfg) != scratchmem.NewConfigDoc(opts.Config) || p.Objective != opts.Objective {
+		return nil, fmt.Errorf("peer fill: the document plans %s under %+v, not this request's %s under %+v",
+			p.Objective, p.Cfg, opts.Objective, opts.Config)
 	}
 	return &planEntry{plan: p, body: rendered, net: net, opts: opts}, nil
 }

@@ -89,7 +89,7 @@ type metrics struct {
 
 	// Receiving-side replication counters (the sending side lives in
 	// cluster.ReplStats): replicas accepted into the local cache, and
-	// payloads rejected by rehydration verification.
+	// payloads that are not records or do not verify.
 	replReceived atomic.Int64
 	replRejected atomic.Int64
 	// invalidated counts locally applied invalidations (single removes and

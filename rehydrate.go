@@ -1,9 +1,13 @@
 package scratchmem
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 
 	"scratchmem/internal/core"
+	"scratchmem/internal/layer"
+	"scratchmem/internal/model"
 	"scratchmem/internal/policy"
 )
 
@@ -19,202 +23,471 @@ func ParseObjective(s string) (Objective, error) {
 	return 0, fmt.Errorf("scratchmem: unknown objective %q (want accesses or latency)", s)
 }
 
-// RehydratePlan rebuilds an executable *Plan from its canonical document
-// and the network it was planned for. A PlanDoc stores only the per-layer
-// decisions (policy, prefetch, block size, resident flags) — tiny and
-// content-addressed — while the estimators are deterministic, so the full
-// plan is recomputed from the decisions and verified against the document's
-// figures. That makes documents the fleet's transfer format: a peer
-// cache-fill or a warm snapshot restore ships the document and the receiver
-// rehydrates it into the same Plan the sender computed, byte-identical down
-// to the canonical rendering.
-//
-// The verification doubles as a compatibility audit: if this build's
-// estimators disagree with the document (a version-skewed peer, a stale
-// snapshot), RehydratePlan reports the mismatch instead of serving a plan
-// this binary would not have produced. Degraded documents are refused —
-// their fallback rungs are not decision-reproducible — so callers fall back
-// to computing locally, which re-runs the ladder.
+// RehydratePlan rebuilds an executable *Plan from its document and the
+// network it was planned for. It renders doc and verifies the rendering
+// through VerifyPlanDocument, so it accepts exactly the documents this
+// build would render for the plan their decisions rebuild: a figure,
+// total, name or flag this build's estimators would not have produced is
+// refused, as is a degraded document.
 func RehydratePlan(net *Network, doc *PlanDoc) (*Plan, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("scratchmem: nil plan document")
 	}
-	if doc.Degraded {
-		return nil, fmt.Errorf("scratchmem: cannot rehydrate a degraded plan (mode %s): recompute locally", doc.DegradedMode)
-	}
-	if len(doc.Layers) != len(net.Layers) {
-		return nil, fmt.Errorf("scratchmem: document has %d layers, network %s has %d", len(doc.Layers), net.Name, len(net.Layers))
-	}
-	obj, err := ParseObjective(doc.Objective)
+	body, err := doc.MarshalIndent()
 	if err != nil {
 		return nil, err
 	}
-	cfg := doc.Config.ToConfig()
+	p, _, err := VerifyPlanDocument(net, body)
+	return p, err
+}
+
+// VerifyPlanDocument is the fleet's document seam. body is a plan document
+// as a peer rendered it (PlanDoc.MarshalIndent's bytes, a /v1/plan body).
+// A document stores per-layer decisions (policy, prefetch, block size,
+// resident flags) next to figures the deterministic estimators derive from
+// them, so only the decisions are decoded: the scheme, objective and
+// config, each layer's decisions, and a DAG plan's schedule and tensor
+// ranges. The plan is rebuilt from them for net and rendered, and the
+// document is accepted only when that rendering is body, byte for byte.
+// One compare thereby checks every figure, total, name and flag, and a
+// version-skewed peer or a corrupted document is refused, never served.
+//
+// The plan and its rendering (equal to body, in a buffer of its own) are
+// returned. Degraded documents are refused: their fallback rungs are not
+// decision-reproducible, so a receiver recomputes them instead.
+func VerifyPlanDocument(net *Network, body []byte) (*Plan, []byte, error) {
+	return verifyDocument(net, body, false)
+}
+
+// VerifyCompactPlanDocument is VerifyPlanDocument for a document in the
+// compact form a snapshot record carries: the rendering with the white
+// space outside strings removed (model.AppendCompact). The returned
+// rendering is still the indented one.
+func VerifyCompactPlanDocument(net *Network, doc []byte) (*Plan, []byte, error) {
+	return verifyDocument(net, doc, true)
+}
+
+func verifyDocument(net *Network, doc []byte, compact bool) (*Plan, []byte, error) {
+	d := planDecisions{layers: make([]layerDecision, 0, len(net.Layers))}
+	if err := d.decode(doc, len(net.Layers)); err != nil {
+		return nil, nil, err
+	}
+	p, err := d.rebuild(net)
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := PlanDocument(p).MarshalIndent()
+	if err != nil {
+		return nil, nil, err
+	}
+	want := body
+	if compact {
+		bp := renderBuf.Get().(*[]byte)
+		defer renderBuf.Put(bp)
+		*bp = model.AppendCompact((*bp)[:0], body)
+		want = *bp
+	}
+	if !bytes.Equal(doc, want) {
+		i := 0
+		for i < len(doc) && i < len(want) && doc[i] == want[i] {
+			i++
+		}
+		return nil, nil, fmt.Errorf("scratchmem: document differs at byte %d from this build's rendering of its decisions "+
+			"(%q, want %q): version skew or corruption", i, excerpt(doc, i), excerpt(want, i))
+	}
+	return p, body, nil
+}
+
+// excerpt returns up to 24 bytes of b from i on.
+func excerpt(b []byte, i int) []byte { return b[i:min(len(b), i+24)] }
+
+// planDecisions is what a plan document decides, as opposed to the figures
+// it reports: everything a rebuild needs.
+type planDecisions struct {
+	scheme, objective string
+	config            ConfigDoc
+	layers            []layerDecision
+	schedule          []int
+	tensors           []core.TensorPlan // the decided members only
+	degraded          bool
+	err               error
+}
+
+// layerDecision is one layer's decisions.
+type layerDecision struct {
+	policy                    policy.ID // -1 until read
+	n                         int64
+	prefetch, consumes, keeps bool
+}
+
+// fail records the first decode error.
+func (d *planDecisions) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("scratchmem: plan document: "+format, args...)
+	}
+}
+
+// decode reads the decisions of the document in data, which may describe
+// at most maxLayers layers. Members it does not read are skipped, still
+// validated as JSON: the rendering compare covers them.
+func (d *planDecisions) decode(data []byte, maxLayers int) error {
+	rd := model.NewJSONReader(data)
+	if !rd.Object() {
+		if err := rd.Err(); err != nil {
+			return fmt.Errorf("scratchmem: plan document: %w", err)
+		}
+		return errors.New("scratchmem: plan document: not a JSON object")
+	}
+	for key, ok := rd.Member(); ok; key, ok = rd.Member() {
+		switch string(key) {
+		case "scheme":
+			d.scheme = d.str(rd, "scheme")
+		case "objective":
+			d.objective = d.str(rd, "objective")
+		case "config":
+			d.decodeConfig(rd)
+		case "layers":
+			d.decodeLayers(rd, maxLayers)
+		case "degraded":
+			d.degraded = d.bool(rd, "degraded")
+		case "schedule":
+			d.decodeSchedule(rd, maxLayers)
+		case "tensors":
+			d.decodeTensors(rd, maxLayers)
+		default:
+			rd.Skip()
+		}
+	}
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("scratchmem: plan document: %w", err)
+	}
+	return d.err
+}
+
+func (d *planDecisions) str(rd *model.JSONReader, member string) string {
+	s, ok := rd.String()
+	if !ok {
+		d.fail("%q must be a string", member)
+	}
+	return s
+}
+
+func (d *planDecisions) bool(rd *model.JSONReader, member string) bool {
+	b, ok := rd.Bool()
+	if !ok {
+		d.fail("%q must be a boolean", member)
+	}
+	return b
+}
+
+func (d *planDecisions) int(rd *model.JSONReader, member string) int64 {
+	v, ok := rd.Int()
+	if !ok {
+		d.fail("%q must be an integer", member)
+	}
+	return v
+}
+
+func (d *planDecisions) decodeConfig(rd *model.JSONReader) {
+	if !rd.Object() {
+		d.fail(`"config" must be an object`)
+		return
+	}
+	c := &d.config
+	for key, ok := rd.Member(); ok; key, ok = rd.Member() {
+		switch string(key) {
+		case "glb_bytes":
+			c.GLBBytes = d.int(rd, "glb_bytes")
+		case "data_width_bits":
+			c.DataWidthBits = int(d.int(rd, "data_width_bits"))
+		case "ops_per_cycle":
+			c.OpsPerCycle = int(d.int(rd, "ops_per_cycle"))
+		case "dram_bytes_per_cycle":
+			c.DRAMBytesPerCycle = int(d.int(rd, "dram_bytes_per_cycle"))
+		case "include_padding":
+			c.IncludePadding = d.bool(rd, "include_padding")
+		case "batch":
+			c.Batch = int(d.int(rd, "batch"))
+		default:
+			rd.Skip()
+		}
+	}
+}
+
+func (d *planDecisions) decodeSchedule(rd *model.JSONReader, maxLayers int) {
+	if !rd.Array() {
+		d.fail(`"schedule" must be an array`)
+		return
+	}
+	for rd.Elem() {
+		if len(d.schedule) == maxLayers {
+			d.fail("schedule has more than %d entries", maxLayers)
+			rd.Skip()
+			continue
+		}
+		d.schedule = append(d.schedule, int(d.int(rd, "schedule")))
+	}
+}
+
+func (d *planDecisions) decodeLayers(rd *model.JSONReader, maxLayers int) {
+	if !rd.Array() {
+		d.fail(`"layers" must be an array`)
+		return
+	}
+	for rd.Elem() {
+		if len(d.layers) == maxLayers {
+			d.fail("more than the network's %d layers", maxLayers)
+			rd.Skip()
+			continue
+		}
+		d.layers = append(d.layers, layerDecision{policy: -1})
+		ld := &d.layers[len(d.layers)-1]
+		if !rd.Object() {
+			d.fail("layer %d must be an object", len(d.layers)-1)
+			continue
+		}
+		for key, ok := rd.Member(); ok; key, ok = rd.Member() {
+			switch string(key) {
+			case "policy":
+				b, ok := rd.Bytes()
+				if !ok {
+					d.fail(`"policy" must be a string`)
+					continue
+				}
+				if id, ok := policy.ShortID(string(b)); ok {
+					ld.policy = id
+				} else {
+					d.fail("layer %d: unknown policy %q", len(d.layers)-1, b)
+				}
+			case "prefetch":
+				ld.prefetch = d.bool(rd, "prefetch")
+			case "n":
+				ld.n = d.int(rd, "n")
+			case "consumes_resident":
+				ld.consumes = d.bool(rd, "consumes_resident")
+			case "keeps_resident":
+				ld.keeps = d.bool(rd, "keeps_resident")
+			default:
+				rd.Skip()
+			}
+		}
+	}
+}
+
+func (d *planDecisions) decodeTensors(rd *model.JSONReader, maxLayers int) {
+	if !rd.Array() {
+		d.fail(`"tensors" must be an array`)
+		return
+	}
+	for rd.Elem() {
+		// A DAG plan produces one tensor per layer.
+		if len(d.tensors) == maxLayers {
+			d.fail("more than %d tensors", maxLayers)
+			rd.Skip()
+			continue
+		}
+		d.tensors = append(d.tensors, core.TensorPlan{})
+		t := &d.tensors[len(d.tensors)-1]
+		if !rd.Object() {
+			d.fail("tensor %d must be an object", len(d.tensors)-1)
+			continue
+		}
+		for key, ok := rd.Member(); ok; key, ok = rd.Member() {
+			switch string(key) {
+			case "producer":
+				t.Producer = int(d.int(rd, "producer"))
+			case "last_use":
+				t.LastUse = int(d.int(rd, "last_use"))
+			case "resident":
+				t.Resident = d.bool(rd, "resident")
+			case "base":
+				t.Base = d.int(rd, "base")
+			case "end":
+				t.End = d.int(rd, "end")
+			case "spill":
+				b, ok := rd.Bytes()
+				switch {
+				case !ok:
+					d.fail(`"spill" must be a string`)
+				case string(b) == core.SpillEvict:
+					t.Spill = core.SpillEvict
+				case string(b) == core.SpillRecompute:
+					t.Spill = core.SpillRecompute
+				case len(b) > 0:
+					d.fail("tensor %d: unknown spill strategy %q", len(d.tensors)-1, b)
+				}
+			default:
+				rd.Skip()
+			}
+		}
+	}
+}
+
+// rebuild recomputes the plan the decisions describe for net: every
+// figure through the estimators, every name from the network.
+func (d *planDecisions) rebuild(net *Network) (*Plan, error) {
+	if d.degraded {
+		return nil, errors.New("scratchmem: cannot rehydrate a degraded plan: recompute locally")
+	}
+	if len(d.layers) != len(net.Layers) {
+		return nil, fmt.Errorf("scratchmem: document has %d layers, network %s has %d", len(d.layers), net.Name, len(net.Layers))
+	}
+	obj, err := ParseObjective(d.objective)
+	if err != nil {
+		return nil, err
+	}
+	cfg := d.config.ToConfig()
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("scratchmem: document config: %w", err)
 	}
 	// DAG plans carry their execution order: document layer k is network
 	// layer Schedule[k]. Linear documents use the identity mapping.
-	perm, err := schedulePerm(doc, len(net.Layers))
+	perm, err := schedulePerm(d.schedule, len(net.Layers))
 	if err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		Model:                doc.Model,
-		Cfg:                  cfg,
-		Objective:            obj,
-		Scheme:               doc.Scheme,
-		Layers:               make([]core.LayerPlan, len(net.Layers)),
-		ChainableTransitions: doc.ChainableTransitions,
+		Model:     net.Name,
+		Cfg:       cfg,
+		Objective: obj,
+		Scheme:    d.scheme,
+		Layers:    make([]core.LayerPlan, len(net.Layers)),
+		Schedule:  d.schedule,
 	}
-	if len(doc.Schedule) > 0 {
-		p.Schedule = append([]int(nil), doc.Schedule...)
-	}
-	for i := range net.Layers {
+	for i := range p.Layers {
 		l := &net.Layers[perm[i]]
-		ld := &doc.Layers[i]
-		if ld.Name != l.Name {
-			return nil, fmt.Errorf("scratchmem: layer %d is %q in the document but %q in network %s", i, ld.Name, l.Name, net.Name)
-		}
-		id, ok := policy.ShortID(ld.Policy)
-		if !ok {
-			return nil, fmt.Errorf("scratchmem: layer %s: unknown policy %q", ld.Name, ld.Policy)
-		}
-		o := policy.Options{
-			Prefetch:      ld.Prefetch,
-			ResidentIfmap: ld.ConsumesResident,
-			KeepOfmap:     ld.KeepsResident,
-		}
-		var est policy.Result
-		switch {
-		case id == policy.FallbackTiled:
-			// Per-layer fallback tiling (paper §3.3) is a regular rung of
-			// non-degraded plans: when none of the six policies fits a
-			// layer, the planner tiles it minimally.
-			est = policy.FallbackEstimate(l, o, cfg)
-		case ld.N > 0:
-			est = policy.EstimateN(l, id, o, cfg, int64(ld.N))
-		default:
-			est = policy.Estimate(l, id, o, cfg)
-		}
-		// The document carries the block size only for P4/P5 (other
-		// policies have none; the fallback's internal n is fixed at 1).
-		nOK := ld.N == 0 || est.N == ld.N
-		if est.MemoryBytes != ld.MemoryBytes || est.AccessElems != ld.AccessElems ||
-			est.AccessBytes != ld.AccessBytes || est.LatencyCycles != ld.LatencyCycles ||
-			!nOK || !est.Feasible {
-			return nil, fmt.Errorf(
-				"scratchmem: layer %s: document disagrees with this build's %s estimator "+
-					"(memory %d vs %d B, accesses %d vs %d, latency %d vs %d, n %d vs %d, feasible %v): version skew?",
-				ld.Name, ld.Policy, ld.MemoryBytes, est.MemoryBytes, ld.AccessElems, est.AccessElems,
-				ld.LatencyCycles, est.LatencyCycles, ld.N, est.N, est.Feasible)
+		est, err := estimateDecision(l, &d.layers[i], cfg)
+		if err != nil {
+			return nil, fmt.Errorf("scratchmem: layer %s: %w", l.Name, err)
 		}
 		p.Layers[i] = core.LayerPlan{
 			Layer:            *l,
 			Est:              est,
-			ConsumesResident: ld.ConsumesResident,
-			KeepsResident:    ld.KeepsResident,
+			ConsumesResident: d.layers[i].consumes,
+			KeepsResident:    d.layers[i].keeps,
+		}
+		if i > 0 && model.Chainable(&p.Layers[i-1].Layer, l) {
+			p.ChainableTransitions++
 		}
 	}
-	tensors, err := rehydrateTensors(p, doc)
-	if err != nil {
-		return nil, err
+	if len(d.tensors) > 0 {
+		if err := rehydrateTensors(p, d.tensors); err != nil {
+			return nil, err
+		}
+		p.Tensors = d.tensors
 	}
-	p.Tensors = tensors
 	return p, nil
 }
 
-// schedulePerm validates doc.Schedule as a permutation of [0, layers) and
+// estimateDecision re-derives one layer's estimate from its decisions. The
+// block size is bounded to what the planner can choose (bestBlockSize):
+// [1, max(1, F#-1)] for P4 and P5, exactly 1 on depth-wise layers, and no
+// block size at all for the other policies. Outside that range the
+// estimators' products are not bounded by the layer's own, and a large
+// enough n wraps P4's memory figure into a small, feasible-looking one.
+func estimateDecision(l *layer.Layer, ld *layerDecision, cfg Config) (policy.Result, error) {
+	if ld.policy < 0 {
+		return policy.Result{}, errors.New(`no "policy"`)
+	}
+	o := policy.Options{Prefetch: ld.prefetch, ResidentIfmap: ld.consumes, KeepOfmap: ld.keeps}
+	var est policy.Result
+	switch ld.policy {
+	case policy.P4PartialIfmap, policy.P5PartialPerChannel:
+		maxN := max(1, int64(l.F)-1)
+		if l.Kind == layer.DepthwiseConv {
+			maxN = 1
+		}
+		if ld.n < 1 || ld.n > maxN {
+			return est, fmt.Errorf("%s block size n = %d outside [1, %d]", ld.policy.Short(), ld.n, maxN)
+		}
+		est = policy.EstimateN(l, ld.policy, o, cfg, ld.n)
+	default:
+		if ld.n != 0 {
+			return est, fmt.Errorf("policy %s has no block size, but the document sets n = %d", ld.policy.Short(), ld.n)
+		}
+		if ld.policy == policy.FallbackTiled {
+			// Per-layer fallback tiling (paper §3.3) is a regular rung of
+			// non-degraded plans: when none of the six policies fits a
+			// layer, the planner tiles it minimally.
+			est = policy.FallbackEstimate(l, o, cfg)
+		} else {
+			est = policy.Estimate(l, ld.policy, o, cfg)
+		}
+	}
+	if !est.Feasible {
+		return est, fmt.Errorf("%s needs %d B of a %d B GLB", ld.policy.Short(), est.MemoryBytes, cfg.GLBBytes)
+	}
+	return est, nil
+}
+
+// schedulePerm validates schedule as a permutation of [0, layers) and
 // returns it, or the identity when the document has no schedule (every
 // linear plan).
-func schedulePerm(doc *PlanDoc, layers int) ([]int, error) {
-	perm := make([]int, layers)
-	if len(doc.Schedule) == 0 {
+func schedulePerm(schedule []int, layers int) ([]int, error) {
+	if len(schedule) == 0 {
+		perm := make([]int, layers)
 		for i := range perm {
 			perm[i] = i
 		}
 		return perm, nil
 	}
-	if len(doc.Schedule) != layers {
-		return nil, fmt.Errorf("scratchmem: document schedule has %d entries for %d layers", len(doc.Schedule), layers)
+	if len(schedule) != layers {
+		return nil, fmt.Errorf("scratchmem: document schedule has %d entries for %d layers", len(schedule), layers)
 	}
 	seen := make([]bool, layers)
-	for k, i := range doc.Schedule {
+	for k, i := range schedule {
 		if i < 0 || i >= layers || seen[i] {
 			return nil, fmt.Errorf("scratchmem: document schedule is not a permutation (entry %d = %d)", k, i)
 		}
 		seen[i] = true
-		perm[k] = i
 	}
-	return perm, nil
+	return schedule, nil
 }
 
-// rehydrateTensors verifies a DAG document's tensor table against the
-// rebuilt plan — the allocator invariants a healthy planner can never
-// violate — and converts it. Every range must sit inside the GLB and match
-// the tensor's size, lifetimes must nest inside the schedule, tensors whose
-// lifetimes overlap must occupy disjoint ranges, and each tensor must be
-// named after the layer at its producing step. A violation means the
-// document was corrupted or produced by a broken peer; refusing it keeps
-// cache fills from propagating an unexecutable plan.
-func rehydrateTensors(p *Plan, doc *PlanDoc) ([]core.TensorPlan, error) {
-	if len(doc.Tensors) == 0 {
-		return nil, nil
-	}
+// rehydrateTensors completes a DAG document's tensor decisions against the
+// rebuilt plan and checks the allocator invariants a healthy planner can
+// never violate. Each tensor is named after, and sized from, the layer at
+// its producing step; its lifetime must nest inside the schedule, a
+// resident range must sit inside the GLB and hold the tensor, and tensors
+// whose lifetimes overlap must occupy disjoint ranges. A violation means
+// the document was corrupted or produced by a broken peer; refusing it
+// keeps cache fills from propagating an unexecutable plan.
+func rehydrateTensors(p *Plan, tensors []core.TensorPlan) error {
 	L := len(p.Layers)
-	out := make([]core.TensorPlan, len(doc.Tensors))
-	for i := range doc.Tensors {
-		td := &doc.Tensors[i]
-		if td.Producer < 0 || td.Producer > td.LastUse || td.LastUse >= L {
-			return nil, fmt.Errorf("scratchmem: tensor %s: lifetime [%d, %d] outside schedule of %d steps",
-				td.Name, td.Producer, td.LastUse, L)
+	for i := range tensors {
+		t := &tensors[i]
+		if t.Producer < 0 || t.Producer > t.LastUse || t.LastUse >= L {
+			return fmt.Errorf("scratchmem: tensor %d: lifetime [%d, %d] outside schedule of %d steps", i, t.Producer, t.LastUse, L)
 		}
-		prodLayer := &p.Layers[td.Producer].Layer
-		if td.Name != prodLayer.Name {
-			return nil, fmt.Errorf("scratchmem: tensor %s: producing step %d runs layer %s", td.Name, td.Producer, prodLayer.Name)
-		}
-		elems := prodLayer.OfmapElems()
-		if want := p.Cfg.Bytes(elems); td.Bytes != want {
-			return nil, fmt.Errorf("scratchmem: tensor %s: document says %d bytes, layer ofmap is %d", td.Name, td.Bytes, want)
-		}
-		switch td.Spill {
-		case "", core.SpillEvict, core.SpillRecompute:
-		default:
-			return nil, fmt.Errorf("scratchmem: tensor %s: unknown spill strategy %q", td.Name, td.Spill)
-		}
-		if td.Resident {
-			if td.Spill != "" {
-				return nil, fmt.Errorf("scratchmem: tensor %s: resident and spilled at once", td.Name)
+		prod := &p.Layers[t.Producer].Layer
+		t.Name, t.Elems = prod.Name, prod.OfmapElems()
+		t.Bytes = p.Cfg.Bytes(t.Elems)
+		if t.Resident {
+			if t.Spill != "" {
+				return fmt.Errorf("scratchmem: tensor %s: resident and spilled at once", t.Name)
 			}
-			if td.Base < 0 || td.Base >= td.End || td.End > p.Cfg.GLBBytes {
-				return nil, fmt.Errorf("scratchmem: tensor %s: range [%d, %d) outside GLB of %d bytes",
-					td.Name, td.Base, td.End, p.Cfg.GLBBytes)
+			if t.Base < 0 || t.Base >= t.End || t.End > p.Cfg.GLBBytes {
+				return fmt.Errorf("scratchmem: tensor %s: range [%d, %d) outside GLB of %d bytes", t.Name, t.Base, t.End, p.Cfg.GLBBytes)
 			}
-			if td.End-td.Base != td.Bytes {
-				return nil, fmt.Errorf("scratchmem: tensor %s: range [%d, %d) does not hold %d bytes",
-					td.Name, td.Base, td.End, td.Bytes)
+			if t.End-t.Base != t.Bytes {
+				return fmt.Errorf("scratchmem: tensor %s: range [%d, %d) does not hold %d bytes", t.Name, t.Base, t.End, t.Bytes)
 			}
-		} else if td.Base != 0 || td.End != 0 {
-			return nil, fmt.Errorf("scratchmem: tensor %s: non-resident but carries range [%d, %d)", td.Name, td.Base, td.End)
-		}
-		out[i] = core.TensorPlan{
-			Name: td.Name, Producer: td.Producer, LastUse: td.LastUse,
-			Elems: elems, Bytes: td.Bytes,
-			Resident: td.Resident, Base: td.Base, End: td.End, Spill: td.Spill,
+		} else if t.Base != 0 || t.End != 0 {
+			return fmt.Errorf("scratchmem: tensor %s: non-resident but carries range [%d, %d)", t.Name, t.Base, t.End)
 		}
 	}
-	for i := range out {
-		for j := i + 1; j < len(out); j++ {
-			a, b := &out[i], &out[j]
+	for i := range tensors {
+		for j := i + 1; j < len(tensors); j++ {
+			a, b := &tensors[i], &tensors[j]
 			if !a.Resident || !b.Resident {
 				continue
 			}
 			if a.Producer <= b.LastUse && b.Producer <= a.LastUse &&
 				a.End > b.Base && b.End > a.Base {
-				return nil, fmt.Errorf("scratchmem: tensors %s and %s live concurrently in overlapping ranges [%d, %d) and [%d, %d)",
+				return fmt.Errorf("scratchmem: tensors %s and %s live concurrently in overlapping ranges [%d, %d) and [%d, %d)",
 					a.Name, b.Name, a.Base, a.End, b.Base, b.End)
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
+	"scratchmem/internal/core"
 	"scratchmem/internal/layer"
+	"scratchmem/internal/policy"
 )
 
 // rehydrateOptionGrid is the option matrix the round-trip property runs
@@ -92,6 +95,74 @@ func TestRehydratePlanRejects(t *testing.T) {
 
 	if _, err := ParseObjective("throughput"); err == nil {
 		t.Error("unknown objective parsed")
+	}
+}
+
+// TestRehydrateBoundsBlockSize: a document's P4/P5 block size must be one
+// the planner can choose, n in [1, max(1, F#-1)] and exactly 1 on
+// depth-wise layers, and other policies carry none. Each case swaps one
+// layer's decision into a planned network and renders the whole document
+// from the estimators, so every figure agrees with the decisions and only
+// the bound can refuse it. A huge n wraps P4's memory product to a small,
+// feasible-looking figure, or to a negative one.
+func TestRehydrateBoundsBlockSize(t *testing.T) {
+	cases := []struct {
+		name   string
+		model  string
+		glbKB  int
+		layer  string
+		policy policy.ID
+		n      int64 // the decided block size; -1 leaves it to Estimate
+		docN   int   // overrides the document's "n" when not 0
+		dropN  bool  // removes the document's "n"
+		accept bool
+	}{
+		{"ResNet18 n wraps P4 memory", "ResNet18", 32, "conv2_1_a", policy.P4PartialIfmap, 14593943096289204, 0, false, false},
+		{"AlexNet n wraps P4 memory negative", "AlexNet", 32, "conv1", policy.P4PartialIfmap, 14593943096289204, 0, false, false},
+		{"AlexNet n = 2^62", "AlexNet", 32, "conv1", policy.P4PartialIfmap, 1 << 62, 0, false, false},
+		{"n = F#", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, 64, 0, false, false},
+		{"n = F# - 1", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, 63, 0, false, true},
+		{"P5 n = 1", "ResNet18", 1024, "conv3_1_b", policy.P5PartialPerChannel, 1, 0, false, true},
+		{"P4 without n", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, -1, 0, true, false},
+		{"negative n", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, 1, -5, false, false},
+		{"depth-wise n = 1", "MobileNet", 1024, "dw1", policy.P4PartialIfmap, 1, 0, false, true},
+		{"depth-wise n = 2", "MobileNet", 1024, "dw1", policy.P4PartialIfmap, 1, 2, false, false},
+		{"n on P1", "ResNet18", 1024, "conv2_1_a", policy.P1IfmapReuse, -1, 3, false, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			net := mustBuiltin(t, c.model)
+			p, err := PlanModel(net, PlanOptions{GLBKiloBytes: c.glbKB})
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := slices.IndexFunc(p.Layers, func(lp core.LayerPlan) bool { return lp.Layer.Name == c.layer })
+			if i < 0 {
+				t.Fatalf("%s has no layer %s", c.model, c.layer)
+			}
+			forged := *p
+			forged.Layers = slices.Clone(p.Layers)
+			lp := &forged.Layers[i]
+			if c.n < 0 {
+				lp.Est = policy.Estimate(&lp.Layer, c.policy, lp.Est.Opts, p.Cfg)
+			} else {
+				lp.Est = policy.EstimateN(&lp.Layer, c.policy, lp.Est.Opts, p.Cfg, c.n)
+			}
+			if !lp.Est.Feasible {
+				t.Fatalf("the forged estimate is infeasible: %+v", lp.Est)
+			}
+			doc := PlanDocument(&forged)
+			if c.docN != 0 {
+				doc.Layers[i].N = c.docN
+			}
+			if c.dropN {
+				doc.Layers[i].N = 0
+			}
+			_, err = RehydratePlan(net, doc)
+			if (err == nil) != c.accept {
+				t.Fatalf("RehydratePlan: %v, want accepted = %t", err, c.accept)
+			}
+		})
 	}
 }
 
