@@ -96,7 +96,10 @@ func BenchmarkFig6_HetBreakdown(b *testing.B) {
 func BenchmarkFig7_DataWidth(b *testing.B) {
 	var ben float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.Fig7(benchSetup())
+		cells, _, err := experiments.Fig7Ctx(context.Background(), benchSetup(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, c := range cells {
 			if c.WidthBits == 32 && c.SizeKB == 64 {
 				ben = c.BenefitPct
@@ -122,7 +125,10 @@ func BenchmarkFig8_Latency(b *testing.B) {
 func BenchmarkFig9_AccessVsLatency(b *testing.B) {
 	var lat float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.Fig9(benchSetup(), 64)
+		cells, _, err := experiments.Fig9Ctx(context.Background(), benchSetup(), 64, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, c := range cells {
 			if c.LatencyBenefitPct > lat {
 				lat = c.LatencyBenefitPct
@@ -135,7 +141,10 @@ func BenchmarkFig9_AccessVsLatency(b *testing.B) {
 func BenchmarkFig10_Prefetch(b *testing.B) {
 	var cov float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.Fig10(benchSetup(), "MobileNet")
+		cells, _, err := experiments.Fig10Ctx(context.Background(), benchSetup(), "MobileNet", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		cov = cells[len(cells)-1].CoveragePct
 	}
 	b.ReportMetric(cov, "prefetch_coverage_1MB_%")
@@ -144,7 +153,10 @@ func BenchmarkFig10_Prefetch(b *testing.B) {
 func BenchmarkFig11_InterLayer(b *testing.B) {
 	var ben float64
 	for i := 0; i < b.N; i++ {
-		cells, _, _ := experiments.Fig11(benchSetup(), "MnasNet")
+		cells, _, _, err := experiments.Fig11Ctx(context.Background(), benchSetup(), "MnasNet", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ben = cells[len(cells)-1].AccessBenefitPct
 	}
 	b.ReportMetric(ben, "interlayer_access_benefit_1MB_%")
@@ -154,7 +166,10 @@ func BenchmarkFig11_InterLayer(b *testing.B) {
 func BenchmarkExtEnergy(b *testing.B) {
 	var red float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.ExtEnergy(benchSetup())
+		cells, _, err := experiments.ExtEnergyCtx(context.Background(), benchSetup(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, c := range cells {
 			if c.Model == "ResNet18" && c.SizeKB == 64 {
 				red = c.ReductionPct
@@ -168,7 +183,10 @@ func BenchmarkExtEnergy(b *testing.B) {
 func BenchmarkExtBatch(b *testing.B) {
 	var saved float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.ExtBatch(benchSetup(), "GoogLeNet", 256)
+		cells, _, err := experiments.ExtBatchCtx(context.Background(), benchSetup(), "GoogLeNet", 256, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		first, last := cells[0], cells[len(cells)-1]
 		saved = 100 * (1 - float64(last.PerInputAccessElem)/float64(first.PerInputAccessElem))
 	}
@@ -179,7 +197,10 @@ func BenchmarkExtBatch(b *testing.B) {
 func BenchmarkExtInterLayerAblation(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.ExtInterLayerAblation(benchSetup())
+		cells, _, err := experiments.ExtInterLayerAblationCtx(context.Background(), benchSetup(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, c := range cells {
 			if c.DPGainPct > gain {
 				gain = c.DPGainPct
@@ -193,7 +214,10 @@ func BenchmarkExtInterLayerAblation(b *testing.B) {
 func BenchmarkExtTenancy(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		cell, _ := experiments.ExtTenancy(benchSetup(), "ResNet18", "MobileNet", 128)
+		cell, _, err := experiments.ExtTenancyCtx(context.Background(), benchSetup(), "ResNet18", "MobileNet", 128, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		gain = cell.SharingGainPct
 	}
 	b.ReportMetric(gain, "timeshare_gain_%")
@@ -203,7 +227,10 @@ func BenchmarkExtTenancy(b *testing.B) {
 func BenchmarkExtDSE(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.ExtDSE(benchSetup(), 64)
+		cells, _, err := experiments.ExtDSECtx(context.Background(), benchSetup(), 64, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, c := range cells {
 			if c.GapPct > worst {
 				worst = c.GapPct
@@ -216,7 +243,10 @@ func BenchmarkExtDSE(b *testing.B) {
 // BenchmarkExtDataflow regenerates the dataflow comparison.
 func BenchmarkExtDataflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.ExtDataflow(benchSetup(), 64)
+		cells, _, err := experiments.ExtDataflowCtx(context.Background(), benchSetup(), 64, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(cells) != 18 {
 			b.Fatal("wrong cell count")
 		}
@@ -226,7 +256,10 @@ func BenchmarkExtDataflow(b *testing.B) {
 // BenchmarkExtSensitivity regenerates the hardware co-design sweep.
 func BenchmarkExtSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, _ := experiments.ExtSensitivity(benchSetup(), "MobileNetV2", 64)
+		cells, _, err := experiments.ExtSensitivityCtx(context.Background(), benchSetup(), "MobileNetV2", 64, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(cells) != 9 {
 			b.Fatal("wrong cell count")
 		}

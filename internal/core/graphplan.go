@@ -116,11 +116,6 @@ func (pl *Planner) PlanGraphCtx(ctx context.Context, g *model.Graph, prog progre
 	return pl.planGraph(ctx, g, pl.fullNodeEstimator(), "het dag", prog)
 }
 
-// PlanGraph is PlanGraphCtx without cancellation or observation.
-func (pl *Planner) PlanGraph(g *model.Graph) (*Plan, error) {
-	return pl.PlanGraphCtx(context.Background(), g, nil)
-}
-
 // BestHomogeneousGraphCtx searches every homogeneous policy variant over
 // the DAG pipeline and returns the best whole-graph plan under the
 // objective. Progress events are tagged with the variant's Cell label:

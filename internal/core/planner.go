@@ -332,16 +332,10 @@ func (pl *Planner) interLayerDPKeep(ctx context.Context, t *sweepTable, n *model
 	return out, nil, nil
 }
 
-// Homogeneous produces a plan that applies one (policy, ±prefetch) variant
-// to every layer, falling back to fallback tiling on layers where the
-// variant does not fit (the paper's Hom schemes must still execute every
-// layer).
-func (pl *Planner) Homogeneous(n *model.Network, id policy.ID, prefetch bool) (*Plan, error) {
-	return pl.HomogeneousCtx(context.Background(), n, id, prefetch, nil)
-}
-
-// HomogeneousCtx is Homogeneous with per-layer cancellation checks and
-// progress events.
+// HomogeneousCtx produces a plan that applies one (policy, ±prefetch)
+// variant to every layer, falling back to fallback tiling on layers where
+// the variant does not fit (the paper's Hom schemes must still execute every
+// layer). It runs with per-layer cancellation checks and progress events.
 func (pl *Planner) HomogeneousCtx(ctx context.Context, n *model.Network, id policy.ID, prefetch bool, prog progress.Func) (*Plan, error) {
 	if err := pl.Cfg.Validate(); err != nil {
 		return nil, smmerr.BadModel(err)
@@ -407,13 +401,6 @@ func (pl *Planner) sweepFallback(best *policy.Result, l *layer.Layer, resident, 
 	}
 }
 
-// BestHomogeneous evaluates every homogeneous scheme (each policy, with and
-// without prefetching) and returns the one minimising the objective — the
-// paper's Hom bars.
-func (pl *Planner) BestHomogeneous(n *model.Network) (*Plan, error) {
-	return pl.BestHomogeneousCtx(context.Background(), n, nil)
-}
-
 // homVariant is one homogeneous candidate scheme: a policy with or without
 // prefetching.
 type homVariant struct {
@@ -447,16 +434,17 @@ type homContrib struct {
 // indexed by position in homVariants' deterministic order.
 type homContribs [maxHomVariants]homContrib
 
-// BestHomogeneousCtx is BestHomogeneous with cancellation and
-// observation. Networks repeat layer shapes heavily, and the estimators
-// are pure functions of (shape, variant, config), so the search dedupes
-// the network into its distinct shapes, sweeps every variant once per
-// shape, and scores variants by accumulating the dense per-shape
-// contributions in layer order. Totals, failure layers and tie-breaks are
-// exactly those of planning each variant in turn; only the winning
-// variant's plan is materialised, and prog receives that walk's one event
-// per layer. Cancellation and injected faults surface immediately rather
-// than being mistaken for an infeasible variant.
+// BestHomogeneousCtx evaluates every homogeneous scheme (each policy, with
+// and without prefetching) and returns the one minimising the objective —
+// the paper's Hom bars. It runs with cancellation and observation. Networks
+// repeat layer shapes heavily, and the estimators are pure functions of
+// (shape, variant, config), so the search dedupes the network into its
+// distinct shapes, sweeps every variant once per shape, and scores variants
+// by accumulating the dense per-shape contributions in layer order. Totals,
+// failure layers and tie-breaks are exactly those of planning each variant
+// in turn; only the winning variant's plan is materialised, and prog
+// receives that walk's one event per layer. Cancellation and injected faults
+// surface immediately rather than being mistaken for an infeasible variant.
 func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
 	t := sweepTableGet()
 	defer sweepTablePut(t)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestHetBeatsHom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hom, err := pl.BestHomogeneous(n)
+			hom, err := pl.BestHomogeneousCtx(context.Background(), n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +54,7 @@ func TestHetBeatsHom(t *testing.T) {
 				t.Errorf("%s @%dkB: Het accesses %d > Hom %d",
 					n.Name, kb, het.AccessElems(), hom.AccessElems())
 			}
-			single, err := pl.Homogeneous(n, policy.P5PartialPerChannel, false)
+			single, err := pl.HomogeneousCtx(context.Background(), n, policy.P5PartialPerChannel, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +295,7 @@ func TestTable4PolicyMix64kB(t *testing.T) {
 func TestHomogeneousFallsBack(t *testing.T) {
 	n, _ := model.Builtin("ResNet18")
 	pl := NewPlanner(64, MinAccesses)
-	p, err := pl.Homogeneous(n, policy.IntraLayer, false)
+	p, err := pl.HomogeneousCtx(context.Background(), n, policy.IntraLayer, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,8 +329,8 @@ func TestInfeasibleGLB(t *testing.T) {
 	if ie.Layer == "" || ie.Need <= ie.Have {
 		t.Errorf("unhelpful error: %+v", ie)
 	}
-	if _, err := pl.BestHomogeneous(n); err == nil {
-		t.Error("BestHomogeneous should fail on a 256-byte GLB")
+	if _, err := pl.BestHomogeneousCtx(context.Background(), n, nil); err == nil {
+		t.Error("BestHomogeneousCtx should fail on a 256-byte GLB")
 	}
 }
 
@@ -370,7 +371,7 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := pl.Heterogeneous(n); err == nil {
 		t.Error("invalid config accepted by Heterogeneous")
 	}
-	if _, err := pl.Homogeneous(n, policy.P1IfmapReuse, false); err == nil {
+	if _, err := pl.HomogeneousCtx(context.Background(), n, policy.P1IfmapReuse, false, nil); err == nil {
 		t.Error("invalid config accepted by Homogeneous")
 	}
 	pl = NewPlanner(64, MinAccesses)

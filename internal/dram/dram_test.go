@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"context"
 	"testing"
 
 	"scratchmem/internal/engine"
@@ -99,7 +100,7 @@ func TestReplayEngineTrace(t *testing.T) {
 	cfg := policy.Default(64)
 	est := policy.Estimate(&l, policy.P1IfmapReuse, policy.Options{}, cfg)
 	var log trace.Log
-	if _, err := engine.DryRun(&l, &est, cfg, &log); err != nil {
+	if _, err := engine.DryRunCtx(context.Background(), &l, &est, cfg, &log); err != nil {
 		t.Fatal(err)
 	}
 	cycles, ch, err := Replay(&log, cfg.DataWidthBits, Default())
@@ -129,7 +130,7 @@ func TestBankCountSensitivity(t *testing.T) {
 	cfg := policy.Default(256)
 	est := policy.Estimate(&l, policy.P3PerChannel, policy.Options{}, cfg)
 	var log trace.Log
-	if _, err := engine.DryRun(&l, &est, cfg, &log); err != nil {
+	if _, err := engine.DryRunCtx(context.Background(), &l, &est, cfg, &log); err != nil {
 		t.Fatal(err)
 	}
 	missesWith := func(banks int) int64 {

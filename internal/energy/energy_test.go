@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"context"
 	"testing"
 
 	"scratchmem/internal/core"
@@ -46,7 +47,7 @@ func TestPlanEnergyTracksAccesses(t *testing.T) {
 	}
 	// A homogeneous intra plan at 64 kB falls back to tiling everywhere and
 	// moves far more data.
-	worse, err := core.NewPlanner(64, core.MinAccesses).Homogeneous(n, policy.IntraLayer, false)
+	worse, err := core.NewPlanner(64, core.MinAccesses).HomogeneousCtx(context.Background(), n, policy.IntraLayer, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"scratchmem/internal/core"
@@ -24,7 +25,7 @@ func TestDryRunValidatesWholeModels(t *testing.T) {
 			}
 			for i := range p.Layers {
 				lp := &p.Layers[i]
-				res, err := DryRun(&lp.Layer, &lp.Est, p.Cfg, nil)
+				res, err := DryRunCtx(context.Background(), &lp.Layer, &lp.Est, p.Cfg, nil)
 				if err != nil {
 					t.Fatalf("%s/%s @%dkB: %v", n.Name, lp.Layer.Name, kb, err)
 				}
@@ -59,7 +60,7 @@ func TestDryRunLatencyObjective(t *testing.T) {
 	}
 	for i := range p.Layers {
 		lp := &p.Layers[i]
-		res, err := DryRun(&lp.Layer, &lp.Est, p.Cfg, nil)
+		res, err := DryRunCtx(context.Background(), &lp.Layer, &lp.Est, p.Cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestTraceEventsMatchCounters(t *testing.T) {
 	for i := range p.Layers {
 		lp := &p.Layers[i]
 		var log trace.Log
-		res, err := DryRun(&lp.Layer, &lp.Est, p.Cfg, &log)
+		res, err := DryRunCtx(context.Background(), &lp.Layer, &lp.Est, p.Cfg, &log)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,12 +131,12 @@ func TestDryRunRejectsInvalid(t *testing.T) {
 	est := policy.Estimate(&l, policy.P1IfmapReuse, policy.Options{}, cfg)
 	bad := cfg
 	bad.GLBBytes = 0
-	if _, err := DryRun(&l, &est, bad, nil); err == nil {
+	if _, err := DryRunCtx(context.Background(), &l, &est, bad, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 	tiny := policy.Default(0)
 	tiny.GLBBytes = 16
-	if _, err := DryRun(&l, &est, tiny, nil); err == nil {
+	if _, err := DryRunCtx(context.Background(), &l, &est, tiny, nil); err == nil {
 		t.Error("over-capacity schedule accepted")
 	}
 }

@@ -113,17 +113,12 @@ func RunTracedCtx(ctx context.Context, l *layer.Layer, est *policy.Result, cfg p
 	return &e.res, nil
 }
 
-// DryRun executes the policy's tile schedule without tensors or
+// DryRunCtx executes the policy's tile schedule without tensors or
 // arithmetic: it walks the same loops as Run, moving only byte counts, so
 // whole ImageNet-scale layers validate in microseconds. The Result carries
 // traffic, phases and the scratchpad high-water mark; Output is nil. An
-// optional trace log records every event.
-func DryRun(l *layer.Layer, est *policy.Result, cfg policy.Config, log *trace.Log) (*Result, error) {
-	return DryRunCtx(context.Background(), l, est, cfg, log)
-}
-
-// DryRunCtx is DryRun with cancellation, checked at the schedule's outer
-// loop exactly like RunTracedCtx.
+// optional trace log records every event. It runs with cancellation, checked
+// at the schedule's outer loop exactly like RunTracedCtx.
 func DryRunCtx(ctx context.Context, l *layer.Layer, est *policy.Result, cfg policy.Config, log *trace.Log) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -167,7 +162,7 @@ type executor struct {
 	buf *glb.Buffer
 	res Result
 	// functional selects real arithmetic (Run) over schedule-only walking
-	// (DryRun).
+	// (DryRunCtx).
 	functional bool
 	// log, when non-nil, records every DMA transfer and compute burst.
 	log *trace.Log

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -97,7 +98,10 @@ func minBaseline(c Fig5Cell) int64 {
 }
 
 func TestFig7Shape(t *testing.T) {
-	cells, _ := Fig7(quickSetup())
+	cells, _, err := Fig7Ctx(context.Background(), quickSetup(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 15 {
 		t.Fatalf("Fig7 has %d cells, want 15", len(cells))
 	}
@@ -152,7 +156,10 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	cells, _ := Fig9(quickSetup(), 64)
+	cells, _, err := Fig9Ctx(context.Background(), quickSetup(), 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 6 {
 		t.Fatalf("Fig9 has %d cells, want 6", len(cells))
 	}
@@ -178,7 +185,10 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	cells, _ := Fig10(quickSetup(), "MobileNet")
+	cells, _, err := Fig10Ctx(context.Background(), quickSetup(), "MobileNet", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 5 {
 		t.Fatalf("Fig10 has %d cells, want 5", len(cells))
 	}
@@ -202,7 +212,10 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	cells, _, geo := Fig11(quickSetup(), "MnasNet")
+	cells, _, geo, err := Fig11Ctx(context.Background(), quickSetup(), "MnasNet", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 5 {
 		t.Fatalf("Fig11 has %d cells, want 5", len(cells))
 	}

@@ -32,16 +32,9 @@ type EnergyCell struct {
 	ReductionPct float64
 }
 
-// ExtEnergy compares the end-to-end energy of the heterogeneous scheme
-// against the best baseline split, using the reference energy model.
-func ExtEnergy(s Setup) ([]EnergyCell, *report.Table) {
-	cells, t, err := ExtEnergyCtx(context.Background(), s, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtEnergyCtx is ExtEnergy with cancellation and per-cell progress events
-// ("energy").
+// ExtEnergyCtx compares the end-to-end energy of the heterogeneous scheme
+// against the best baseline split, using the reference energy model. It runs
+// with cancellation and per-cell progress events ("energy").
 func ExtEnergyCtx(ctx context.Context, s Setup, prog progress.Func) ([]EnergyCell, *report.Table, error) {
 	models := model.BuiltinNames()
 	sizes := s.sizes()
@@ -92,16 +85,9 @@ type BatchCell struct {
 	FilterSharePct     float64 // share of traffic that is weights
 }
 
-// ExtBatch studies how batching amortises weight traffic for a
-// filter-heavy model under the heterogeneous scheme.
-func ExtBatch(s Setup, modelName string, glbKB int) ([]BatchCell, *report.Table) {
-	cells, t, err := ExtBatchCtx(context.Background(), s, modelName, glbKB, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtBatchCtx is ExtBatch with cancellation and per-cell progress events
-// ("batch").
+// ExtBatchCtx studies how batching amortises weight traffic for a
+// filter-heavy model under the heterogeneous scheme. It runs with
+// cancellation and per-cell progress events ("batch").
 func ExtBatchCtx(ctx context.Context, s Setup, modelName string, glbKB int, prog progress.Func) ([]BatchCell, *report.Table, error) {
 	n := mustBuiltin(modelName)
 	batches := []int{1, 2, 4, 8, 16}
@@ -147,16 +133,9 @@ type AblationCell struct {
 	DPGainPct  float64
 }
 
-// ExtInterLayerAblation compares the retention DP against the one-pass
-// greedy rule.
-func ExtInterLayerAblation(s Setup) ([]AblationCell, *report.Table) {
-	cells, t, err := ExtInterLayerAblationCtx(context.Background(), s, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtInterLayerAblationCtx is ExtInterLayerAblation with cancellation and
-// per-cell progress events ("ablation").
+// ExtInterLayerAblationCtx compares the retention DP against the one-pass
+// greedy rule. It runs with cancellation and per-cell progress events
+// ("ablation").
 func ExtInterLayerAblationCtx(ctx context.Context, s Setup, prog progress.Func) ([]AblationCell, *report.Table, error) {
 	models := model.BuiltinNames()
 	sizes := s.sizes()
@@ -205,20 +184,13 @@ type TenancyCell struct {
 	SharingGainPct float64
 }
 
-// ExtTenancy studies the paper's multi-tenancy motivation: two models
+// ExtTenancyCtx studies the paper's multi-tenancy motivation: two models
 // co-resident on one accelerator. A static partition gives each tenant half
 // the scratchpad for its whole run; the unified buffer with per-layer
-// management instead lets whichever layer is executing use all of it
-// (layers are time-multiplexed anyway). The gap between HetHalf and
-// HetTimeShared is what flexible management buys multi-tenant deployments.
-func ExtTenancy(s Setup, modelA, modelB string, glbKB int) (TenancyCell, *report.Table) {
-	cell, t, err := ExtTenancyCtx(context.Background(), s, modelA, modelB, glbKB, nil)
-	mustCells(err)
-	return cell, t
-}
-
-// ExtTenancyCtx is ExtTenancy with cancellation and per-cell progress
-// events ("tenancy").
+// management instead lets whichever layer is executing use all of it (layers
+// are time-multiplexed anyway). The gap between HetHalf and HetTimeShared is
+// what flexible management buys multi-tenant deployments. It runs with
+// cancellation and per-cell progress events ("tenancy").
 func ExtTenancyCtx(ctx context.Context, s Setup, modelA, modelB string, glbKB int, prog progress.Func) (TenancyCell, *report.Table, error) {
 	na, nb := mustBuiltin(modelA), mustBuiltin(modelB)
 	traffic := func(ctx context.Context, n *model.Network, kb int) (int64, error) {
@@ -279,18 +251,11 @@ type DataflowCell struct {
 	MCycles float64
 }
 
-// ExtDataflow compares the three classic dataflows (paper §2.3 background)
-// on the fixed 50-50 baseline at the given size: output-stationary wins on
-// partial-sum traffic for deep convolutions, which is why both the paper's
-// baseline and its own schemes use it.
-func ExtDataflow(s Setup, glbKB int) ([]DataflowCell, *report.Table) {
-	cells, t, err := ExtDataflowCtx(context.Background(), s, glbKB, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtDataflowCtx is ExtDataflow with cancellation and per-cell progress
-// events ("dataflow").
+// ExtDataflowCtx compares the three classic dataflows (paper §2.3
+// background) on the fixed 50-50 baseline at the given size:
+// output-stationary wins on partial-sum traffic for deep convolutions, which
+// is why both the paper's baseline and its own schemes use it. It runs with
+// cancellation and per-cell progress events ("dataflow").
 func ExtDataflowCtx(ctx context.Context, s Setup, glbKB int, prog progress.Func) ([]DataflowCell, *report.Table, error) {
 	models := model.BuiltinNames()
 	flows := []scalesim.Dataflow{scalesim.OutputStationary, scalesim.WeightStationary, scalesim.InputStationary}
@@ -335,20 +300,13 @@ type SensitivityCell struct {
 	ReductionPct    float64
 }
 
-// ExtSensitivity sweeps the accelerator design space around the paper's
+// ExtSensitivityCtx sweeps the accelerator design space around the paper's
 // operating point (16x16 PEs, 16 B/cycle) in the spirit of the authors'
 // RAINBOW co-design tool: how does the latency advantage of the managed
 // unified buffer move with compute width and off-chip bandwidth? Off-chip
 // traffic is unaffected (it depends only on the GLB size), so the sweep
-// reports latency.
-func ExtSensitivity(s Setup, modelName string, glbKB int) ([]SensitivityCell, *report.Table) {
-	cells, t, err := ExtSensitivityCtx(context.Background(), s, modelName, glbKB, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtSensitivityCtx is ExtSensitivity with cancellation and per-cell
-// progress events ("sensitivity").
+// reports latency. It runs with cancellation and per-cell progress events
+// ("sensitivity").
 func ExtSensitivityCtx(ctx context.Context, s Setup, modelName string, glbKB int, prog progress.Func) ([]SensitivityCell, *report.Table, error) {
 	dims := []int{8, 16, 32}
 	bws := []int{8, 16, 32}
@@ -403,19 +361,13 @@ type DSECell struct {
 	SearchMicros int64 // DSE search time
 }
 
-// ExtDSE quantifies how near-optimal the paper's six lightweight policies
+// ExtDSECtx quantifies how near-optimal the paper's six lightweight policies
 // are: for every model it compares the Het plan's traffic against an
 // exhaustive tiling search (the related-work approach) and reports both
-// planning costs. This replays the paper's "minutes of estimation instead
-// of hours of simulation" argument against DSE.
-func ExtDSE(s Setup, glbKB int) ([]DSECell, *report.Table) {
-	cells, t, err := ExtDSECtx(context.Background(), s, glbKB, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtDSECtx is ExtDSE with cancellation (threaded into both the planner and
-// the exhaustive grid search) and per-cell progress events ("extdse").
+// planning costs. This replays the paper's "minutes of estimation instead of
+// hours of simulation" argument against DSE. It runs with cancellation
+// (threaded into both the planner and the exhaustive grid search) and
+// per-cell progress events ("extdse").
 func ExtDSECtx(ctx context.Context, s Setup, glbKB int, prog progress.Func) ([]DSECell, *report.Table, error) {
 	models := model.BuiltinNames()
 	cells := make([]DSECell, len(models))
@@ -468,19 +420,12 @@ type SizingCell struct {
 	BestTable3KB float64 // min over the Table-3 policy columns, for reference
 }
 
-// ExtSizing answers the designer question behind Table 3: how much unified
-// scratchpad does each network need so that some policy moves every element
-// exactly once on every layer? The binding layer is the network's
+// ExtSizingCtx answers the designer question behind Table 3: how much
+// unified scratchpad does each network need so that some policy moves every
+// element exactly once on every layer? The binding layer is the network's
 // worst-case; the per-policy Table 3 maxima upper-bound it (a heterogeneous
-// choice can dodge each policy's worst layer).
-func ExtSizing(s Setup) ([]SizingCell, *report.Table) {
-	cells, t, err := ExtSizingCtx(context.Background(), s, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtSizingCtx is ExtSizing with cancellation and per-cell progress events
-// ("sizing").
+// choice can dodge each policy's worst layer). It runs with cancellation and
+// per-cell progress events ("sizing").
 func ExtSizingCtx(ctx context.Context, s Setup, prog progress.Func) ([]SizingCell, *report.Table, error) {
 	models := model.BuiltinNames()
 	cells := make([]SizingCell, len(models))
@@ -534,17 +479,10 @@ type ClassicCell struct {
 	ReductionPct float64
 }
 
-// ExtClassics runs the headline comparison on AlexNet and VGG16 — networks
-// outside the paper's set whose enormous FC weight tensors stress the
-// weight-streaming policies instead of the activation-heavy mobile nets.
-func ExtClassics(s Setup) ([]ClassicCell, *report.Table) {
-	cells, t, err := ExtClassicsCtx(context.Background(), s, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// ExtClassicsCtx is ExtClassics with cancellation and per-cell progress
-// events ("classics").
+// ExtClassicsCtx runs the headline comparison on AlexNet and VGG16 —
+// networks outside the paper's set whose enormous FC weight tensors stress
+// the weight-streaming policies instead of the activation-heavy mobile nets.
+// It runs with cancellation and per-cell progress events ("classics").
 func ExtClassicsCtx(ctx context.Context, s Setup, prog progress.Func) ([]ClassicCell, *report.Table, error) {
 	models := []string{"AlexNet", "VGG16"}
 	sizes := s.sizes()

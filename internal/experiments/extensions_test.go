@@ -1,9 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestExtEnergyShape(t *testing.T) {
-	cells, tab := ExtEnergy(quickSetup())
+	cells, tab, err := ExtEnergyCtx(context.Background(), quickSetup(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 30 || tab.Rows() != 30 {
 		t.Fatalf("energy cells = %d, want 30", len(cells))
 	}
@@ -28,7 +34,10 @@ func TestExtEnergyShape(t *testing.T) {
 }
 
 func TestExtBatchShape(t *testing.T) {
-	cells, _ := ExtBatch(quickSetup(), "GoogLeNet", 256)
+	cells, _, err := ExtBatchCtx(context.Background(), quickSetup(), "GoogLeNet", 256, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 5 {
 		t.Fatalf("batch cells = %d, want 5", len(cells))
 	}
@@ -51,7 +60,10 @@ func TestExtBatchShape(t *testing.T) {
 }
 
 func TestExtInterLayerAblation(t *testing.T) {
-	cells, _ := ExtInterLayerAblation(quickSetup())
+	cells, _, err := ExtInterLayerAblationCtx(context.Background(), quickSetup(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 30 {
 		t.Fatalf("ablation cells = %d, want 30", len(cells))
 	}
@@ -66,7 +78,10 @@ func TestExtInterLayerAblation(t *testing.T) {
 }
 
 func TestExtTenancy(t *testing.T) {
-	cell, tab := ExtTenancy(quickSetup(), "ResNet18", "MobileNet", 128)
+	cell, tab, err := ExtTenancyCtx(context.Background(), quickSetup(), "ResNet18", "MobileNet", 128, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tab.Rows() != 3 {
 		t.Fatalf("tenancy rows = %d, want 3", tab.Rows())
 	}
@@ -84,7 +99,10 @@ func TestExtTenancy(t *testing.T) {
 }
 
 func TestExtDataflow(t *testing.T) {
-	cells, tab := ExtDataflow(quickSetup(), 64)
+	cells, tab, err := ExtDataflowCtx(context.Background(), quickSetup(), 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 18 || tab.Rows() != 18 {
 		t.Fatalf("dataflow cells = %d, want 18", len(cells))
 	}
@@ -105,7 +123,10 @@ func TestExtDataflow(t *testing.T) {
 }
 
 func TestExtSensitivity(t *testing.T) {
-	cells, tab := ExtSensitivity(quickSetup(), "MobileNetV2", 64)
+	cells, tab, err := ExtSensitivityCtx(context.Background(), quickSetup(), "MobileNetV2", 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 9 || tab.Rows() != 9 {
 		t.Fatalf("sensitivity cells = %d, want 9", len(cells))
 	}
@@ -133,7 +154,10 @@ func TestExtSensitivity(t *testing.T) {
 }
 
 func TestExtDSE(t *testing.T) {
-	cells, tab := ExtDSE(quickSetup(), 64)
+	cells, tab, err := ExtDSECtx(context.Background(), quickSetup(), 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 6 || tab.Rows() != 6 {
 		t.Fatalf("dse cells = %d, want 6", len(cells))
 	}
@@ -148,7 +172,10 @@ func TestExtDSE(t *testing.T) {
 }
 
 func TestExtSizing(t *testing.T) {
-	cells, tab := ExtSizing(quickSetup())
+	cells, tab, err := ExtSizingCtx(context.Background(), quickSetup(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 6 || tab.Rows() != 6 {
 		t.Fatalf("sizing cells = %d, want 6", len(cells))
 	}
@@ -166,7 +193,10 @@ func TestExtSizing(t *testing.T) {
 }
 
 func TestExtClassics(t *testing.T) {
-	cells, tab := ExtClassics(quickSetup())
+	cells, tab, err := ExtClassicsCtx(context.Background(), quickSetup(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 10 || tab.Rows() != 10 {
 		t.Fatalf("classic cells = %d, want 10", len(cells))
 	}

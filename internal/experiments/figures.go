@@ -90,15 +90,9 @@ type Fig7Cell struct {
 	BenefitPct        float64
 }
 
-// Fig7 reproduces the data-width study: Het's access reduction over Hom for
-// MobileNetV2 across data widths, where wider elements squeeze the GLB.
-func Fig7(s Setup) ([]Fig7Cell, *report.Table) {
-	cells, t, err := Fig7Ctx(context.Background(), s, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// Fig7Ctx is Fig7 with cancellation and per-cell progress events ("fig7").
+// Fig7Ctx reproduces the data-width study: Het's access reduction over Hom
+// for MobileNetV2 across data widths, where wider elements squeeze the GLB.
+// It runs with cancellation and per-cell progress events ("fig7").
 func Fig7Ctx(ctx context.Context, s Setup, prog progress.Func) ([]Fig7Cell, *report.Table, error) {
 	widths := []int{8, 16, 32}
 	sizes := s.sizes()
@@ -212,15 +206,9 @@ type Fig9Cell struct {
 	HetALatency, HetLLatency int64
 }
 
-// Fig9 reproduces the accesses-vs-latency trade-off at the given size
-// (64 kB in the paper).
-func Fig9(s Setup, glbKB int) ([]Fig9Cell, *report.Table) {
-	cells, t, err := Fig9Ctx(context.Background(), s, glbKB, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// Fig9Ctx is Fig9 with cancellation and per-cell progress events ("fig9").
+// Fig9Ctx reproduces the accesses-vs-latency trade-off at the given size
+// (64 kB in the paper). It runs with cancellation and per-cell progress
+// events ("fig9").
 func Fig9Ctx(ctx context.Context, s Setup, glbKB int, prog progress.Func) ([]Fig9Cell, *report.Table, error) {
 	models := model.BuiltinNames()
 	cells := make([]Fig9Cell, len(models))
@@ -267,15 +255,8 @@ type Fig10Cell struct {
 	CoveragePct       float64
 }
 
-// Fig10 reproduces the prefetching ablation on the given model (MobileNet
-// in the paper).
-func Fig10(s Setup, modelName string) ([]Fig10Cell, *report.Table) {
-	cells, t, err := Fig10Ctx(context.Background(), s, modelName, nil)
-	mustCells(err)
-	return cells, t
-}
-
-// Fig10Ctx is Fig10 with cancellation and per-cell progress events
+// Fig10Ctx reproduces the prefetching ablation on the given model (MobileNet
+// in the paper). It runs with cancellation and per-cell progress events
 // ("fig10").
 func Fig10Ctx(ctx context.Context, s Setup, modelName string, prog progress.Func) ([]Fig10Cell, *report.Table, error) {
 	sizes := s.sizes()
@@ -324,17 +305,10 @@ type Fig11Cell struct {
 	CoveragePct       float64
 }
 
-// Fig11 reproduces the inter-layer-reuse study on the given model (MnasNet
-// in the paper) and additionally reports the geometric-mean benefit across
-// all six models at the largest size, as §5.4 does.
-func Fig11(s Setup, modelName string) ([]Fig11Cell, *report.Table, *report.Table) {
-	cells, t, g, err := Fig11Ctx(context.Background(), s, modelName, nil)
-	mustCells(err)
-	return cells, t, g
-}
-
-// Fig11Ctx is Fig11 with cancellation and per-cell progress events
-// ("fig11").
+// Fig11Ctx reproduces the inter-layer-reuse study on the given model
+// (MnasNet in the paper) and additionally reports the geometric-mean benefit
+// across all six models at the largest size, as §5.4 does. It runs with
+// cancellation and per-cell progress events ("fig11").
 func Fig11Ctx(ctx context.Context, s Setup, modelName string, prog progress.Func) ([]Fig11Cell, *report.Table, *report.Table, error) {
 	sizes := s.sizes()
 	n := mustBuiltin(modelName)

@@ -108,9 +108,26 @@ func FC(name string, in, out int) Layer {
 // ErrInvalid reports a malformed layer configuration.
 var ErrInvalid = errors.New("layer: invalid configuration")
 
+// The input domain's maxima. Under them, and the configuration's and the
+// network's (policy.MaxBatch, policy.MaxDataWidthBits, model.MaxLayers),
+// every product the estimators form fits in int64 with room to spare:
+// DESIGN §5 has the derivation.
+const (
+	// MaxDim bounds each of IH, IW, CI, FH, FW, F, S and P.
+	MaxDim = 1 << 20
+	// MaxStreamElems bounds the padded ifmap times F#: the ifmap traffic of
+	// one input under P4/P5 at a block of one filter, ⌈F#/n⌉ passes. The
+	// filter and the ofmap are each at most that product, so it bounds
+	// them too.
+	MaxStreamElems = 1 << 32
+	// MaxMACs bounds the multiply-accumulates of one input.
+	MaxMACs = 1 << 36
+)
+
 // Validate checks the hyperparameters for internal consistency: positive
-// dimensions, a filter that fits inside the padded ifmap, stride alignment
-// and the structural constraints of each layer type.
+// dimensions within the input domain's maxima, a filter that fits inside
+// the padded ifmap, stride alignment and the structural constraints of
+// each layer type.
 func (l *Layer) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s: %s", ErrInvalid, l.Name, fmt.Sprintf(format, args...))
@@ -124,6 +141,10 @@ func (l *Layer) Validate() error {
 	}
 	if l.P < 0 {
 		return fail("padding must be non-negative, got %d", l.P)
+	}
+	if max(l.IH, l.IW, l.CI, l.FH, l.FW, l.F, l.S, l.P) > MaxDim {
+		return fail("dimension above the maximum %d (IH=%d IW=%d CI=%d FH=%d FW=%d F=%d S=%d P=%d)",
+			MaxDim, l.IH, l.IW, l.CI, l.FH, l.FW, l.F, l.S, l.P)
 	}
 	if l.FH > l.IH+2*l.P || l.FW > l.IW+2*l.P {
 		return fail("filter %dx%d larger than padded ifmap %dx%d",
@@ -143,7 +164,32 @@ func (l *Layer) Validate() error {
 			return fail("FC layers are modelled with IH=IW=FH=FW=1")
 		}
 	}
+	// With every dimension at most MaxDim, each factor below is under 2^22,
+	// so the checked products cannot overflow on the way to their limits.
+	if !productAtMost(MaxStreamElems, int64(l.PaddedIH()), int64(l.PaddedIW()), int64(l.CI), int64(l.F)) {
+		return fail("padded ifmap times F# above the maximum %d elements", int64(MaxStreamElems))
+	}
+	reduce := int64(l.CI) // MACs sum over input channels, except depth-wise
+	if l.Kind == DepthwiseConv {
+		reduce = 1
+	}
+	if !productAtMost(MaxMACs, int64(l.OH()), int64(l.OW()), int64(l.CO()), int64(l.FH), int64(l.FW), reduce) {
+		return fail("more than the maximum %d MACs", int64(MaxMACs))
+	}
 	return nil
+}
+
+// productAtMost reports whether the product of the positive factors fs is
+// at most limit, without forming a product above it.
+func productAtMost(limit int64, fs ...int64) bool {
+	p := int64(1)
+	for _, f := range fs {
+		if f > limit/p {
+			return false
+		}
+		p *= f
+	}
+	return true
 }
 
 // OH returns the output height: (IH - FH + 2P)/S + 1, floored as frameworks do.

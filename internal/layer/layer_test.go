@@ -239,3 +239,36 @@ func TestStringIncludesShape(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateBounds: the input domain's maxima hold at their edges. A
+// dimension of MaxDim, a padded ifmap times F# of MaxStreamElems and
+// MaxMACs multiply-accumulates are accepted, one more of any is refused,
+// and so are the 3x3 layers of IH=IW=CI=F=2^16, whose MACs wrap to 0 in
+// int64, and of 2^20.
+func TestValidateBounds(t *testing.T) {
+	ok := []Layer{
+		{Name: "dim", Kind: FullyConnected, IH: 1, IW: 1, CI: MaxDim, FH: 1, FW: 1, F: 1, S: MaxDim, P: 0},
+		{Name: "stream", Kind: FullyConnected, IH: 1, IW: 1, CI: 1 << 16, FH: 1, FW: 1, F: 1 << 16, S: 1, P: 0},
+		// A 16x16 filter over a 143x143 ifmap: a 128x128 ofmap, 2^36 MACs.
+		{Name: "macs", Kind: Conv, IH: 143, IW: 143, CI: 1 << 7, FH: 16, FW: 16, F: 1 << 7, S: 1, P: 0},
+	}
+	for _, l := range ok {
+		if err := l.Validate(); err != nil {
+			t.Errorf("%s at the maximum: %v", l.Name, err)
+		}
+	}
+	bad := []Layer{
+		{Name: "dim", Kind: FullyConnected, IH: 1, IW: 1, CI: MaxDim + 1, FH: 1, FW: 1, F: 1, S: 1, P: 0},
+		{Name: "stride", Kind: FullyConnected, IH: 1, IW: 1, CI: 1, FH: 1, FW: 1, F: 1, S: MaxDim + 1, P: 0},
+		{Name: "pad", Kind: Conv, IH: 1, IW: 1, CI: 1, FH: 1, FW: 1, F: 1, S: 1, P: MaxDim + 1},
+		{Name: "stream", Kind: FullyConnected, IH: 1, IW: 1, CI: 1<<16 + 1, FH: 1, FW: 1, F: 1 << 16, S: 1, P: 0},
+		{Name: "macs", Kind: Conv, IH: 143, IW: 143, CI: 1<<7 + 1, FH: 16, FW: 16, F: 1 << 7, S: 1, P: 0},
+		{Name: "wrap16", Kind: Conv, IH: 1 << 16, IW: 1 << 16, CI: 1 << 16, FH: 3, FW: 3, F: 1 << 16, S: 1, P: 1},
+		{Name: "wrap20", Kind: Conv, IH: 1 << 20, IW: 1 << 20, CI: 1 << 20, FH: 3, FW: 3, F: 1 << 20, S: 1, P: 1},
+	}
+	for _, l := range bad {
+		if err := l.Validate(); err == nil {
+			t.Errorf("%s above the maximum: Validate() = nil", l.Name)
+		}
+	}
+}

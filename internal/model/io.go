@@ -30,37 +30,64 @@ var (
 	layerFields   = NewJSONFields("name", "type", "ih", "iw", "ci", "fh", "fw", "f", "s", "p")
 )
 
-// DecodeNetwork reads the network value at rd's position and validates it.
-// The decode is lenient the way encoding/json is with the equivalent
-// struct: unknown members are skipped, names match case-insensitively, and
-// null leaves a member unset. Two differences are deliberate: a member named
-// twice is an error wrapping ErrDuplicateMember, and layers are built only
-// through layer.New and Network.Validate.
+// DecodeNetwork reads the network value at rd's position, validates it and
+// returns it with its canonical JSON (AppendCanonicalJSON), assembled in
+// one exactly sized buffer. The decode is lenient the way encoding/json is
+// with the equivalent struct: unknown members are skipped, names match
+// case-insensitively, and null leaves a member unset. Two differences are
+// deliberate: a member named twice is an error wrapping ErrDuplicateMember,
+// and layers are built only through layer.New and Network.Validate's rules.
+//
+// A document that carries many networks, such as a batch of one-layer
+// mutants, mostly repeats itself, so the decode costs what changed. rd
+// keeps the layers of the last network it accepted, with the nesting depth
+// they were read at: each one's bytes, its layer and its canonical
+// encoding. An element of "layers" whose bytes start with those of the
+// same-index layer of that network, at the same depth, is consumed whole
+// and reuses the entry. That is exact: the accepted network decoded and
+// validated with no error, identical bytes decode identically (member
+// matching, case folding, escapes, duplicates and types depend on nothing
+// else), and the skipped object is balanced, so the reader's depth is
+// unchanged. The match is positional because a table keyed by the bytes
+// would have to find an element's end before looking it up, which is most
+// of the cost a repeat saves.
 //
 // A syntax error stays in rd (rd.Err) and is also returned. Any other error
 // means the value is well-formed JSON but not a valid network; rd is then
 // positioned after the value, so a caller can carry on reading.
-func DecodeNetwork(rd *JSONReader) (*Network, error) {
+func DecodeNetwork(rd *JSONReader) (*Network, []byte, error) {
+	n, d, err := decodeNetwork(rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	return n, d.canonical(n), nil
+}
+
+// decodeNetwork is DecodeNetwork without the canonical JSON, and so
+// without recording the network's layers for the next one to reuse.
+func decodeNetwork(rd *JSONReader) (*Network, networkDecoder, error) {
 	// Layers are read into records first and built once the network ends,
 	// so the network gets exactly-sized layers and one string holding every
-	// layer name. The records live in rd, reused by every network of its
-	// document.
+	// new layer name. The records live in rd, reused by every network of
+	// its document.
 	d := networkDecoder{rd: rd, raw: rd.layers[:0], names: rd.names[:0]}
 	n := d.network()
 	if err := rd.Err(); err != nil {
-		return nil, err
+		return nil, d, err
 	}
 	if d.err == nil {
 		n.Layers = d.build()
 	}
 	rd.layers, rd.names = d.raw, d.names
 	if d.err != nil {
-		return nil, d.err
+		return nil, d, d.err
 	}
-	if err := n.Validate(); err != nil {
-		return nil, err
+	// Every layer passed layer.New here or in the network it is reused
+	// from, so only the network-wide rules are left to check.
+	if err := n.validateNetwork(); err != nil {
+		return nil, d, err
 	}
-	return n, nil
+	return n, d, nil
 }
 
 // networkDecoder keeps the first error of one network's decode. After it,
@@ -69,15 +96,26 @@ type networkDecoder struct {
 	rd    *JSONReader
 	err   error
 	raw   []rawLayer // the elements of "layers", as read
-	names []byte     // every layer name, back to back
+	names []byte     // new layers' names and unknown types, back to back
+	depth int        // the reader's nesting depth inside "layers"
 }
 
-// rawLayer is one element of "layers" before layer.New sees it.
+// rawLayer is one element of "layers" before layer.New sees it. It holds
+// no pointers, so appending one costs the copy and nothing more.
 type rawLayer struct {
-	name [2]int     // its name is names[name[0]:name[1]]
-	kind layer.Type // -1 when the type names no layer type
-	typ  string     // the type as written, kept only when kind is -1
-	dims [8]int64   // ih, iw, ci, fh, fw, f, s, p
+	span   [2]int     // the element's bytes are rd.data[span[0]:span[1]]
+	reused bool       // the element repeats rd.seen's layer at its index
+	name   [2]int     // its name is names[name[0]:name[1]]
+	kind   layer.Type // -1 when the type names no layer type
+	typ    [2]int     // then the type as written is names[typ[0]:typ[1]]
+	dims   [8]int64   // ih, iw, ci, fh, fw, f, s, p
+}
+
+// knownLayer is one layer of a network DecodeNetwork accepted.
+type knownLayer struct {
+	raw   []byte // the element's bytes, a sub-slice of the document
+	layer layer.Layer
+	canon []byte // its canonical encoding, within its network's canonical JSON
 }
 
 func (d *networkDecoder) fail(err error) {
@@ -141,11 +179,27 @@ func (d *networkDecoder) network() *Network {
 }
 
 // layer reads one element of "layers"; null reads as a layer with every
-// member unset, which layer.ParseType rejects.
+// member unset, which layer.ParseType rejects. An element that repeats the
+// same-index layer of rd's last accepted network is skipped and reused.
 func (d *networkDecoder) layer() {
-	idx := len(d.raw)
+	idx, rd := len(d.raw), d.rd
+	rd.Next()
+	start := rd.pos
+	d.depth = rd.depth
+	if idx < len(rd.seen) && rd.seenDepth == rd.depth {
+		if k := &rd.seen[idx]; bytes.HasPrefix(rd.data[start:], k.raw) {
+			rd.pos += len(k.raw)
+			d.raw = append(d.raw, rawLayer{span: [2]int{start, rd.pos}, reused: true})
+			return
+		}
+	}
 	d.raw = append(d.raw, rawLayer{name: [2]int{len(d.names), len(d.names)}, kind: -1})
-	r := &d.raw[idx]
+	d.readLayer(&d.raw[idx], idx)
+	d.raw[idx].span = [2]int{start, rd.pos}
+}
+
+// readLayer decodes the element at the reader's position into r.
+func (d *networkDecoder) readLayer(r *rawLayer, idx int) {
 	if !d.rd.Null() {
 		if !d.rd.Object() {
 			d.fail(fmt.Errorf("model: layer %d must be a JSON object", idx+1))
@@ -180,7 +234,8 @@ func (d *networkDecoder) layer() {
 				var b []byte
 				if b, ok = d.rd.Bytes(); ok {
 					if r.kind = layerType(b); r.kind < 0 {
-						r.typ = string(b)
+						r.typ = [2]int{len(d.names), len(d.names) + len(b)}
+						d.names = append(d.names, b...)
 					}
 				}
 			default:
@@ -193,15 +248,29 @@ func (d *networkDecoder) layer() {
 	}
 }
 
-// build turns the records into layers, through layer.New, in order.
+// build turns the records into layers, in order: a reused record copies
+// its layer, any other goes through layer.New.
 func (d *networkDecoder) build() []layer.Layer {
-	names := string(d.names)
+	seen := d.rd.seen
+	var names string // d.names as one string, made when a name is first needed
 	layers := make([]layer.Layer, len(d.raw))
 	for i := range d.raw {
 		r := &d.raw[i]
-		name := names[r.name[0]:r.name[1]]
+		if r.reused {
+			layers[i] = seen[i].layer
+			continue
+		}
+		var name string
+		if b := d.names[r.name[0]:r.name[1]]; i < len(seen) && seen[i].layer.Name == string(b) {
+			name = seen[i].layer.Name // a changed layer mostly keeps its name
+		} else {
+			if names == "" {
+				names = string(d.names)
+			}
+			name = names[r.name[0]:r.name[1]]
+		}
 		if r.kind < 0 {
-			_, err := layer.ParseType(r.typ)
+			_, err := layer.ParseType(string(d.names[r.typ[0]:r.typ[1]]))
 			d.fail(fmt.Errorf("model: layer %d (%s): %w", i+1, name, err))
 			return nil
 		}
@@ -214,6 +283,50 @@ func (d *networkDecoder) build() []layer.Layer {
 		layers[i] = l
 	}
 	return layers
+}
+
+// canonical assembles the accepted network's canonical JSON in one exactly
+// sized buffer, copying the encodings of reused layers and encoding only
+// the new ones, and makes its layers the ones the next network may reuse:
+// rd.seen is updated in place, where a reused entry only moves its
+// encoding into the new buffer.
+func (d *networkDecoder) canonical(n *Network) []byte {
+	rd := d.rd
+	// The new layers' encodings go to scratch first, so the buffer can be
+	// sized before anything is copied into it. A compact element is about
+	// as long as its encoding, which sizes the scratch the first time.
+	hint := 64 + len(n.Name)
+	for i := range d.raw {
+		if r := &d.raw[i]; !r.reused {
+			hint += r.span[1] - r.span[0]
+		}
+	}
+	enc := AppendJSONString(append(slices.Grow(rd.canon[:0], hint), compactLayout.head...), n.Name)
+	enc = append(enc, compactLayout.layers...)
+	head := len(enc)
+	size := head + len(n.Layers) - 1 + len(compactLayout.end) // commas between the layers, then "]}"
+	seen := rd.seen[:min(len(rd.seen), len(d.raw))]
+	seen = append(seen, make([]knownLayer, len(d.raw)-len(seen))...)
+	for i := range d.raw {
+		if r := &d.raw[i]; !r.reused {
+			from := len(enc)
+			enc = appendLayer(enc, &n.Layers[i], compactLayout)
+			seen[i] = knownLayer{raw: rd.data[r.span[0]:r.span[1]], layer: n.Layers[i], canon: enc[from:len(enc):len(enc)]}
+		}
+		size += len(seen[i].canon)
+	}
+	rd.canon, rd.seen, rd.seenDepth = enc, seen, d.depth
+	buf := make([]byte, 0, size)
+	buf = append(buf, enc[:head]...)
+	for i := range seen {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		from := len(buf)
+		buf = append(buf, seen[i].canon...)
+		seen[i].canon = buf[from:len(buf):len(buf)]
+	}
+	return append(buf, compactLayout.end...)
 }
 
 // layerType is layer.ParseType on bytes, without allocating: -1 when b
@@ -279,24 +392,28 @@ func appendNetwork(dst []byte, n *Network, l *jsonLayout) []byte {
 	dst = AppendJSONString(dst, n.Name)
 	dst = append(dst, l.layers...)
 	for i := range n.Layers {
-		ly := &n.Layers[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, l.layer...)
-		dst = AppendJSONString(dst, ly.Name)
-		dst = append(dst, l.typ...)
-		dst = AppendJSONString(dst, ly.Kind.String())
-		for j, v := range [8]int{ly.IH, ly.IW, ly.CI, ly.FH, ly.FW, ly.F, ly.S, ly.P} {
-			dst = append(dst, l.dims[j]...)
-			dst = strconv.AppendInt(dst, int64(v), 10)
-		}
-		dst = append(dst, l.layerEnd...)
+		dst = appendLayer(dst, &n.Layers[i], l)
 	}
 	if len(n.Layers) == 0 {
 		return append(dst, l.emptyEnd...)
 	}
 	return append(dst, l.end...)
+}
+
+// appendLayer appends one element of a network's "layers" in layout l.
+func appendLayer(dst []byte, ly *layer.Layer, l *jsonLayout) []byte {
+	dst = append(dst, l.layer...)
+	dst = AppendJSONString(dst, ly.Name)
+	dst = append(dst, l.typ...)
+	dst = AppendJSONString(dst, ly.Kind.String())
+	for j, v := range [8]int{ly.IH, ly.IW, ly.CI, ly.FH, ly.FW, ly.F, ly.S, ly.P} {
+		dst = append(dst, l.dims[j]...)
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, l.layerEnd...)
 }
 
 // AppendJSONString appends s as json.Marshal encodes a string: HTML
@@ -421,7 +538,7 @@ func ReadJSON(r io.Reader) (*Network, error) {
 	// least 64 bytes, so a document cannot hold more layers than that.
 	rd.layers = make([]rawLayer, 0, len(data)/64+1)
 	rd.names = make([]byte, 0, len(data)/8)
-	n, err := DecodeNetwork(rd)
+	n, _, err := decodeNetwork(rd)
 	if rd.Err() != nil {
 		return nil, fmt.Errorf("model: decoding JSON: %w", err)
 	}

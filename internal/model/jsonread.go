@@ -42,9 +42,15 @@ type JSONReader struct {
 	err   error
 	key   []byte // scratch for escaped member names
 
-	// Scratch for DecodeNetwork, kept across the networks of one document.
-	layers []rawLayer
-	names  []byte
+	// Scratch for DecodeNetwork, kept across the networks of one document:
+	// the records of the network being read, the encodings of its new
+	// layers, and the layers of the last network accepted with the depth
+	// they were read at.
+	layers    []rawLayer
+	names     []byte
+	canon     []byte
+	seen      []knownLayer
+	seenDepth int
 }
 
 // NewJSONReader returns a reader positioned before the first value of data.

@@ -7,6 +7,8 @@ package model
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"scratchmem/internal/layer"
 )
@@ -17,18 +19,36 @@ type Network struct {
 	Layers []layer.Layer
 }
 
-// Validate checks every layer and that the network is non-empty.
+// MaxLayers bounds the layers of a network, so that a plan's totals, sums
+// of per-layer estimates each within the layer package's maxima, fit in
+// int64 (DESIGN §5).
+const MaxLayers = 1 << 12
+
+// Validate checks every layer and that the network has at least one and at
+// most MaxLayers.
 func (n *Network) Validate() error {
+	if err := n.validateNetwork(); err != nil {
+		return err
+	}
+	for i := range n.Layers {
+		if err := n.Layers[i].Validate(); err != nil {
+			return fmt.Errorf("model: %s layer %d: %w", n.Name, i+1, err)
+		}
+	}
+	return nil
+}
+
+// validateNetwork checks Validate's network-wide rules: the name and the
+// number of layers.
+func (n *Network) validateNetwork() error {
 	if n.Name == "" {
 		return fmt.Errorf("model: network has no name")
 	}
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("model: network %s has no layers", n.Name)
 	}
-	for i := range n.Layers {
-		if err := n.Layers[i].Validate(); err != nil {
-			return fmt.Errorf("model: %s layer %d: %w", n.Name, i+1, err)
-		}
+	if len(n.Layers) > MaxLayers {
+		return fmt.Errorf("model: network %s has %d layers, more than the maximum %d", n.Name, len(n.Layers), MaxLayers)
 	}
 	return nil
 }
@@ -88,18 +108,27 @@ func (n *Network) MinTransfers(padded bool) int64 {
 // Builder constructs one of the built-in networks.
 type Builder func() *Network
 
-// builtins maps canonical lower-case names to builders.
-var builtins = map[string]Builder{
-	"efficientnetb0": EfficientNetB0,
-	"googlenet":      GoogLeNet,
-	"mnasnet":        MnasNet,
-	"mobilenet":      MobileNet,
-	"mobilenetv2":    MobileNetV2,
-	"resnet18":       ResNet18,
-	"tinycnn":        Tiny,
-	"tiny":           Tiny,
-	"alexnet":        AlexNet,
-	"vgg16":          VGG16,
+// builtins maps canonical lower-case names to the built-in networks.
+var builtins = map[string]*builtin{
+	"efficientnetb0": {build: EfficientNetB0},
+	"googlenet":      {build: GoogLeNet},
+	"mnasnet":        {build: MnasNet},
+	"mobilenet":      {build: MobileNet},
+	"mobilenetv2":    {build: MobileNetV2},
+	"resnet18":       {build: ResNet18},
+	"tinycnn":        {build: Tiny},
+	"tiny":           {build: Tiny},
+	"alexnet":        {build: AlexNet},
+	"vgg16":          {build: VGG16},
+}
+
+// builtin is one built-in network, built on first use, not at start-up,
+// and shared from then on with its canonical JSON.
+type builtin struct {
+	build Builder
+	once  sync.Once
+	net   *Network
+	canon []byte
 }
 
 // BuiltinNames lists the built-in model names in the paper's Table 2 order.
@@ -114,13 +143,29 @@ func AllBuiltinNames() []string {
 	return append(BuiltinNames(), "AlexNet", "VGG16", "TinyCNN")
 }
 
-// Builtin returns the named built-in network (case-insensitive).
+// Builtin returns the named built-in network (case-insensitive), a copy
+// the caller owns.
 func Builtin(name string) (*Network, error) {
+	n, _, err := SharedBuiltin(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Network{Name: n.Name, Layers: slices.Clone(n.Layers)}, nil
+}
+
+// SharedBuiltin returns the named built-in network (case-insensitive) and
+// its canonical JSON. Both are built once, on the name's first use, and
+// shared by every caller, so neither may be modified.
+func SharedBuiltin(name string) (*Network, []byte, error) {
 	b, ok := builtins[normalize(name)]
 	if !ok {
-		return nil, fmt.Errorf("model: unknown built-in model %q (have %v)", name, AllBuiltinNames())
+		return nil, nil, fmt.Errorf("model: unknown built-in model %q (have %v)", name, AllBuiltinNames())
 	}
-	return b(), nil
+	b.once.Do(func() {
+		b.net = b.build()
+		b.canon = AppendCanonicalJSON(nil, b.net)
+	})
+	return b.net, b.canon, nil
 }
 
 // graphBuilders maps canonical lower-case names to the graph-aware builder

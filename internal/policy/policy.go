@@ -151,19 +151,34 @@ func Default(glbKB int) Config {
 	}
 }
 
+// The configuration's maxima. With the layer package's and
+// model.MaxLayers they keep every estimator product within int64
+// (DESIGN §5); the GLB bound keeps CapacityElems' GLBBytes·8 in range.
+const (
+	MaxBatch         = 1 << 10
+	MaxDataWidthBits = 64
+	MaxGLBBytes      = 1 << 50
+)
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
 	case c.GLBBytes <= 0:
 		return fmt.Errorf("policy: GLB size must be positive, got %d", c.GLBBytes)
+	case c.GLBBytes > MaxGLBBytes:
+		return fmt.Errorf("policy: GLB size %d above the maximum %d bytes", c.GLBBytes, int64(MaxGLBBytes))
 	case c.DataWidthBits <= 0:
 		return fmt.Errorf("policy: data width must be positive, got %d", c.DataWidthBits)
+	case c.DataWidthBits > MaxDataWidthBits:
+		return fmt.Errorf("policy: data width %d above the maximum %d bits", c.DataWidthBits, MaxDataWidthBits)
 	case c.OpsPerCycle < 2:
 		return fmt.Errorf("policy: ops/cycle must be >= 2, got %d", c.OpsPerCycle)
 	case c.DRAMBytesPerCycle <= 0:
 		return fmt.Errorf("policy: DRAM bandwidth must be positive, got %d", c.DRAMBytesPerCycle)
 	case c.Batch < 0:
 		return fmt.Errorf("policy: batch must be non-negative, got %d", c.Batch)
+	case c.Batch > MaxBatch:
+		return fmt.Errorf("policy: batch %d above the maximum %d", c.Batch, MaxBatch)
 	}
 	return nil
 }

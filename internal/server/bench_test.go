@@ -70,26 +70,54 @@ func BenchmarkPlanHandlerMiss(b *testing.B) {
 	}
 }
 
-// mutantBatch is a POST /v1/plan/batch body of 64 inline one-layer mutants
-// of MobileNetV2 at glbKB (layer i%L gets 1+i/L more filters, or channels
+// mutantBatch is a compact POST /v1/plan/batch body of 64 inline one-layer
+// mutants of base at glbKB (layer i%L gets 1+i/L more filters, or channels
 // for depth-wise layers), the shape of a neighbor-batch request.
-func mutantBatch(b *testing.B, glbKB int) []byte {
-	net, err := scratchmem.BuiltinModel("MobileNetV2")
+func mutantBatch(tb testing.TB, base string, glbKB int) []byte {
+	net, err := scratchmem.BuiltinModel(base)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	reqs := make([]PlanRequest, 64)
 	for i := range reqs {
 		reqs[i] = PlanRequest{
-			Network:      neighborNetwork(b, "MobileNetV2", i%len(net.Layers), 1+i/len(net.Layers)),
+			Network:      neighborNetwork(tb, base, i%len(net.Layers), 1+i/len(net.Layers)),
 			GLBKiloBytes: glbKB,
 		}
 	}
 	body, err := json.Marshal(BatchRequest{Requests: reqs})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return body
+}
+
+// BenchmarkIngest times the ingest seam alone, with no handler, cache or
+// planner around it: ingestBatch on 64-item neighbour batches of three
+// bases, and ingest on a body that names a builtin.
+func BenchmarkIngest(b *testing.B) {
+	for _, base := range []string{"ResNet18", "MobileNetV2", "GoogLeNet"} {
+		body := mutantBatch(b, base, 64)
+		b.Run("batch/"+base, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				items, err := ingestBatch(body)
+				if err != nil || items[63].err != nil {
+					b.Fatal(err, items[63].err)
+				}
+			}
+		})
+	}
+	b.Run("builtin", func(b *testing.B) {
+		body := []byte(`{"model": "ResNet18", "glb_kb": 64}`)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var in planInput
+			if err := ingest(&in, body, planBody); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // serveBatch sends one batch body through h and checks that every item
@@ -107,7 +135,7 @@ func serveBatch(b *testing.B, h http.Handler, body []byte) {
 // plan-cache hit, so each iteration times the batch decode, 64 network
 // resolutions and plan keys, and the response envelope.
 func BenchmarkBatchHandler(b *testing.B) {
-	body := mutantBatch(b, 64)
+	body := mutantBatch(b, "MobileNetV2", 64)
 	h := New(Config{}).Handler()
 	serveBatch(b, h, body)
 	b.ReportAllocs()
@@ -124,7 +152,7 @@ func BenchmarkBatchHandler(b *testing.B) {
 func BenchmarkBatchHandlerMiss(b *testing.B) {
 	bodies := make([][]byte, b.N)
 	for i := range bodies {
-		bodies[i] = mutantBatch(b, 32+i)
+		bodies[i] = mutantBatch(b, "MobileNetV2", 32+i)
 	}
 	h := New(Config{}).Handler()
 	b.ReportAllocs()

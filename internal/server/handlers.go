@@ -512,7 +512,7 @@ var servedModels = model.AllBuiltinNames()
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	infos := make([]ModelInfo, 0, len(servedModels))
 	for _, name := range servedModels {
-		n, err := scratchmem.BuiltinModel(name)
+		n, _, err := model.SharedBuiltin(name)
 		if err != nil {
 			s.fail(w, err)
 			return

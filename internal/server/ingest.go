@@ -15,7 +15,12 @@ import (
 // reads its body with readBody and hands it to ingest or ingestBatch. One
 // pass over the bytes decodes the envelope together with every inline
 // network (model.DecodeNetwork), then resolves the planner options and
-// computes the plan key. The accept set is encoding/json's:
+// computes the plan key. Its cost follows what changed within a body: a
+// network's layer objects that repeat the previous network's are reused,
+// not decoded again, the key hashes the canonical bytes the decoder
+// assembled from per-layer encodings, and a "model" resolves to the
+// builtin's shared network (model.SharedBuiltin). The accept set is
+// encoding/json's:
 //
 //   - The envelope (PlanRequest, "config", "baseline", "requests") is
 //     strict: an unknown member is a 400. The inline network is lenient:
@@ -45,7 +50,8 @@ type planInput struct {
 	// err is why a batch item cannot be planned; the batch answers it in
 	// the item.
 	err    error
-	netErr error // the inline network's decode error, until resolve
+	netErr error  // the inline network's decode error, until resolve
+	canon  []byte // the inline network's canonical JSON, until resolve keys it
 }
 
 // bodyKind selects the envelope a body is decoded against.
@@ -64,8 +70,11 @@ const maxBodyPrealloc = 1 << 20
 
 // readBody reads a request body under maxBodyBytes into a buffer sized from
 // Content-Length, so a body is read without the doubling copies of
-// io.ReadAll. The buffer is never pooled: sub-slices of it outlive the
-// request in the resolve memo.
+// io.ReadAll. The whole body is in hand before decoding starts, so
+// model.DecodeNetwork can match a layer object against the previous
+// network's by comparing bytes in place: its table points into this buffer
+// and lives only as long as the body's reader. The buffer is never pooled:
+// sub-slices of it outlive the request in the resolve memo.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	size := int64(512)
@@ -146,7 +155,10 @@ func ingestRequest(w http.ResponseWriter, r *http.Request, in *planInput, kind b
 
 // ingestBatch decodes a /v1/plan/batch body and resolves every item. The
 // error fails the whole body; an item that cannot be planned carries its
-// own err.
+// own err. Items are resolved as they are read, so each inline network's
+// canonical bytes are dropped as soon as its key exists. All of them are
+// read on one JSONReader, which lets a network reuse the layers it repeats
+// from the one before it (model.DecodeNetwork).
 func ingestBatch(body []byte) ([]planInput, error) {
 	rd := model.NewJSONReader(body)
 	var items []planInput
@@ -162,9 +174,11 @@ func ingestBatch(body []byte) ([]planInput, error) {
 				return badRequestf("batch exceeds the %d-item limit", maxBatchItems)
 			}
 			items = append(items, planInput{})
-			if err := decodeRequest(rd, body, &items[len(items)-1], false); err != nil {
+			in := &items[len(items)-1]
+			if err := decodeRequest(rd, body, in, false); err != nil {
 				return err
 			}
+			in.err = in.resolve(planBody)
 		}
 		return nil
 	})
@@ -176,9 +190,6 @@ func ingestBatch(body []byte) ([]planInput, error) {
 	}
 	if len(items) == 0 {
 		return nil, badRequestf("batch needs at least one request")
-	}
-	for i := range items {
-		items[i].err = items[i].resolve(planBody)
 	}
 	return items, nil
 }
@@ -232,7 +243,7 @@ func decodeRequest(rd *model.JSONReader, body []byte, in *planInput, baseline bo
 		case fNetwork:
 			rd.Next()
 			start := rd.Offset()
-			in.net, in.netErr = model.DecodeNetwork(rd)
+			in.net, in.canon, in.netErr = model.DecodeNetwork(rd)
 			req.Network = body[start:rd.Offset()]
 			return nil
 		case fGLB:
@@ -312,15 +323,18 @@ func decodeConfig(rd *model.JSONReader, c *scratchmem.ConfigDoc) error {
 }
 
 // resolve turns a decoded request into the planner's inputs and its key,
-// or reports why it cannot be planned.
+// or reports why it cannot be planned. A "model" resolves to the builtin's
+// shared network (model.SharedBuiltin), which the server only reads.
 func (in *planInput) resolve(kind bodyKind) error {
+	canon := in.canon
+	in.canon = nil
 	pr := &in.req
 	if (pr.Model == "") == (len(pr.Network) == 0) {
 		return badRequestf("exactly one of \"model\" or \"network\" is required")
 	}
 	var err error
 	if pr.Model != "" {
-		if in.net, err = scratchmem.BuiltinModel(pr.Model); err != nil {
+		if in.net, canon, err = model.SharedBuiltin(pr.Model); err != nil {
 			return badRequestf("%v", err)
 		}
 	} else if in.netErr != nil {
@@ -355,6 +369,6 @@ func (in *planInput) resolve(kind bodyKind) error {
 		// plan-shaping options so equivalent DSE requests share a key.
 		keyOpts = scratchmem.PlanOptions{Config: opts.Config}
 	}
-	in.key, err = scratchmem.PlanKey(in.net, keyOpts)
+	in.key, err = scratchmem.PlanKeyCanonical(canon, keyOpts)
 	return err
 }

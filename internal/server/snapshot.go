@@ -75,6 +75,7 @@ func appendRecord(dst []byte, key string, pe *planEntry) ([]byte, error) {
 type record struct {
 	key    string
 	net    *scratchmem.Network
+	canon  []byte // the network's canonical JSON, which the key hashes
 	netErr error
 	opts   SnapshotOptions
 	doc    []byte
@@ -98,7 +99,7 @@ func readRecord(rd *model.JSONReader, data []byte) *record {
 				return envelopeError("key", "a string")
 			}
 		case 1:
-			rec.net, rec.netErr = model.DecodeNetwork(rd)
+			rec.net, rec.canon, rec.netErr = model.DecodeNetwork(rd)
 		case 2:
 			o := &rec.opts
 			return members(rd, optionsFields, func(f int) error {
@@ -160,7 +161,7 @@ func (rec *record) restore() (*planEntry, string, error) {
 		InterLayerReuse: rec.opts.InterLayerReuse,
 		Strict:          rec.opts.Strict,
 	}
-	key, err := scratchmem.PlanKey(rec.net, opts)
+	key, err := scratchmem.PlanKeyCanonical(rec.canon, opts)
 	if err != nil {
 		return nil, "", err
 	}

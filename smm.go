@@ -89,7 +89,8 @@ const (
 func DefaultConfig(glbKB int) Config { return policy.Default(glbKB) }
 
 // BuiltinModel returns one of the built-in networks by name
-// (case-insensitive): the six Table-2 models plus "TinyCNN".
+// (case-insensitive): the six Table-2 models plus "TinyCNN". The network is
+// a copy the caller owns and may modify.
 func BuiltinModel(name string) (*Network, error) { return model.Builtin(name) }
 
 // BuiltinModels returns the six networks of the paper's Table 2.
@@ -166,8 +167,16 @@ func (o PlanOptions) config() (Config, error) {
 // cache (internal/plancache, served by smm-serve): equal keys ⇒ equal
 // plans. Requests expressed via GLBKiloBytes and via the equivalent
 // explicit Config hash identically because the key is built from the
-// resolved Config.
+// resolved Config. It is PlanKeyCanonical of the network's canonical JSON.
 func PlanKey(n *Network, o PlanOptions) (string, error) {
+	return PlanKeyCanonical(model.AppendCanonicalJSON(make([]byte, 0, 128*len(n.Layers)+64), n), o)
+}
+
+// PlanKeyCanonical is PlanKey for a network given by its canonical JSON,
+// the bytes model.AppendCanonicalJSON writes, which model.DecodeNetwork
+// returns with the network and a builtin carries with its shared copy: the
+// server's ingest seam keys requests without encoding a network again.
+func PlanKeyCanonical(canon []byte, o PlanOptions) (string, error) {
 	cfg, err := o.config()
 	if err != nil {
 		return "", err
@@ -180,9 +189,8 @@ func PlanKey(n *Network, o PlanOptions) (string, error) {
 	//
 	//	struct{ Cfg Config; Objective string; Homogeneous, DisablePrefetch,
 	//		InterLayerReuse, Strict bool }
-	buf := make([]byte, 0, 128*len(n.Layers)+256)
-	buf = model.AppendCanonicalJSON(buf, n)
-	buf = append(buf, 0)
+	var opts [256]byte
+	buf := append(opts[:0], 0)
 	buf = append(buf, `{"Cfg":{"GLBBytes":`...)
 	buf = strconv.AppendInt(buf, cfg.GLBBytes, 10)
 	buf = append(buf, `,"DataWidthBits":`...)
@@ -206,8 +214,13 @@ func PlanKey(n *Network, o PlanOptions) (string, error) {
 	buf = append(buf, `,"Strict":`...)
 	buf = strconv.AppendBool(buf, o.Strict)
 	buf = append(buf, '}')
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	h.Write(canon)
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], h.Sum(sum[:0]))
+	return string(digest[:]), nil
 }
 
 // PlanModel runs the paper's memory-management technique on a network and
