@@ -366,35 +366,6 @@ func BenchmarkPlanModelTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanGraph measures the DAG planner through PlanGraph: the
-// residency search, whose demotion trials re-ask the same node questions,
-// for the het sweep and the homogeneous search over every variant. GLB
-// sizes cycle from 16 kB to 1 MB.
-func BenchmarkPlanGraph(b *testing.B) {
-	sizes := []int{16, 32, 64, 128, 256, 512, 1024}
-	for _, name := range []string{"ResNet18", "GoogLeNet", "MobileNetV2"} {
-		g, err := BuiltinGraph(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, hom := range []bool{false, true} {
-			scheme := "het"
-			if hom {
-				scheme = "hom"
-			}
-			b.Run(scheme+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					o := PlanOptions{GLBKiloBytes: sizes[i%len(sizes)], Homogeneous: hom}
-					if _, err := PlanGraph(g, o); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkPlannerAllModels plans all six models at all five sizes for both
 // objectives — the paper's whole §5.1/§5.2 planning workload.
 func BenchmarkPlannerAllModels(b *testing.B) {

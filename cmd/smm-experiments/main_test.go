@@ -1,12 +1,24 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+var updateResults = flag.Bool("update-results", false, "rewrite the repository's results/ from a full run")
+
+// resultsDir holds the CSVs a full run writes, committed so that a change
+// to any planned figure shows up as a diff. Regenerate it only for a
+// deliberate change to the figures, with the flag after the package path:
+//
+//	go test -run TestRunAll ./cmd/smm-experiments/ -update-results
+const resultsDir = "../../results"
 
 func TestRunSubset(t *testing.T) {
 	var sb strings.Builder
@@ -93,13 +105,15 @@ func TestRunMarkdownOutput(t *testing.T) {
 }
 
 // TestRunAll exercises the full default run once (it is what the README
-// tells users to execute).
+// tells users to execute) and requires every CSV it writes to equal its
+// copy in results/ byte for byte.
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
+	dir := t.TempDir()
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-workers", "2"}, &sb); err != nil {
+	if err := run(context.Background(), []string{"-workers", "2", "-out", dir}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -112,4 +126,48 @@ func TestRunAll(t *testing.T) {
 			t.Errorf("full run missing %q", want)
 		}
 	}
+	got := csvFiles(t, dir)
+	if *updateResults {
+		for _, name := range got {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(resultsDir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := csvFiles(t, resultsDir); !slices.Equal(got, want) || len(got) != 24 {
+		t.Fatalf("a full run writes %v, results/ holds %v; want the same 24 files", got, want)
+	}
+	for _, name := range got {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(resultsDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Errorf("%s differs from results/%s:\n%s", name, name, data)
+		}
+	}
+}
+
+// csvFiles lists the CSV files in dir, sorted.
+func csvFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".csv") {
+			names = append(names, e.Name())
+		}
+	}
+	return names
 }

@@ -26,7 +26,7 @@ func TestDegradationLadder(t *testing.T) {
 	if !plan.Degraded || plan.DegradedMode != core.DegradedBaseline {
 		t.Fatalf("degraded=%v mode=%q, want true/%q", plan.Degraded, plan.DegradedMode, core.DegradedBaseline)
 	}
-	wantChain := []string{"requested", core.DegradedPrefetchRelaxed, core.DegradedLifetimeSpill}
+	wantChain := []string{"requested", core.DegradedPrefetchRelaxed}
 	if len(plan.DegradedReasons) != len(wantChain) {
 		t.Fatalf("reason chain %+v, want modes %v", plan.DegradedReasons, wantChain)
 	}

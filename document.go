@@ -96,27 +96,6 @@ type PlanDoc struct {
 	Degraded        bool                `json:"degraded,omitempty"`
 	DegradedMode    string              `json:"degraded_mode,omitempty"`
 	DegradedReasons []DegradedReasonDoc `json:"degraded_reasons,omitempty"`
-	// Schedule and Tensors are present only for DAG-planned graphs
-	// (PlanGraph): the execution order over the source graph's nodes and
-	// the tensor-lifetime table with concrete GLB address ranges. Linear
-	// plans render byte-identically to documents that predate them.
-	Schedule []int            `json:"schedule,omitempty"`
-	Tensors  []TensorAllocDoc `json:"tensors,omitempty"`
-}
-
-// TensorAllocDoc is one produced tensor's lifetime decision in a DAG plan:
-// its live interval in plan positions and, when resident, the GLB byte
-// range [base, end) the interval allocator assigned; otherwise the cheaper
-// spill strategy ("evict" or "recompute") when the tensor is re-read at all.
-type TensorAllocDoc struct {
-	Name     string `json:"name"`
-	Producer int    `json:"producer"`
-	LastUse  int    `json:"last_use"`
-	Bytes    int64  `json:"bytes"`
-	Resident bool   `json:"resident,omitempty"`
-	Base     int64  `json:"base,omitempty"`
-	End      int64  `json:"end,omitempty"`
-	Spill    string `json:"spill,omitempty"`
 }
 
 // DegradedReasonDoc is one failed ladder rung in a PlanDoc's reason chain.
@@ -149,17 +128,6 @@ func PlanDocument(p *Plan) *PlanDoc {
 	}
 	for _, r := range p.DegradedReasons {
 		doc.DegradedReasons = append(doc.DegradedReasons, DegradedReasonDoc{Mode: r.Mode, Error: r.Err})
-	}
-	if len(p.Schedule) > 0 {
-		doc.Schedule = append([]int(nil), p.Schedule...)
-	}
-	for i := range p.Tensors {
-		t := &p.Tensors[i]
-		doc.Tensors = append(doc.Tensors, TensorAllocDoc{
-			Name: t.Name, Producer: t.Producer, LastUse: t.LastUse,
-			Bytes: t.Bytes, Resident: t.Resident, Base: t.Base, End: t.End,
-			Spill: t.Spill,
-		})
 	}
 	for i := range p.Layers {
 		lp := &p.Layers[i]
@@ -258,13 +226,6 @@ func (d *PlanDoc) appendIndented(dst []byte) []byte {
 	if len(d.DegradedReasons) > 0 {
 		dst = appendArray(append(dst, ","+nl1+`"degraded_reasons": `...), d.DegradedReasons, appendReasonDoc)
 	}
-	if len(d.Schedule) > 0 {
-		dst = appendArray(append(dst, ","+nl1+`"schedule": `...), d.Schedule,
-			func(dst []byte, v *int) []byte { return strconv.AppendInt(dst, int64(*v), 10) })
-	}
-	if len(d.Tensors) > 0 {
-		dst = appendArray(append(dst, ","+nl1+`"tensors": `...), d.Tensors, appendTensorDoc)
-	}
 	return append(dst, "\n}"...)
 }
 
@@ -291,26 +252,6 @@ func appendLayerDoc(dst []byte, l *LayerPlanDoc) []byte {
 func appendReasonDoc(dst []byte, r *DegradedReasonDoc) []byte {
 	dst = appendString(dst, "{"+nl3+`"mode": `, r.Mode)
 	dst = appendString(dst, ","+nl3+`"error": `, r.Error)
-	return append(dst, nl2+"}"...)
-}
-
-func appendTensorDoc(dst []byte, t *TensorAllocDoc) []byte {
-	dst = appendString(dst, "{"+nl3+`"name": `, t.Name)
-	dst = appendInt(dst, ","+nl3+`"producer": `, int64(t.Producer))
-	dst = appendInt(dst, ","+nl3+`"last_use": `, int64(t.LastUse))
-	dst = appendInt(dst, ","+nl3+`"bytes": `, t.Bytes)
-	if t.Resident {
-		dst = append(dst, ","+nl3+`"resident": true`...)
-	}
-	if t.Base != 0 {
-		dst = appendInt(dst, ","+nl3+`"base": `, t.Base)
-	}
-	if t.End != 0 {
-		dst = appendInt(dst, ","+nl3+`"end": `, t.End)
-	}
-	if t.Spill != "" {
-		dst = appendString(dst, ","+nl3+`"spill": `, t.Spill)
-	}
 	return append(dst, nl2+"}"...)
 }
 

@@ -23,9 +23,14 @@ type sweepKey struct {
 	resident, keep, fallback bool
 }
 
+// nodeEstimator writes the winning estimate for one layer under the given
+// inter-layer flags: the sweep a sweepTable runs on a miss. Implementations
+// must be pure functions of the layer's shape and the flags.
+type nodeEstimator func(e *policy.Result, l *layer.Layer, resident, keep bool)
+
 // sweepTable answers each per-layer question of one planning call once:
-// repeated layer shapes, the inter-layer DP's (resident, keep) re-probes
-// and the DAG planner's demotion trials become map probes. The sweeps are
+// repeated layer shapes and the inter-layer DP's (resident, keep) re-probes
+// become map probes. The sweeps are
 // pure functions of (shape, flags, planner knobs), so a kept answer is
 // exactly what a fresh sweep would return. A table belongs to one call on
 // one goroutine: it is never stored on the Planner, whose value copies (the
@@ -64,7 +69,8 @@ func (t *sweepTable) answer(e *policy.Result, l *layer.Layer, resident, keep, fa
 // maxPooledAnswers bounds the tables the pool keeps: emptying a table costs
 // time in proportion to the largest call it ever served, so one huge
 // network must not tax every later plan. The largest builtin call asks 129
-// questions (GoogLeNet's DAG plan), so every builtin's table is pooled.
+// questions (MnasNet's inter-layer plan from 592 kB up), so every builtin's
+// table is pooled.
 const maxPooledAnswers = 256
 
 var sweepTablePool = sync.Pool{

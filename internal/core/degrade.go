@@ -18,18 +18,6 @@ const (
 	// prefetch double-buffers every tile (paper Eq. 2), so dropping it
 	// halves the working set of each candidate.
 	DegradedPrefetchRelaxed = "prefetch-relaxed"
-	// DegradedMinimalTiling named the retired rung that re-planned with
-	// only the smallest-footprint schedules: P4/P5 pinned to a
-	// single-filter block and fallback tiling, all without prefetch.
-	// DegradedLifetimeSpill replaced it; the name stays accepted so stored
-	// plans, old clients and the degraded-mode metric label keep working.
-	DegradedMinimalTiling = "minimal-tiling"
-	// DegradedLifetimeSpill is DegradedMinimalTiling's replacement rung: the
-	// same smallest-footprint candidate set, planned over the network's
-	// tensor-lifetime graph so allocator-backed residency and explicit
-	// spill decisions recover traffic the flat sweep left on the table
-	// (Planner.LifetimeSpillCtx).
-	DegradedLifetimeSpill = "lifetime_spill"
 	// DegradedBaseline is the last rung: every layer runs fallback tiling —
 	// the analogue of SCALE-Sim's statically split, double-buffered
 	// scratchpad. It never reports infeasibility.

@@ -66,13 +66,6 @@ type Plan struct {
 	// DegradedReasons records, in ladder order, every rung that failed
 	// before DegradedMode succeeded — the machine-readable reason chain.
 	DegradedReasons []DegradedReason
-	// Schedule, set only for DAG-planned models (graphplan.go), maps plan
-	// position to source graph node: Layers[k] runs graph node Schedule[k].
-	Schedule []int
-	// Tensors, set only for DAG-planned models, is the tensor-lifetime
-	// table: every produced tensor's live interval and, when resident, its
-	// concrete GLB address range and otherwise its spill decision.
-	Tensors []TensorPlan
 }
 
 // AccessElems returns the plan's total off-chip traffic in elements.

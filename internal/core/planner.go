@@ -536,26 +536,12 @@ func (pl *Planner) bestHomogeneousIn(ctx context.Context, t *sweepTable, n *mode
 	return pl.homogeneousPlanned(ctx, t, n, variants[bestIdx].id, variants[bestIdx].pf, prog)
 }
 
-// totalsBetter is planBetter on precomputed {accesses, cycles} sums.
+// totalsBetter reports whether the {accesses, cycles} sums a beat b under
+// the objective.
 func totalsBetter(o Objective, a, b [2]int64) bool {
 	ap, as, bp, bs := a[0], a[1], b[0], b[1]
 	if o == MinLatency {
 		ap, as, bp, bs = a[1], a[0], b[1], b[0]
-	}
-	if ap != bp {
-		return ap < bp
-	}
-	return as < bs
-}
-
-func planBetter(o Objective, a, b *Plan) bool {
-	var ap, as, bp, bs int64
-	if o == MinLatency {
-		ap, as = a.LatencyCycles(), a.AccessElems()
-		bp, bs = b.LatencyCycles(), b.AccessElems()
-	} else {
-		ap, as = a.AccessElems(), a.LatencyCycles()
-		bp, bs = b.AccessElems(), b.LatencyCycles()
 	}
 	if ap != bp {
 		return ap < bp

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"scratchmem/internal/layer"
 	"scratchmem/internal/model"
 	"scratchmem/internal/policy"
 	"scratchmem/internal/smmerr"
@@ -52,28 +51,6 @@ func TestInterLayerInfeasibleReportsFirstLayer(t *testing.T) {
 	}
 }
 
-// bestHomogeneousGraphDirect is BestHomogeneousGraphCtx with no table: every
-// variant planned in turn, each node question swept afresh.
-func bestHomogeneousGraphDirect(pl *Planner, g *model.Graph) (*Plan, error) {
-	var best *Plan
-	var lastErr error
-	for _, v := range homVariants(pl.prefetchChoices()) {
-		p, err := pl.planGraphIn(context.Background(), nil, g, pl.homNodeEstimator(v.id, v.pf),
-			"hom "+policy.Variant(v.id, v.pf)+" dag", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if best == nil || planBetter(pl.Objective, p, best) {
-			best = p
-		}
-	}
-	if best == nil {
-		return nil, lastErr
-	}
-	return best, nil
-}
-
 // samePlan fails the test unless got and want are the same outcome: equal
 // error texts, or deeply equal plans.
 func samePlan(t *testing.T, tag string, got, want *Plan, gotErr, wantErr error) {
@@ -88,11 +65,10 @@ func samePlan(t *testing.T, tag string, got, want *Plan, gotErr, wantErr error) 
 
 // TestSweepTablePlanningEquivalence is the whole-plan reference for the
 // per-call sweep table: across every builtin, the paper's GLB sizes, both
-// objectives and the het, hom and inter-layer schemes — plus the DAG
-// planner's het and hom searches on every builtin whose graph is not a
-// chain — plans built through the public entry points, which answer every
-// per-layer question through a pooled table, deeply equal plans built with
-// no table, where every question is swept afresh.
+// objectives and the het, hom and inter-layer schemes, plans built through
+// the public entry points, which answer every per-layer question through a
+// pooled table, deeply equal plans built with no table, where every
+// question is swept afresh.
 func TestSweepTablePlanningEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range model.AllBuiltinNames() {
@@ -116,77 +92,6 @@ func TestSweepTablePlanningEquivalence(t *testing.T) {
 				got, gotErr = pl.HeterogeneousCtx(ctx, n, nil)
 				want, wantErr = pl.heterogeneousIn(ctx, nil, n, nil)
 				samePlan(t, tag+"/inter", got, want, gotErr, wantErr)
-			}
-		}
-	}
-	dags := 0
-	for _, name := range model.AllBuiltinNames() {
-		g, err := model.BuiltinGraph(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.IsChain() {
-			continue
-		}
-		dags++
-		for _, kb := range []int{64, 256, 1024} {
-			for _, obj := range []Objective{MinAccesses, MinLatency} {
-				tag := fmt.Sprintf("graph/%s@%dkB/%v", name, kb, obj)
-				pl := NewPlanner(kb, obj)
-				got, gotErr := pl.PlanGraphCtx(ctx, g, nil)
-				want, wantErr := pl.planGraphIn(ctx, nil, g, pl.fullNodeEstimator(), "het dag", nil)
-				samePlan(t, tag+"/het", got, want, gotErr, wantErr)
-
-				got, gotErr = pl.BestHomogeneousGraphCtx(ctx, g, nil)
-				want, wantErr = bestHomogeneousGraphDirect(pl, g)
-				samePlan(t, tag+"/hom", got, want, gotErr, wantErr)
-			}
-		}
-	}
-	if dags != 5 {
-		t.Fatalf("%d builtin graphs are DAGs, want 5", dags)
-	}
-}
-
-// TestPlanGraphSweepsEachQuestionOnce pins the DAG planner's use of its
-// sweep table: however many residency and demotion trials the search runs,
-// each distinct (shape, resident, keep) question reaches the node
-// estimator at most once — for the het sweep, a homogeneous variant and
-// the lifetime_spill rung's minimal candidate set alike.
-func TestPlanGraphSweepsEachQuestionOnce(t *testing.T) {
-	g, err := model.BuiltinGraph("GoogLeNet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type question struct {
-		shape          policy.LayerKey
-		resident, keep bool
-	}
-	for _, kb := range []int{64, 256} {
-		pl := NewPlanner(kb, MinAccesses)
-		for _, c := range []struct {
-			name string
-			est  nodeEstimator
-		}{
-			{"het", pl.fullNodeEstimator()},
-			{"hom", pl.homNodeEstimator(policy.P4PartialIfmap, true)},
-			{DegradedLifetimeSpill, pl.minimalNodeEstimator()},
-		} {
-			calls := map[question]int{}
-			counting := func(e *policy.Result, l *layer.Layer, resident, keep bool) {
-				calls[question{policy.KeyOf(l), resident, keep}]++
-				c.est(e, l, resident, keep)
-			}
-			if _, err := pl.planGraph(context.Background(), g, counting, c.name, nil); err != nil {
-				t.Fatalf("%s@%dkB: %v", c.name, kb, err)
-			}
-			if len(calls) == 0 {
-				t.Fatalf("%s@%dkB: the estimator was never called", c.name, kb)
-			}
-			for q, n := range calls {
-				if n > 1 {
-					t.Errorf("%s@%dkB: question %+v swept %d times, want once", c.name, kb, q, n)
-				}
 			}
 		}
 	}

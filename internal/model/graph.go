@@ -35,46 +35,17 @@ type GraphNode struct {
 	Residual []string
 }
 
-// Output returns the name of the tensor this node produces.
-func (nd *GraphNode) Output() string { return nd.Layer.Name }
-
 // Graph is a tensor-lifetime IR: nodes are layers, edges are named tensors
 // with one producer and any number of consumers. Nodes are stored in a
 // topological order (Validate enforces it), so a Graph is also directly
 // executable front to back. A linear chain is the special case where every
-// node consumes exactly its predecessor's output; FromNetwork/Network make
-// that embedding lossless.
+// node consumes exactly its predecessor's output.
 type Graph struct {
 	Name  string
 	Nodes []GraphNode
 }
 
-// FromNetwork lifts a linear Network into the graph IR. Wherever a layer
-// can read its predecessor's output — exactly, through a pooling gap, or
-// flattened (ContinuousView) — the edge is explicit, preserving the chain's
-// execution dependency; a layer whose ifmap is not any view of the previous
-// tensor reads a fresh external tensor. The round trip
-// FromNetwork(n).Network() preserves n.
-func FromNetwork(n *Network) *Graph {
-	g := &Graph{Name: n.Name, Nodes: make([]GraphNode, len(n.Layers))}
-	ext := 0
-	for i := range n.Layers {
-		l := n.Layers[i]
-		var in string
-		if i > 0 && ContinuousView(&n.Layers[i-1], &l) {
-			in = n.Layers[i-1].Name
-		} else {
-			in = fmt.Sprintf("%sin%d", ExternalPrefix, ext)
-			ext++
-		}
-		g.Nodes[i] = GraphNode{Layer: l, Inputs: []string{in}}
-	}
-	return g
-}
-
-// Network flattens the graph back into a linear Network in node order —
-// the lossless inverse of FromNetwork for chain graphs, and the serialised
-// execution order the legacy planner and CSV writer use for DAGs.
+// Network flattens the graph back into a linear Network in node order.
 func (g *Graph) Network() *Network {
 	n := &Network{Name: g.Name, Layers: make([]layer.Layer, len(g.Nodes))}
 	for i := range g.Nodes {
@@ -102,10 +73,9 @@ func ContinuousView(a, b *layer.Layer) bool {
 	return b.IH == 1 && b.IW == 1 && b.CI%d.c == 0 && b.CI/d.c <= d.h*d.w
 }
 
-// IsChain reports whether the graph is a linear chain as the legacy planner
-// understands it: no residual edges, and every produced tensor a node reads
-// is the immediately preceding node's output. Chain graphs plan through the
-// linear path and keep byte-identical plan documents.
+// IsChain reports whether the graph is a linear chain: no residual edges,
+// and every produced tensor a node reads is the immediately preceding
+// node's output.
 func (g *Graph) IsChain() bool {
 	for i := range g.Nodes {
 		nd := &g.Nodes[i]

@@ -55,33 +55,6 @@ func TestBuiltinGraphsValidateAndMatchNetworks(t *testing.T) {
 	}
 }
 
-// TestFromNetworkRoundTripAndChain: lifting a linear network is lossless
-// and always lands in the chain special case.
-func TestFromNetworkRoundTripAndChain(t *testing.T) {
-	for _, name := range graphBuiltinNames {
-		n, err := Builtin(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := FromNetwork(n)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !g.IsChain() {
-			t.Errorf("%s: FromNetwork graph is not a chain", name)
-		}
-		back := g.Network()
-		if back.Name != n.Name || len(back.Layers) != len(n.Layers) {
-			t.Fatalf("%s: round trip lost shape", name)
-		}
-		for i := range n.Layers {
-			if back.Layers[i] != n.Layers[i] {
-				t.Fatalf("%s layer %d changed in round trip", name, i)
-			}
-		}
-	}
-}
-
 // TestTopologyCSVsLoadAsGraphs: every shipped SCALE-Sim topology parses
 // into a valid graph, with the flattened depth-wise layers retyped and
 // GoogLeNet's inception joins recovered as concatenations.

@@ -278,7 +278,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 // ReadGraphJSON parses a graph from JSON. The edge columns are optional:
 // when no layer declares inputs the file is a legacy linear network and the
 // chain is inferred (continuous neighbours connect, everything else reads
-// an external tensor, exactly as FromNetwork). When some layers declare
+// an external tensor). When some layers declare
 // edges, undeclared layers get the same chain inference individually. The
 // result is validated; failures wrap smmerr.ErrBadModel.
 func ReadGraphJSON(r io.Reader) (*Graph, error) {

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+
 	"scratchmem/internal/layer"
 )
 
@@ -162,34 +164,43 @@ func Estimate(l *layer.Layer, id ID, o Options, cfg Config) Result {
 }
 
 // EstimateN is Estimate with the filter-block size forced to n instead of
-// auto-selected (P4/P5 only; other policies have no block size and ignore
-// n). The degradation ladder uses n=1 to probe the smallest-footprint
-// partial-reuse schedules when the auto-selected block does not fit.
-func EstimateN(l *layer.Layer, id ID, o Options, cfg Config, n int64) Result {
+// auto-selected. n must be a block size the planner can choose
+// (blockSizeMax): outside that range the estimators' products are not
+// bounded by the layer's own, and a large enough n wraps P4's memory figure
+// into a small, feasible-looking one, so EstimateN refuses it. Policies
+// other than P4 and P5 have no block size and are always refused.
+func EstimateN(l *layer.Layer, id ID, o Options, cfg Config, n int64) (Result, error) {
 	s := newShape(l, cfg.IncludePadding)
-	switch {
-	case id != P4PartialIfmap && id != P5PartialPerChannel:
-		n = 0
-	case s.depthwise || n < 1:
-		n = 1
+	maxN := blockSizeMax(id, &s)
+	if maxN == 0 {
+		return Result{}, fmt.Errorf("policy %s has no block size", id.Short())
 	}
-	return estimateWithN(l, id, o, cfg, &s, n)
+	if n < 1 || n > maxN {
+		return Result{}, fmt.Errorf("%s block size n = %d outside [1, %d]", id.Short(), n, maxN)
+	}
+	return estimateWithN(l, id, o, cfg, &s, n), nil
 }
 
-// bestBlockSize returns the largest n in [1, F#) (F# for depth-wise or
-// single-filter layers) whose memory requirement fits the GLB; 1 if none
-// fits (the estimate will be infeasible); and 0 for policies without a
-// block size.
-func bestBlockSize(id ID, s *shapeOf, o Options, cfg Config) int64 {
-	if id != P4PartialIfmap && id != P5PartialPerChannel {
+// blockSizeMax bounds the filter-block sizes the planner can choose: n
+// ranges over [1, max(1, F#-1)] for P4 and P5 and is exactly 1 on
+// depth-wise layers. It returns 0 for the policies without a block size.
+func blockSizeMax(id ID, s *shapeOf) int64 {
+	switch {
+	case id != P4PartialIfmap && id != P5PartialPerChannel:
 		return 0
-	}
-	if s.depthwise {
+	case s.depthwise:
 		return 1
 	}
-	maxN := s.f - 1
-	if maxN < 1 {
-		maxN = 1
+	return max(1, s.f-1)
+}
+
+// bestBlockSize returns the largest n in blockSizeMax's range whose memory
+// requirement fits the GLB; 1 if none fits (the estimate will be
+// infeasible); and 0 for policies without a block size.
+func bestBlockSize(id ID, s *shapeOf, o Options, cfg Config) int64 {
+	maxN := blockSizeMax(id, s)
+	if maxN <= 1 {
+		return maxN
 	}
 	cap := cfg.CapacityElems()
 	// Memory is affine in n: mem(n) = base + perN*n (with prefetch folded
@@ -337,16 +348,10 @@ func (sh *Shape) tiles(id ID, n int64) Tiles {
 // coefficients: same closed-form affine solve, with the two probe tile
 // computations reduced to table reads.
 func (sh *Shape) bestBlockSize(id ID, o Options, cfg Config) int64 {
-	if id != P4PartialIfmap && id != P5PartialPerChannel {
-		return 0
-	}
 	s := &sh.s
-	if s.depthwise {
-		return 1
-	}
-	maxN := s.f - 1
-	if maxN < 1 {
-		maxN = 1
+	maxN := blockSizeMax(id, s)
+	if maxN <= 1 {
+		return maxN
 	}
 	cap := cfg.CapacityElems()
 	m1, _ := memoryElems(sh.tiles(id, 1), s, o)

@@ -345,3 +345,48 @@ func TestFeasibilityFlag(t *testing.T) {
 		t.Errorf("intra-layer should fit 1MB (needs %d bytes)", big.MemoryBytes)
 	}
 }
+
+// TestEstimateNRefusesUnplannableBlockSizes: EstimateN prices only the
+// block sizes bestBlockSize can choose, [1, max(1, F#-1)] for P4 and P5
+// and exactly 1 on depth-wise layers, and no block size for the other
+// policies. Unchecked, AlexNet conv1 at 32 kB under P4 priced
+// n = 14593943096289204 to a negative, feasible memory figure and n = 2^62
+// to 7524 B; n = F# was priced although the planner never picks it, and
+// n <= 0 silently became 1.
+func TestEstimateNRefusesUnplannableBlockSizes(t *testing.T) {
+	net, err := model.Builtin("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &net.Layers[0]
+	if l.Name != "conv1" {
+		t.Fatalf("AlexNet's first layer is %s, want conv1", l.Name)
+	}
+	cfg := Default(32)
+	f := int64(l.F)
+	for _, n := range []int64{14593943096289204, 1 << 62, f, 0, -1} {
+		if e, err := EstimateN(l, P4PartialIfmap, Options{}, cfg, n); err == nil {
+			t.Errorf("P4 n = %d priced at %d B (feasible %t), want an error", n, e.MemoryBytes, e.Feasible)
+		}
+	}
+	// In range, EstimateN prices exactly what the planner would.
+	for _, id := range []ID{P4PartialIfmap, P5PartialPerChannel} {
+		want := Estimate(l, id, Options{}, cfg)
+		if got, err := EstimateN(l, id, Options{}, cfg, int64(want.N)); err != nil || got != want {
+			t.Errorf("%s n = %d: EstimateN %+v, %v; want Estimate's %+v", id, want.N, got, err, want)
+		}
+		if _, err := EstimateN(l, id, Options{}, cfg, f-1); err != nil {
+			t.Errorf("%s n = F#-1: %v", id, err)
+		}
+	}
+	dw := layer.MustNew("dw", layer.DepthwiseConv, 56, 56, 128, 3, 3, 1, 1, 1)
+	if _, err := EstimateN(&dw, P5PartialPerChannel, Options{}, cfg, 1); err != nil {
+		t.Errorf("depth-wise n = 1: %v", err)
+	}
+	if _, err := EstimateN(&dw, P5PartialPerChannel, Options{}, cfg, 2); err == nil {
+		t.Error("depth-wise n = 2 priced, want an error")
+	}
+	if _, err := EstimateN(l, P1IfmapReuse, Options{}, cfg, 1); err == nil {
+		t.Error("P1 n = 1 priced, want an error: P1 has no block size")
+	}
+}

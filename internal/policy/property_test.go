@@ -94,5 +94,14 @@ func TestEstimateInvariants(t *testing.T) {
 					fb.MemoryElems, id, e.MemoryElems, l)
 			}
 		}
+		// Nor P4's at its smallest block, n = 1, whichever block Estimate
+		// picks: so any layer P4 fits at n = 1 also fits fallback tiling.
+		p4, err := EstimateN(&l, P4PartialIfmap, Options{}, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fb.MemoryElems > p4.MemoryElems {
+			t.Fatalf("fallback footprint %d above P4's at n = 1, %d, on %s", fb.MemoryElems, p4.MemoryElems, l)
+		}
 	}
 }

@@ -18,13 +18,6 @@ type Event struct {
 	Index, Total int
 	// Name identifies the unit (layer name, model name, sweep point).
 	Name string
-	// Cell tags the sweep cell an event belongs to when one phase emits
-	// events for several cells — the DAG homogeneous search labels each
-	// candidate variant's pass ("p2+p", "fb", ...), and the experiment
-	// drivers, whose cells run concurrently, their (model, size) cell. ""
-	// on single-cell phases, including the linear homogeneous search, which
-	// reports only its winning variant's walk.
-	Cell string
 	// Policy is the short variant label of the decision just made
 	// ("p2+p", "fb", ...) where the phase selects one — per-layer planning
 	// and simulation — and "" elsewhere. It lets observers (span events,

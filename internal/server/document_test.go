@@ -183,17 +183,34 @@ func FuzzPlanDocument(f *testing.F) {
 			f.Add(uint8(which), body)
 		}
 	}
-	g, err := scratchmem.BuiltinGraph("ResNet18")
+	// Documents of the retired DAG planner carried "schedule" and "tensors"
+	// members, which this build never renders: one spliced into a valid
+	// ResNet18 body must be refused.
+	resnet := nets[len(nets)-1]
+	p, err := scratchmem.PlanModel(resnet, scratchmem.PlanOptions{GLBKiloBytes: 256})
 	if err != nil {
 		f.Fatal(err)
 	}
-	dag, err := scratchmem.PlanGraph(g, scratchmem.PlanOptions{GLBKiloBytes: 256})
+	body, err := scratchmem.PlanDocument(p).MarshalIndent()
 	if err != nil {
 		f.Fatal(err)
 	}
-	body, err := scratchmem.PlanDocument(dag).MarshalIndent()
-	if err != nil {
-		f.Fatal(err)
+	body = append(bytes.TrimSuffix(body, []byte("\n}\n")), `,
+  "schedule": [
+    0
+  ],
+  "tensors": [
+    {
+      "name": "conv1",
+      "producer": 0,
+      "last_use": 0,
+      "bytes": 802816
+    }
+  ]
+}
+`...)
+	if _, _, err := scratchmem.VerifyPlanDocument(resnet, body); err == nil {
+		f.Fatal("a document with schedule and tensors members was accepted")
 	}
 	f.Add(uint8(len(nets)-1), body)
 	golden, err := os.ReadFile(snapshotGoldenPath)
@@ -215,8 +232,8 @@ func FuzzPlanDocument(f *testing.F) {
 }
 
 // fuzzNets are the networks FuzzPlanDocument's peer-fill bodies are
-// planned for: small builtins, the escaped inline network and, last, the
-// ResNet18 graph for DAG documents.
+// planned for: small builtins, the escaped inline network and, last,
+// ResNet18.
 func fuzzNets(f *testing.F) []*scratchmem.Network {
 	var nets []*scratchmem.Network
 	for _, name := range []string{"TinyCNN", "MobileNet"} {
@@ -230,11 +247,11 @@ func fuzzNets(f *testing.F) []*scratchmem.Network {
 	if err != nil {
 		f.Fatal(err)
 	}
-	g, err := scratchmem.BuiltinGraph("ResNet18")
+	resnet, err := scratchmem.BuiltinModel("ResNet18")
 	if err != nil {
 		f.Fatal(err)
 	}
-	return append(nets, esc, g.Network())
+	return append(nets, esc, resnet)
 }
 
 func checkPeerFillBody(t *testing.T, net *scratchmem.Network, data []byte) {
@@ -305,7 +322,8 @@ func checkReplicaBody(t *testing.T, data []byte) {
 
 // referenceRehydrate is the figure-by-figure rule the document seam
 // replaced: rebuild each layer from its decisions and require the
-// document's figures to match, then check the DAG tensor table.
+// document's figures to match. A block size EstimateN refuses is a
+// refusal.
 func referenceRehydrate(net *scratchmem.Network, doc *scratchmem.PlanDoc) (*scratchmem.Plan, error) {
 	if doc.Degraded {
 		return nil, fmt.Errorf("degraded")
@@ -321,29 +339,10 @@ func referenceRehydrate(net *scratchmem.Network, doc *scratchmem.PlanDoc) (*scra
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	perm := make([]int, len(net.Layers))
-	for i := range perm {
-		perm[i] = i
-	}
-	if len(doc.Schedule) > 0 {
-		if len(doc.Schedule) != len(perm) {
-			return nil, fmt.Errorf("schedule length")
-		}
-		seen := make([]bool, len(perm))
-		for k, i := range doc.Schedule {
-			if i < 0 || i >= len(perm) || seen[i] {
-				return nil, fmt.Errorf("schedule is not a permutation")
-			}
-			seen[i], perm[k] = true, i
-		}
-	}
 	p := &scratchmem.Plan{Model: doc.Model, Cfg: cfg, Objective: obj, Scheme: doc.Scheme,
 		Layers: make([]core.LayerPlan, len(net.Layers)), ChainableTransitions: doc.ChainableTransitions}
-	if len(doc.Schedule) > 0 {
-		p.Schedule = append([]int(nil), doc.Schedule...)
-	}
 	for i := range net.Layers {
-		l, ld := &net.Layers[perm[i]], &doc.Layers[i]
+		l, ld := &net.Layers[i], &doc.Layers[i]
 		if ld.Name != l.Name {
 			return nil, fmt.Errorf("layer %d is %q, network has %q", i, ld.Name, l.Name)
 		}
@@ -357,7 +356,9 @@ func referenceRehydrate(net *scratchmem.Network, doc *scratchmem.PlanDoc) (*scra
 		case id == policy.FallbackTiled:
 			est = policy.FallbackEstimate(l, o, cfg)
 		case ld.N > 0:
-			est = policy.EstimateN(l, id, o, cfg, int64(ld.N))
+			if est, err = policy.EstimateN(l, id, o, cfg, int64(ld.N)); err != nil {
+				return nil, err
+			}
 		default:
 			est = policy.Estimate(l, id, o, cfg)
 		}
@@ -366,31 +367,6 @@ func referenceRehydrate(net *scratchmem.Network, doc *scratchmem.PlanDoc) (*scra
 			return nil, fmt.Errorf("layer %s disagrees with the estimators", ld.Name)
 		}
 		p.Layers[i] = core.LayerPlan{Layer: *l, Est: est, ConsumesResident: ld.ConsumesResident, KeepsResident: ld.KeepsResident}
-	}
-	for i := range doc.Tensors {
-		td := &doc.Tensors[i]
-		if td.Producer < 0 || td.Producer > td.LastUse || td.LastUse >= len(p.Layers) {
-			return nil, fmt.Errorf("tensor %s: lifetime", td.Name)
-		}
-		prod := &p.Layers[td.Producer].Layer
-		elems := prod.OfmapElems()
-		switch {
-		case td.Name != prod.Name, td.Bytes != cfg.Bytes(elems):
-			return nil, fmt.Errorf("tensor %s: name or size", td.Name)
-		case td.Spill != "" && td.Spill != core.SpillEvict && td.Spill != core.SpillRecompute:
-			return nil, fmt.Errorf("tensor %s: spill", td.Name)
-		case td.Resident && (td.Spill != "" || td.Base < 0 || td.Base >= td.End || td.End > cfg.GLBBytes || td.End-td.Base != td.Bytes):
-			return nil, fmt.Errorf("tensor %s: range", td.Name)
-		case !td.Resident && (td.Base != 0 || td.End != 0):
-			return nil, fmt.Errorf("tensor %s: range", td.Name)
-		}
-		for _, u := range p.Tensors {
-			if td.Resident && u.Resident && td.Producer <= u.LastUse && u.Producer <= td.LastUse && td.End > u.Base && u.End > td.Base {
-				return nil, fmt.Errorf("tensors %s and %s overlap", td.Name, u.Name)
-			}
-		}
-		p.Tensors = append(p.Tensors, core.TensorPlan{Name: td.Name, Producer: td.Producer, LastUse: td.LastUse, Elems: elems,
-			Bytes: td.Bytes, Resident: td.Resident, Base: td.Base, End: td.End, Spill: td.Spill})
 	}
 	return p, nil
 }

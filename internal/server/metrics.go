@@ -27,10 +27,8 @@ var phaseNames = []string{"plan", "simulate", "cache_wait"}
 // datatypes label the per-data-type DRAM byte counters.
 var datatypes = []string{"ifmap", "filter", "ofmap"}
 
-// degradedModes are the ladder rungs a served plan can carry. The retired
-// minimal-tiling rung keeps its series so dashboards spanning the
-// lifetime_spill cutover don't lose the label.
-var degradedModes = []string{core.DegradedPrefetchRelaxed, core.DegradedLifetimeSpill, core.DegradedMinimalTiling, core.DegradedBaseline}
+// degradedModes are the ladder rungs a served plan can carry.
+var degradedModes = []string{core.DegradedPrefetchRelaxed, core.DegradedBaseline}
 
 // histogram is a fixed-bucket latency histogram (plannerBuckets bounds plus
 // +Inf overflow), atomic throughout so observation never takes a lock.

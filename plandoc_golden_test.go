@@ -32,9 +32,8 @@ type planDocCase struct {
 
 // planDocCases spans every builtin at sizes from "nothing fits" (1 kB)
 // to "everything fits" (4 MB) under both objectives, the het, het with
-// inter-layer reuse and hom schemes, with and without prefetching, strict
-// variants where the degradation ladder engages, and the DAG planner on
-// every builtin whose graph is not a chain.
+// inter-layer reuse and hom schemes, with and without prefetching, and
+// strict variants where the degradation ladder engages.
 func planDocCases(t *testing.T) []planDocCase {
 	t.Helper()
 	type scheme struct {
@@ -67,31 +66,6 @@ func planDocCases(t *testing.T) []planDocCase {
 				}
 			}
 		}
-	}
-	dags := 0
-	for _, name := range model.AllBuiltinNames() {
-		g, err := BuiltinGraph(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.IsChain() {
-			continue
-		}
-		dags++
-		for _, kb := range []int{16, 64, 256, 1024} {
-			for _, obj := range []Objective{MinAccesses, MinLatency} {
-				for _, hom := range []bool{false, true} {
-					o := PlanOptions{GLBKiloBytes: kb, Objective: obj, Homogeneous: hom}
-					cases = append(cases, planDocCase{
-						label: fmt.Sprintf("graph/%s/%dkB/%s/hom=%t", name, kb, obj, hom),
-						plan:  func(ctx context.Context) (*Plan, error) { return PlanGraphCtx(ctx, g, o, nil) },
-					})
-				}
-			}
-		}
-	}
-	if dags != 5 {
-		t.Fatalf("%d builtin graphs are DAGs, want 5", dags)
 	}
 	return cases
 }

@@ -46,11 +46,11 @@ func RehydratePlan(net *Network, doc *PlanDoc) (*Plan, error) {
 // A document stores per-layer decisions (policy, prefetch, block size,
 // resident flags) next to figures the deterministic estimators derive from
 // them, so only the decisions are decoded: the scheme, objective and
-// config, each layer's decisions, and a DAG plan's schedule and tensor
-// ranges. The plan is rebuilt from them for net and rendered, and the
-// document is accepted only when that rendering is body, byte for byte.
-// One compare thereby checks every figure, total, name and flag, and a
-// version-skewed peer or a corrupted document is refused, never served.
+// config and each layer's decisions. The plan is rebuilt from them for net
+// and rendered, and the document is accepted only when that rendering is
+// body, byte for byte. One compare thereby checks every figure, total,
+// name and flag, and a version-skewed peer or a corrupted document is
+// refused, never served; so is a member this build does not render.
 //
 // The plan and its rendering (equal to body, in a buffer of its own) are
 // returned. Degraded documents are refused: their fallback rungs are not
@@ -107,8 +107,6 @@ type planDecisions struct {
 	scheme, objective string
 	config            ConfigDoc
 	layers            []layerDecision
-	schedule          []int
-	tensors           []core.TensorPlan // the decided members only
 	degraded          bool
 	err               error
 }
@@ -150,10 +148,6 @@ func (d *planDecisions) decode(data []byte, maxLayers int) error {
 			d.decodeLayers(rd, maxLayers)
 		case "degraded":
 			d.degraded = d.bool(rd, "degraded")
-		case "schedule":
-			d.decodeSchedule(rd, maxLayers)
-		case "tensors":
-			d.decodeTensors(rd, maxLayers)
 		default:
 			rd.Skip()
 		}
@@ -214,21 +208,6 @@ func (d *planDecisions) decodeConfig(rd *model.JSONReader) {
 	}
 }
 
-func (d *planDecisions) decodeSchedule(rd *model.JSONReader, maxLayers int) {
-	if !rd.Array() {
-		d.fail(`"schedule" must be an array`)
-		return
-	}
-	for rd.Elem() {
-		if len(d.schedule) == maxLayers {
-			d.fail("schedule has more than %d entries", maxLayers)
-			rd.Skip()
-			continue
-		}
-		d.schedule = append(d.schedule, int(d.int(rd, "schedule")))
-	}
-}
-
 func (d *planDecisions) decodeLayers(rd *model.JSONReader, maxLayers int) {
 	if !rd.Array() {
 		d.fail(`"layers" must be an array`)
@@ -274,55 +253,6 @@ func (d *planDecisions) decodeLayers(rd *model.JSONReader, maxLayers int) {
 	}
 }
 
-func (d *planDecisions) decodeTensors(rd *model.JSONReader, maxLayers int) {
-	if !rd.Array() {
-		d.fail(`"tensors" must be an array`)
-		return
-	}
-	for rd.Elem() {
-		// A DAG plan produces one tensor per layer.
-		if len(d.tensors) == maxLayers {
-			d.fail("more than %d tensors", maxLayers)
-			rd.Skip()
-			continue
-		}
-		d.tensors = append(d.tensors, core.TensorPlan{})
-		t := &d.tensors[len(d.tensors)-1]
-		if !rd.Object() {
-			d.fail("tensor %d must be an object", len(d.tensors)-1)
-			continue
-		}
-		for key, ok := rd.Member(); ok; key, ok = rd.Member() {
-			switch string(key) {
-			case "producer":
-				t.Producer = int(d.int(rd, "producer"))
-			case "last_use":
-				t.LastUse = int(d.int(rd, "last_use"))
-			case "resident":
-				t.Resident = d.bool(rd, "resident")
-			case "base":
-				t.Base = d.int(rd, "base")
-			case "end":
-				t.End = d.int(rd, "end")
-			case "spill":
-				b, ok := rd.Bytes()
-				switch {
-				case !ok:
-					d.fail(`"spill" must be a string`)
-				case string(b) == core.SpillEvict:
-					t.Spill = core.SpillEvict
-				case string(b) == core.SpillRecompute:
-					t.Spill = core.SpillRecompute
-				case len(b) > 0:
-					d.fail("tensor %d: unknown spill strategy %q", len(d.tensors)-1, b)
-				}
-			default:
-				rd.Skip()
-			}
-		}
-	}
-}
-
 // rebuild recomputes the plan the decisions describe for net: every
 // figure through the estimators, every name from the network.
 func (d *planDecisions) rebuild(net *Network) (*Plan, error) {
@@ -340,22 +270,15 @@ func (d *planDecisions) rebuild(net *Network) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("scratchmem: document config: %w", err)
 	}
-	// DAG plans carry their execution order: document layer k is network
-	// layer Schedule[k]. Linear documents use the identity mapping.
-	perm, err := schedulePerm(d.schedule, len(net.Layers))
-	if err != nil {
-		return nil, err
-	}
 	p := &Plan{
 		Model:     net.Name,
 		Cfg:       cfg,
 		Objective: obj,
 		Scheme:    d.scheme,
 		Layers:    make([]core.LayerPlan, len(net.Layers)),
-		Schedule:  d.schedule,
 	}
 	for i := range p.Layers {
-		l := &net.Layers[perm[i]]
+		l := &net.Layers[i]
 		est, err := estimateDecision(l, &d.layers[i], cfg)
 		if err != nil {
 			return nil, fmt.Errorf("scratchmem: layer %s: %w", l.Name, err)
@@ -370,21 +293,12 @@ func (d *planDecisions) rebuild(net *Network) (*Plan, error) {
 			p.ChainableTransitions++
 		}
 	}
-	if len(d.tensors) > 0 {
-		if err := rehydrateTensors(p, d.tensors); err != nil {
-			return nil, err
-		}
-		p.Tensors = d.tensors
-	}
 	return p, nil
 }
 
 // estimateDecision re-derives one layer's estimate from its decisions. The
-// block size is bounded to what the planner can choose (bestBlockSize):
-// [1, max(1, F#-1)] for P4 and P5, exactly 1 on depth-wise layers, and no
-// block size at all for the other policies. Outside that range the
-// estimators' products are not bounded by the layer's own, and a large
-// enough n wraps P4's memory figure into a small, feasible-looking one.
+// block size must be one the planner can choose (policy.EstimateN refuses
+// any other), and policies other than P4 and P5 carry none.
 func estimateDecision(l *layer.Layer, ld *layerDecision, cfg Config) (policy.Result, error) {
 	if ld.policy < 0 {
 		return policy.Result{}, errors.New(`no "policy"`)
@@ -393,14 +307,10 @@ func estimateDecision(l *layer.Layer, ld *layerDecision, cfg Config) (policy.Res
 	var est policy.Result
 	switch ld.policy {
 	case policy.P4PartialIfmap, policy.P5PartialPerChannel:
-		maxN := max(1, int64(l.F)-1)
-		if l.Kind == layer.DepthwiseConv {
-			maxN = 1
+		var err error
+		if est, err = policy.EstimateN(l, ld.policy, o, cfg, ld.n); err != nil {
+			return est, err
 		}
-		if ld.n < 1 || ld.n > maxN {
-			return est, fmt.Errorf("%s block size n = %d outside [1, %d]", ld.policy.Short(), ld.n, maxN)
-		}
-		est = policy.EstimateN(l, ld.policy, o, cfg, ld.n)
 	default:
 		if ld.n != 0 {
 			return est, fmt.Errorf("policy %s has no block size, but the document sets n = %d", ld.policy.Short(), ld.n)
@@ -418,76 +328,4 @@ func estimateDecision(l *layer.Layer, ld *layerDecision, cfg Config) (policy.Res
 		return est, fmt.Errorf("%s needs %d B of a %d B GLB", ld.policy.Short(), est.MemoryBytes, cfg.GLBBytes)
 	}
 	return est, nil
-}
-
-// schedulePerm validates schedule as a permutation of [0, layers) and
-// returns it, or the identity when the document has no schedule (every
-// linear plan).
-func schedulePerm(schedule []int, layers int) ([]int, error) {
-	if len(schedule) == 0 {
-		perm := make([]int, layers)
-		for i := range perm {
-			perm[i] = i
-		}
-		return perm, nil
-	}
-	if len(schedule) != layers {
-		return nil, fmt.Errorf("scratchmem: document schedule has %d entries for %d layers", len(schedule), layers)
-	}
-	seen := make([]bool, layers)
-	for k, i := range schedule {
-		if i < 0 || i >= layers || seen[i] {
-			return nil, fmt.Errorf("scratchmem: document schedule is not a permutation (entry %d = %d)", k, i)
-		}
-		seen[i] = true
-	}
-	return schedule, nil
-}
-
-// rehydrateTensors completes a DAG document's tensor decisions against the
-// rebuilt plan and checks the allocator invariants a healthy planner can
-// never violate. Each tensor is named after, and sized from, the layer at
-// its producing step; its lifetime must nest inside the schedule, a
-// resident range must sit inside the GLB and hold the tensor, and tensors
-// whose lifetimes overlap must occupy disjoint ranges. A violation means
-// the document was corrupted or produced by a broken peer; refusing it
-// keeps cache fills from propagating an unexecutable plan.
-func rehydrateTensors(p *Plan, tensors []core.TensorPlan) error {
-	L := len(p.Layers)
-	for i := range tensors {
-		t := &tensors[i]
-		if t.Producer < 0 || t.Producer > t.LastUse || t.LastUse >= L {
-			return fmt.Errorf("scratchmem: tensor %d: lifetime [%d, %d] outside schedule of %d steps", i, t.Producer, t.LastUse, L)
-		}
-		prod := &p.Layers[t.Producer].Layer
-		t.Name, t.Elems = prod.Name, prod.OfmapElems()
-		t.Bytes = p.Cfg.Bytes(t.Elems)
-		if t.Resident {
-			if t.Spill != "" {
-				return fmt.Errorf("scratchmem: tensor %s: resident and spilled at once", t.Name)
-			}
-			if t.Base < 0 || t.Base >= t.End || t.End > p.Cfg.GLBBytes {
-				return fmt.Errorf("scratchmem: tensor %s: range [%d, %d) outside GLB of %d bytes", t.Name, t.Base, t.End, p.Cfg.GLBBytes)
-			}
-			if t.End-t.Base != t.Bytes {
-				return fmt.Errorf("scratchmem: tensor %s: range [%d, %d) does not hold %d bytes", t.Name, t.Base, t.End, t.Bytes)
-			}
-		} else if t.Base != 0 || t.End != 0 {
-			return fmt.Errorf("scratchmem: tensor %s: non-resident but carries range [%d, %d)", t.Name, t.Base, t.End)
-		}
-	}
-	for i := range tensors {
-		for j := i + 1; j < len(tensors); j++ {
-			a, b := &tensors[i], &tensors[j]
-			if !a.Resident || !b.Resident {
-				continue
-			}
-			if a.Producer <= b.LastUse && b.Producer <= a.LastUse &&
-				a.End > b.Base && b.End > a.Base {
-				return fmt.Errorf("scratchmem: tensors %s and %s live concurrently in overlapping ranges [%d, %d) and [%d, %d)",
-					a.Name, b.Name, a.Base, a.End, b.Base, b.End)
-			}
-		}
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"scratchmem/internal/core"
@@ -102,9 +103,10 @@ func TestRehydratePlanRejects(t *testing.T) {
 // the planner can choose, n in [1, max(1, F#-1)] and exactly 1 on
 // depth-wise layers, and other policies carry none. Each case swaps one
 // layer's decision into a planned network and renders the whole document
-// from the estimators, so every figure agrees with the decisions and only
-// the bound can refuse it. A huge n wraps P4's memory product to a small,
-// feasible-looking figure, or to a negative one.
+// from the estimators; a case outside the range then overrides the
+// document's "n", and the refusal must come from the bound. Priced, a huge
+// n would wrap P4's memory product to a small, feasible-looking figure, or
+// to a negative one.
 func TestRehydrateBoundsBlockSize(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -112,15 +114,15 @@ func TestRehydrateBoundsBlockSize(t *testing.T) {
 		glbKB  int
 		layer  string
 		policy policy.ID
-		n      int64 // the decided block size; -1 leaves it to Estimate
+		n      int64 // the decided block size, in range; -1 leaves it to Estimate
 		docN   int   // overrides the document's "n" when not 0
 		dropN  bool  // removes the document's "n"
 		accept bool
 	}{
-		{"ResNet18 n wraps P4 memory", "ResNet18", 32, "conv2_1_a", policy.P4PartialIfmap, 14593943096289204, 0, false, false},
-		{"AlexNet n wraps P4 memory negative", "AlexNet", 32, "conv1", policy.P4PartialIfmap, 14593943096289204, 0, false, false},
-		{"AlexNet n = 2^62", "AlexNet", 32, "conv1", policy.P4PartialIfmap, 1 << 62, 0, false, false},
-		{"n = F#", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, 64, 0, false, false},
+		{"ResNet18 n wraps P4 memory", "ResNet18", 32, "conv2_1_a", policy.P4PartialIfmap, 1, 14593943096289204, false, false},
+		{"AlexNet n wraps P4 memory negative", "AlexNet", 32, "conv1", policy.P4PartialIfmap, 1, 14593943096289204, false, false},
+		{"AlexNet n = 2^62", "AlexNet", 32, "conv1", policy.P4PartialIfmap, 1, 1 << 62, false, false},
+		{"n = F#", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, 63, 64, false, false},
 		{"n = F# - 1", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, 63, 0, false, true},
 		{"P5 n = 1", "ResNet18", 1024, "conv3_1_b", policy.P5PartialPerChannel, 1, 0, false, true},
 		{"P4 without n", "ResNet18", 1024, "conv2_1_a", policy.P4PartialIfmap, -1, 0, true, false},
@@ -145,8 +147,8 @@ func TestRehydrateBoundsBlockSize(t *testing.T) {
 			lp := &forged.Layers[i]
 			if c.n < 0 {
 				lp.Est = policy.Estimate(&lp.Layer, c.policy, lp.Est.Opts, p.Cfg)
-			} else {
-				lp.Est = policy.EstimateN(&lp.Layer, c.policy, lp.Est.Opts, p.Cfg, c.n)
+			} else if lp.Est, err = policy.EstimateN(&lp.Layer, c.policy, lp.Est.Opts, p.Cfg, c.n); err != nil {
+				t.Fatal(err)
 			}
 			if !lp.Est.Feasible {
 				t.Fatalf("the forged estimate is infeasible: %+v", lp.Est)
@@ -161,6 +163,9 @@ func TestRehydrateBoundsBlockSize(t *testing.T) {
 			_, err = RehydratePlan(net, doc)
 			if (err == nil) != c.accept {
 				t.Fatalf("RehydratePlan: %v, want accepted = %t", err, c.accept)
+			}
+			if err != nil && !strings.Contains(err.Error(), "block size") {
+				t.Fatalf("RehydratePlan: %v, want the block-size bound to refuse it", err)
 			}
 		})
 	}

@@ -42,10 +42,8 @@ func checkRender(t *testing.T, what string, d *PlanDoc) {
 }
 
 // TestPlanDocRenderEquivalence pins the one-pass indent against
-// json.MarshalIndent over every builtin × GLB × option set, through both
-// the linear planner and PlanGraph. The 1 kB column degrades most models,
-// so degraded_reasons are covered; the DAG builtins add schedule and
-// tensors.
+// json.MarshalIndent over every builtin × GLB × option set. The 1 kB
+// column degrades most models, so degraded_reasons are covered.
 func TestPlanDocRenderEquivalence(t *testing.T) {
 	sets := []struct {
 		name string
@@ -56,13 +54,9 @@ func TestPlanDocRenderEquivalence(t *testing.T) {
 		{"hom", PlanOptions{Homogeneous: true}},
 		{"latency", PlanOptions{Objective: MinLatency}},
 	}
-	var degraded, dag int
+	var degraded int
 	for _, name := range model.AllBuiltinNames() {
 		net, err := BuiltinModel(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := BuiltinGraph(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,20 +72,11 @@ func TestPlanDocRenderEquivalence(t *testing.T) {
 				if p.Degraded {
 					degraded++
 				}
-				gp, err := PlanGraph(g, o)
-				if err != nil {
-					t.Fatalf("%s@%d/%s graph: %v", name, kb, set.name, err)
-				}
-				d := PlanDocument(gp)
-				checkRender(t, name+"/"+set.name+"/graph", d)
-				if len(d.Schedule) > 0 && len(d.Tensors) > 0 {
-					dag++
-				}
 			}
 		}
 	}
-	if degraded == 0 || dag == 0 {
-		t.Fatalf("coverage: %d degraded documents, %d with schedule and tensors; want both > 0", degraded, dag)
+	if degraded == 0 {
+		t.Fatal("coverage: no degraded document")
 	}
 }
 
@@ -122,8 +107,6 @@ func FuzzPlanDocRender(f *testing.F) {
 		}
 		layer := LayerPlanDoc{Name: u, Policy: s, Prefetch: shape&4 != 0, N: int(shape), MemoryBytes: n,
 			AccessElems: -n, AccessBytes: n, LatencyCycles: n, ConsumesResident: shape&8 != 0, KeepsResident: shape&16 != 0}
-		tensor := TensorAllocDoc{Name: s, Producer: int(shape), LastUse: -1, Bytes: n, Resident: shape&32 != 0,
-			Base: n, End: -n, Spill: u}
 		// Each two-bit field of shape picks nil, empty, one or two elements.
 		pick := func(k int) int { return int(shape>>(2*k)) & 3 }
 		if c := pick(0); c > 0 {
@@ -143,26 +126,15 @@ func FuzzPlanDocRender(f *testing.F) {
 			for i := range d.DegradedReasons {
 				d.DegradedReasons[i] = DegradedReasonDoc{Mode: s, Error: u}
 			}
-			d.Schedule = make([]int, c-1)
-			for i := range d.Schedule {
-				d.Schedule[i] = int(n) - i
-			}
-		}
-		if c := pick(3); c > 0 {
-			d.Tensors = make([]TensorAllocDoc, c-1)
-			for i := range d.Tensors {
-				d.Tensors[i] = tensor
-			}
 		}
 		checkRender(t, "fuzz", d)
 	})
 }
 
 // TestPlanDocSchemaGuard fills every field of the PlanDoc schema (PlanDoc,
-// ConfigDoc, LayerPlanDoc, PlanTotalsDoc, DegradedReasonDoc and
-// TensorAllocDoc) with a non-zero value and every slice with two elements,
-// so every member is written, and requires the encoder to match
-// json.MarshalIndent. A field added to a document struct but not to the
+// ConfigDoc, LayerPlanDoc, PlanTotalsDoc and DegradedReasonDoc) with a
+// non-zero value and every slice with two elements, so every member is
+// written, and requires the encoder to match json.MarshalIndent. A field added to a document struct but not to the
 // encoder fails here, as does a field of a kind the filler cannot set.
 func TestPlanDocSchemaGuard(t *testing.T) {
 	var n int64
@@ -195,31 +167,31 @@ func TestPlanDocSchemaGuard(t *testing.T) {
 	checkRender(t, "every field set", &d)
 }
 
-// BenchmarkPlanDocRender times the canonical render of a linear
-// MobileNetV2 plan and of a DAG GoogLeNet plan with schedule and tensors.
-// The +PlanDocument sub-benchmarks time PlanDocument and MarshalIndent
-// together, which is what the server pays for every fresh plan.
+// BenchmarkPlanDocRender times the canonical render of a MobileNetV2 plan
+// at 64 kB and of a GoogLeNet plan at 256 kB. The +PlanDocument
+// sub-benchmarks time PlanDocument and MarshalIndent together, which is
+// what the server pays for every fresh plan.
 func BenchmarkPlanDocRender(b *testing.B) {
 	net, err := BuiltinModel("MobileNetV2")
 	if err != nil {
 		b.Fatal(err)
 	}
-	lin, err := PlanModel(net, PlanOptions{GLBKiloBytes: 64})
+	mobile, err := PlanModel(net, PlanOptions{GLBKiloBytes: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := BuiltinGraph("GoogLeNet")
+	gnet, err := BuiltinModel("GoogLeNet")
 	if err != nil {
 		b.Fatal(err)
 	}
-	dag, err := PlanGraph(g, PlanOptions{GLBKiloBytes: 256})
+	google, err := PlanModel(gnet, PlanOptions{GLBKiloBytes: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
 		name string
 		plan *Plan
-	}{{"MobileNetV2", lin}, {"GoogLeNet-DAG", dag}} {
+	}{{"MobileNetV2", mobile}, {"GoogLeNet", google}} {
 		doc := PlanDocument(bc.plan)
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -239,9 +239,8 @@ func PlanModel(n *Network, o PlanOptions) (*Plan, error) {
 //
 // When the requested policy set is infeasible and o.Strict is false, the
 // planner walks a degradation ladder instead of failing: re-plan with
-// prefetching relaxed, then with only the smallest-footprint schedules
-// (P4/P5 at a single-filter block plus fallback tiling), then the baseline
-// statically-split double-buffered fallback plan, which always succeeds.
+// prefetching relaxed, then fall back to the baseline statically-split
+// double-buffered plan, which always succeeds.
 // A ladder plan is marked Degraded with the mode that produced it and the
 // machine-readable chain of rungs that failed before it. Cancellation,
 // invalid models and injected faults abort the ladder immediately; only
@@ -316,22 +315,7 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 		reasons = append(reasons, core.DegradedReason{Mode: core.DegradedPrefetchRelaxed, Err: err.Error()})
 	}
 
-	// Rung 2: shrink P4/P5 to their single-filter blocks and allow only the
-	// minimal-footprint schedules, planned over the network's
-	// tensor-lifetime graph so allocator-backed residency claws back some
-	// of the traffic the smaller candidate set gives up (it degrades to the
-	// old flat minimal-tiling sweep when nothing fits on-chip).
-	plan, err = pl.LifetimeSpillCtx(ctx, n, prog)
-	if err == nil {
-		plan.MarkDegraded(core.DegradedLifetimeSpill, reasons)
-		return plan, nil
-	}
-	if !errors.Is(err, smmerr.ErrInfeasible) {
-		return nil, err
-	}
-	reasons = append(reasons, core.DegradedReason{Mode: core.DegradedLifetimeSpill, Err: err.Error()})
-
-	// Rung 3: the baseline statically-split double-buffered plan. It never
+	// Rung 2: the baseline statically-split double-buffered plan. It never
 	// reports infeasibility, so the ladder always terminates with a plan.
 	plan, err = pl.BaselineFallbackCtx(ctx, n, prog)
 	if err != nil {
