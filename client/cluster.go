@@ -15,11 +15,11 @@ import (
 )
 
 // PlanBatch plans many requests in one round trip through POST
-// /v1/plan/batch. The server plans the items concurrently, and items that
-// differ from an earlier one in a few layers under the same options splice
-// from its checkpoint, so a batch of one-layer mutants is cheaper than the
-// same requests issued one by one. Items succeed and fail independently;
-// check each BatchItem.Status.
+// /v1/plan/batch. The server plans the items concurrently, and items under
+// the same options share the answers to their layers' planning questions,
+// so a batch of one-layer mutants is cheaper than the same requests issued
+// one by one. Items succeed and fail independently; check each
+// BatchItem.Status.
 func (c *Client) PlanBatch(ctx context.Context, reqs []server.PlanRequest) (*server.BatchResponse, error) {
 	body, err := c.do(ctx, http.MethodPost, "/v1/plan/batch", server.BatchRequest{Requests: reqs})
 	if err != nil {

@@ -1,9 +1,9 @@
 // Command smm-bench measures the planning hot paths and emits a
 // machine-readable before/after document (BENCH_10.json by default), so
-// the planner and differential planning stay pinned to numbers anyone can
-// diff — differential planning against its from-scratch baseline — and,
-// with -against, acts as the CI regression gate over a previously
-// committed document.
+// the planner and a batch's shared sweep tables stay pinned to numbers
+// anyone can diff — the shared tables against planning each network on its
+// own — and, with -against, acts as the CI regression gate over a
+// previously committed document.
 //
 // Document format (schema "smm-bench/v1"):
 //
@@ -64,7 +64,6 @@ import (
 	"scratchmem/internal/experiments"
 	"scratchmem/internal/layer"
 	"scratchmem/internal/model"
-	"scratchmem/internal/plancache"
 	"scratchmem/internal/policy"
 )
 
@@ -102,8 +101,8 @@ type document struct {
 
 // workload names one measured code path. run must perform exactly one
 // operation (one figure regeneration, one plan, one estimate); sequential
-// optionally performs the same work without differential planning, every
-// network planned from scratch.
+// optionally performs the same work without shared sweep tables, every
+// network planned on its own.
 type workload struct {
 	name       string
 	run        func()
@@ -150,8 +149,7 @@ func workloads() []workload {
 		panic(err)
 	}
 	nets := model.Builtins()
-	neighbors := neighborsOf(resnet, 16)
-	batchNets := append([]*model.Network{resnet}, neighbors...)
+	batchNets := append([]*model.Network{resnet}, neighborsOf(resnet, 16)...)
 	dseL := layer.MustNew("c", layer.Conv, 14, 14, 256, 3, 3, 512, 1, 1)
 	estL := layer.MustNew("c", layer.Conv, 56, 56, 64, 3, 3, 128, 1, 1)
 	cfg64 := policy.Default(64)
@@ -186,51 +184,37 @@ func workloads() []workload {
 			},
 		},
 		{
-			// NeighborSweep isolates differential planning at the core
-			// seam: plan ResNet18 once, then splice each of 16 one-layer
-			// variants against that checkpoint, versus planning all 17
-			// from scratch on the same planner.
+			// NeighborSweep times the batch seam at the core: ResNet18 and
+			// 16 one-layer variants planned through one set of shared
+			// sweep tables, so each variant sweeps only what its changed
+			// layer asks, versus planning all 17 on their own.
 			name: "NeighborSweep",
 			run: func() {
 				pl := core.NewPlanner(64, core.MinAccesses)
-				_, ck, _, err := pl.HeterogeneousDiffCtx(context.Background(), resnet, nil)
-				if err != nil {
-					panic(err)
-				}
-				for _, nn := range neighbors {
-					if _, _, _, err := pl.HeterogeneousDiffCtx(context.Background(), nn, ck); err != nil {
-						panic(err)
-					}
+				ctx := core.WithSweepTables(context.Background(), new(core.SweepTables))
+				for _, nn := range batchNets {
+					mustPlan(pl.HeterogeneousCtx(ctx, nn, nil))
 				}
 			},
 			sequential: func() {
 				pl := core.NewPlanner(64, core.MinAccesses)
-				mustPlan(pl.Heterogeneous(resnet))
-				for _, nn := range neighbors {
+				for _, nn := range batchNets {
 					mustPlan(pl.Heterogeneous(nn))
 				}
 			},
 		},
 		{
-			// BatchNeighbors is the same neighbor set through the public
-			// facade, wired the way /v1/plan/batch wires it: a batch-local
-			// fingerprint index feeding a differ, versus independent
-			// PlanModel calls.
+			// BatchNeighbors is the same network set through the public
+			// façade, wired the way /v1/plan/batch wires it: one set of
+			// shared sweep tables in every call's context, versus
+			// independent PlanModel calls.
 			name: "BatchNeighbors",
 			run: func() {
-				fp := plancache.NewFingerprints(len(batchNets))
+				ctx := core.WithSweepTables(context.Background(), new(core.SweepTables))
 				opts := scratchmem.PlanOptions{GLBKiloBytes: 64}
 				for _, nn := range batchNets {
-					d := &core.Differ{Lookup: func(chain []policy.LayerKey) *core.Checkpoint {
-						ck, _ := fp.Best("bench", chain).(*core.Checkpoint)
-						return ck
-					}}
-					ctx := core.WithDiffer(context.Background(), d)
 					if _, err := scratchmem.PlanModelCtx(ctx, nn, opts, nil); err != nil {
 						panic(err)
-					}
-					if d.Checkpoint != nil {
-						fp.Insert(nn.Name, "bench", d.Checkpoint.Chain(), d.Checkpoint)
 					}
 				}
 			},

@@ -59,7 +59,7 @@ func (pl *Planner) prefetchChoices() []bool {
 // under the given inter-layer options, returning the winning estimate or an
 // infeasible fallback estimate if nothing fits. The question is answered
 // through t, so the inter-layer DP's re-probes and repeated layer shapes
-// sweep once per call.
+// sweep once per table.
 func (pl *Planner) bestForLayer(t *sweepTable, n *model.Network, idx int, resident, keep bool) policy.Result {
 	var r policy.Result
 	t.answer(&r, &n.Layers[idx], resident, keep, false, pl.sweepLayer)
@@ -119,9 +119,11 @@ func (pl *Planner) Heterogeneous(n *model.Network) (*Plan, error) {
 // HeterogeneousCtx is Heterogeneous with cancellation and observation: it
 // checks ctx between layers (the paper's Algorithm 1 outer loop) and emits
 // one progress event per planned layer. A canceled context returns an error
-// wrapping ctx.Err() and identifying the layer reached.
+// wrapping ctx.Err() and identifying the layer reached. Like HomogeneousCtx
+// and BestHomogeneousCtx, it answers through ctx's SweepTables when ctx
+// carries one (WithSweepTables).
 func (pl *Planner) HeterogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
-	t := sweepTableGet()
+	t := pl.sweepTableFor(ctx)
 	defer sweepTablePut(t)
 	return pl.heterogeneousIn(ctx, t, n, prog)
 }
@@ -194,9 +196,7 @@ type dpCell struct {
 }
 
 // dpStep computes dp[i+1] from dp[i]: the transition over layer i, trying
-// KeepOfmap only when the shapes chain. It is shared verbatim by the
-// from-scratch DP and the incremental resume path, so both make identical
-// decisions by construction.
+// KeepOfmap only when the shapes chain.
 func (pl *Planner) dpStep(t *sweepTable, n *model.Network, i int, cur *[2]dpCell) [2]dpCell {
 	L := len(n.Layers)
 	next := [2]dpCell{{prim: dpInf, sec: dpInf}, {prim: dpInf, sec: dpInf}}
@@ -232,36 +232,6 @@ func (pl *Planner) dpStep(t *sweepTable, n *model.Network, i int, cur *[2]dpCell
 	return next
 }
 
-// dpPickEnd selects the terminal DP state (the usual prim-then-sec order)
-// and reports whether any terminal state is reachable.
-func dpPickEnd(last *[2]dpCell) (int, bool) {
-	end := 0
-	if last[1].ok && (!last[0].ok || last[1].prim < last[0].prim ||
-		(last[1].prim == last[0].prim && last[1].sec < last[0].sec)) {
-		end = 1
-	}
-	return end, last[end].ok
-}
-
-// dpWalkBack materialises out[0..hi-1] by walking the predecessor links
-// backwards from position hi entered in the given state. The estimate's
-// layer name is (re)patched from n — resumed tables may carry cells
-// computed for an identically-shaped layer under a different name.
-func dpWalkBack(n *model.Network, dp [][2]dpCell, out []LayerPlan, hi, state int) {
-	s := state
-	for i := hi - 1; i >= 0; i-- {
-		c := &dp[i+1][s]
-		out[i] = LayerPlan{
-			Layer:            n.Layers[i],
-			Est:              c.est,
-			ConsumesResident: c.prev == 1,
-			KeepsResident:    c.keep,
-		}
-		out[i].Est.Layer = n.Layers[i].Name
-		s = c.prev
-	}
-}
-
 // dpInfeasible reports the no-feasible-plan failure precisely: the first
 // layer that cannot be scheduled at all, or the generic inter-layer error
 // when every layer fits in isolation.
@@ -276,60 +246,48 @@ func (pl *Planner) dpInfeasible(t *sweepTable, n *model.Network) error {
 	return fmt.Errorf("core: %s: no feasible inter-layer plan: %w", n.Name, smmerr.ErrInfeasible)
 }
 
-// dpFinish picks the terminal state of a complete table and walks the
-// decisions back into layer plans.
-func (pl *Planner) dpFinish(t *sweepTable, n *model.Network, dp [][2]dpCell) ([]LayerPlan, error) {
-	L := len(n.Layers)
-	end, ok := dpPickEnd(&dp[L])
-	if !ok {
-		return nil, pl.dpInfeasible(t, n)
-	}
-	out := make([]LayerPlan, L)
-	dpWalkBack(n, dp, out, L, end)
-	return out, nil
-}
-
 // interLayerDP chooses per-layer policies and inter-layer retention jointly:
 // state s indicates whether layer i's ifmap is resident in the GLB. The
 // transition cost is the layer's objective key; retention (KeepOfmap) is
 // only permitted on transitions whose shapes chain.
 func (pl *Planner) interLayerDP(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func) ([]LayerPlan, error) {
-	out, _, err := pl.interLayerDPKeep(ctx, t, n, prog, false)
-	return out, err
-}
-
-// interLayerDPKeep is interLayerDP optionally returning the DP table for
-// checkpoint capture. When keepDP is false the table comes from (and
-// returns to) a pool; when true it is freshly allocated and handed to the
-// caller, which owns it from then on.
-func (pl *Planner) interLayerDPKeep(ctx context.Context, t *sweepTable, n *model.Network, prog progress.Func, keepDP bool) ([]LayerPlan, [][2]dpCell, error) {
 	L := len(n.Layers)
 	// dp[i][s]: best cumulative cost entering layer i with resident state s.
-	var dp [][2]dpCell
-	if keepDP {
-		dp = make([][2]dpCell, L+1)
-	} else {
-		dp = dpTableGet(L + 1)
-		defer dpTablePut(dp)
-	}
+	dp := dpTableGet(L + 1)
+	defer dpTablePut(dp)
 	dp[0][0] = dpCell{ok: true}
 	dp[0][1] = dpCell{prim: dpInf, sec: dpInf}
 
 	for i := 0; i < L; i++ {
 		if err := layerGate(ctx); err != nil {
-			return nil, nil, smmerr.Layer(i, n.Layers[i].Name, err)
+			return nil, smmerr.Layer(i, n.Layers[i].Name, err)
 		}
 		dp[i+1] = pl.dpStep(t, n, i, &dp[i])
 		prog.Emit(progress.Event{Phase: "plan", Index: i, Total: L, Name: n.Layers[i].Name})
 	}
-	out, err := pl.dpFinish(t, n, dp)
-	if err != nil {
-		return nil, nil, err
+	// Pick the terminal state (the usual prim-then-sec order), then walk
+	// the predecessor links back into layer plans.
+	last := &dp[L]
+	s := 0
+	if last[1].ok && (!last[0].ok || last[1].prim < last[0].prim ||
+		(last[1].prim == last[0].prim && last[1].sec < last[0].sec)) {
+		s = 1
 	}
-	if keepDP {
-		return out, dp, nil
+	if !last[s].ok {
+		return nil, pl.dpInfeasible(t, n)
 	}
-	return out, nil, nil
+	out := make([]LayerPlan, L)
+	for i := L - 1; i >= 0; i-- {
+		c := &dp[i+1][s]
+		out[i] = LayerPlan{
+			Layer:            n.Layers[i],
+			Est:              c.est,
+			ConsumesResident: c.prev == 1,
+			KeepsResident:    c.keep,
+		}
+		s = c.prev
+	}
+	return out, nil
 }
 
 // HomogeneousCtx produces a plan that applies one (policy, ±prefetch)
@@ -343,7 +301,7 @@ func (pl *Planner) HomogeneousCtx(ctx context.Context, n *model.Network, id poli
 	if err := n.Validate(); err != nil {
 		return nil, smmerr.BadModel(err)
 	}
-	t := sweepTableGet()
+	t := pl.sweepTableFor(ctx)
 	defer sweepTablePut(t)
 	return pl.homogeneousPlanned(ctx, t, n, id, prefetch, prog)
 }
@@ -446,7 +404,7 @@ type homContribs [maxHomVariants]homContrib
 // receives that walk's one event per layer. Cancellation and injected faults
 // surface immediately rather than being mistaken for an infeasible variant.
 func (pl *Planner) BestHomogeneousCtx(ctx context.Context, n *model.Network, prog progress.Func) (*Plan, error) {
-	t := sweepTableGet()
+	t := pl.sweepTableFor(ctx)
 	defer sweepTablePut(t)
 	return pl.bestHomogeneousIn(ctx, t, n, prog)
 }

@@ -184,17 +184,8 @@ func Fig6(glbKB int) *report.Table {
 	return t
 }
 
-// baselineBest returns the lowest-traffic baseline configuration result for
-// a model at a GLB size.
-func baselineBest(n *model.Network, kb, width int) (string, int64) {
-	name, best, err := baselineBestCtx(context.Background(), n, kb, width)
-	if err != nil {
-		panic(err)
-	}
-	return name, best
-}
-
-// baselineBestCtx is baselineBest with cancellation threaded through the
+// baselineBestCtx returns the lowest-traffic baseline configuration result
+// for a model at a GLB size, with cancellation threaded through the
 // per-split baseline simulations.
 func baselineBestCtx(ctx context.Context, n *model.Network, kb, width int) (string, int64, error) {
 	bestName, best := "", int64(0)
@@ -208,12 +199,6 @@ func baselineBestCtx(ctx context.Context, n *model.Network, kb, width int) (stri
 		}
 	}
 	return bestName, best, nil
-}
-
-// sequential keeps goroutine fan-out away from nested drivers (the outer
-// driver decides the parallelism).
-func forEach(s Setup, n int, f func(i int)) {
-	parallel.ForEach(n, s.Workers, f)
 }
 
 // forEachCtx fans a driver's cells over the setup's worker pool with

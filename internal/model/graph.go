@@ -94,15 +94,6 @@ func (g *Graph) IsChain() bool {
 	return true
 }
 
-// producers maps every produced tensor name to its node index.
-func (g *Graph) producers() map[string]int {
-	m := make(map[string]int, len(g.Nodes))
-	for i := range g.Nodes {
-		m[g.Nodes[i].Layer.Name] = i
-	}
-	return m
-}
-
 // tensorDims is a produced tensor's extent plus the producing filter size
 // (the padding-slack continuity rule needs it).
 type tensorDims struct{ h, w, c, fh, fw int }

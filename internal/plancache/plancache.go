@@ -16,7 +16,6 @@ import (
 
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/obs"
-	"scratchmem/internal/policy"
 )
 
 // ErrPanic marks flight computations that panicked: the panic is recovered
@@ -74,11 +73,6 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	inflight map[string]*call
-
-	// fp, when attached, is invalidated in lockstep with the stored
-	// entries: Remove/Purge/eviction of a key also drops its fingerprint,
-	// so a plan the cache can no longer serve is never spliced from.
-	fp *Fingerprints
 
 	hits, misses, coalesced, evictions int64
 }
@@ -231,34 +225,8 @@ func (c *Cache) storeLocked(key string, val any) {
 		cold := c.ll.Back()
 		c.ll.Remove(cold)
 		delete(c.items, cold.Value.(*entry).key)
-		c.fp.Invalidate(cold.Value.(*entry).key)
 		c.evictions++
 	}
-}
-
-// AttachFingerprints ties a fingerprint index to the cache's lifecycle:
-// from now on Remove, Purge and capacity eviction also invalidate the
-// removed keys' fingerprints.
-func (c *Cache) AttachFingerprints(f *Fingerprints) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fp = f
-}
-
-// InsertFingerprint indexes key's shape chain, but only while key is
-// actually stored — checked under the cache lock, so a concurrent
-// Remove/Purge can never leave a fingerprint behind for a plan the cache
-// no longer serves. No-op when no index is attached.
-func (c *Cache) InsertFingerprint(key, group string, chain []policy.LayerKey, ck any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fp == nil {
-		return
-	}
-	if _, ok := c.items[key]; !ok {
-		return
-	}
-	c.fp.Insert(key, group, chain, ck)
 }
 
 // Put stores val under key as the most recently used entry, evicting from
@@ -289,7 +257,6 @@ func (c *Cache) Remove(key string) bool {
 		cl.noStore = true
 		removed = true
 	}
-	c.fp.Invalidate(key)
 	return removed
 }
 
@@ -302,7 +269,6 @@ func (c *Cache) Purge() int {
 	n := c.ll.Len()
 	c.ll.Init()
 	clear(c.items)
-	c.fp.Clear()
 	for _, cl := range c.inflight {
 		cl.noStore = true
 	}

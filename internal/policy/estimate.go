@@ -202,11 +202,16 @@ func bestBlockSize(id ID, s *shapeOf, o Options, cfg Config) int64 {
 	if maxN <= 1 {
 		return maxN
 	}
-	cap := cfg.CapacityElems()
-	// Memory is affine in n: mem(n) = base + perN*n (with prefetch folded
-	// in), so solve directly rather than scanning.
 	m1, _ := memoryElems(tilesFor(id, s, 1), s, o)
 	m2, _ := memoryElems(tilesFor(id, s, 2), s, o)
+	return solveBlockSize(maxN, m1, m2, cfg.CapacityElems())
+}
+
+// solveBlockSize returns the largest n in [1, maxN] whose memory fits cap
+// elements, given the memory m1 at n = 1 and m2 at n = 2, or 1 when even
+// n = 1 does not fit. Memory is affine in n (prefetch folded in), so the
+// solve is closed-form rather than a scan.
+func solveBlockSize(maxN, m1, m2, cap int64) int64 {
 	perN := m2 - m1
 	if perN <= 0 {
 		return maxN
@@ -214,11 +219,7 @@ func bestBlockSize(id ID, s *shapeOf, o Options, cfg Config) int64 {
 	if m1 > cap {
 		return 1 // infeasible even at n=1; report that honestly
 	}
-	n := 1 + (cap-m1)/perN
-	if n > maxN {
-		n = maxN
-	}
-	return n
+	return min(maxN, 1+(cap-m1)/perN)
 }
 
 // filterResident reports whether the policy keeps its filter working set on
@@ -345,29 +346,17 @@ func (sh *Shape) tiles(id ID, n int64) Tiles {
 }
 
 // bestBlockSize is the package-level bestBlockSize against the precomputed
-// coefficients: same closed-form affine solve, with the two probe tile
-// computations reduced to table reads.
+// coefficients: the same solve, with the two probe tile computations
+// reduced to table reads.
 func (sh *Shape) bestBlockSize(id ID, o Options, cfg Config) int64 {
 	s := &sh.s
 	maxN := blockSizeMax(id, s)
 	if maxN <= 1 {
 		return maxN
 	}
-	cap := cfg.CapacityElems()
 	m1, _ := memoryElems(sh.tiles(id, 1), s, o)
 	m2, _ := memoryElems(sh.tiles(id, 2), s, o)
-	perN := m2 - m1
-	if perN <= 0 {
-		return maxN
-	}
-	if m1 > cap {
-		return 1 // infeasible even at n=1; report that honestly
-	}
-	n := 1 + (cap-m1)/perN
-	if n > maxN {
-		n = maxN
-	}
-	return n
+	return solveBlockSize(maxN, m1, m2, cfg.CapacityElems())
 }
 
 // EstimateFast is EstimateFast against the precomputed geometry.

@@ -17,7 +17,8 @@ func randomConv(r *rand.Rand) layer.Layer {
 }
 
 // TestBestBlockSizeMatchesScan: the closed-form affine solve for the P4/P5
-// filter-block size must agree with a brute-force linear scan over n.
+// filter-block size must agree with a brute-force linear scan over n, on
+// both of its paths: Estimate's and the sweeps' precomputed Shape.
 func TestBestBlockSizeMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 400; trial++ {
@@ -45,10 +46,50 @@ func TestBestBlockSizeMatchesScan(t *testing.T) {
 				t.Fatalf("%s on %s @%dkB pf=%v: closed-form n=%d, scan n=%d",
 					id, l, glbKB, o.Prefetch, got.N, best)
 			}
+			sh := NewShape(&l, cfg.IncludePadding)
+			if n := sh.bestBlockSize(id, o, cfg); n != int64(got.N) {
+				t.Fatalf("%s on %s @%dkB pf=%v: Shape path n=%d, Estimate n=%d",
+					id, l, glbKB, o.Prefetch, n, got.N)
+			}
 			if !feasible && got.Feasible {
 				t.Fatalf("%s on %s @%dkB: estimator feasible but scan found nothing", id, l, glbKB)
 			}
 		}
+	}
+}
+
+// TestEstimateFastContract checks EstimateFast's stated contract against
+// Estimate on random layers, for every policy and every combination of
+// prefetch, resident ifmap and kept ofmap: a feasible result equals
+// Estimate's field for field, and an infeasible one carries Estimate's
+// identifying, block-size, tile and memory fields with everything else
+// zero.
+func TestEstimateFastContract(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	feasible, infeasible := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		l := randomConv(r)
+		cfg := Default(1 << (2 + r.Intn(8)))
+		for _, id := range IDs() {
+			for mask := 0; mask < 8; mask++ {
+				o := Options{Prefetch: mask&1 != 0, ResidentIfmap: mask&2 != 0, KeepOfmap: mask&4 != 0}
+				want := Estimate(&l, id, o, cfg)
+				if want.Feasible {
+					feasible++
+				} else {
+					infeasible++
+					want = Result{Policy: want.Policy, Opts: want.Opts, Layer: want.Layer, N: want.N,
+						Tiles: want.Tiles, DoubleBuffered: want.DoubleBuffered,
+						MemoryElems: want.MemoryElems, MemoryBytes: want.MemoryBytes}
+				}
+				if got := EstimateFast(&l, id, o, cfg); got != want {
+					t.Fatalf("%s on %s @%dB %+v:\nEstimateFast %+v\nwant         %+v", id, l, cfg.GLBBytes, o, got, want)
+				}
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("%d feasible and %d infeasible cases: the draw misses a side of the contract", feasible, infeasible)
 	}
 }
 

@@ -3,16 +3,46 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	scratchmem "scratchmem"
+	"scratchmem/internal/layer"
 )
 
-// sweepRequests builds a 50-pair DSE-style sweep: two models crossed with
-// objective/scheme/reuse options over a few GLB sizes. Every pair is a
-// distinct plan key.
-func sweepRequests() []PlanRequest {
+// neighborNetwork is a one-layer mutant of a builtin in the scratchmem JSON
+// format: layer idx gets delta more filters (channels for depth-wise).
+func neighborNetwork(tb testing.TB, base string, idx, delta int) []byte {
+	tb.Helper()
+	net, err := scratchmem.BuiltinModel(base)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	layers := append([]layer.Layer(nil), net.Layers...)
+	l := layers[idx]
+	if l.Kind == layer.DepthwiseConv {
+		layers[idx] = layer.MustNew(l.Name, l.Kind, l.IH, l.IW, l.CI+delta, l.FH, l.FW, l.F, l.S, l.P)
+	} else {
+		layers[idx] = layer.MustNew(l.Name, l.Kind, l.IH, l.IW, l.CI, l.FH, l.FW, l.F+delta, l.S, l.P)
+	}
+	nn := &scratchmem.Network{Name: fmt.Sprintf("%s-n%d-%d", base, idx, delta), Layers: layers}
+	var buf bytes.Buffer
+	if err := nn.WriteJSON(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sweepRequests builds a 59-item DSE-style sweep: 50 pairs of two models
+// crossed with objective/scheme/reuse options over a few GLB sizes; eight
+// one-layer mutants of the two models at 64 kB, most under options the
+// pairs also plan, so batch items share sweep tables with other items'
+// bases; and one AlexNet plan at 4 kB, whose requested and prefetch-relaxed
+// rungs fail before the baseline plan. Every item is a distinct plan key.
+func sweepRequests(tb testing.TB) []PlanRequest {
 	var reqs []PlanRequest
 	for _, model := range []string{"TinyCNN", "AlexNet"} {
 		for _, glb := range []int{64, 108, 256} {
@@ -34,15 +64,26 @@ func sweepRequests() []PlanRequest {
 			}
 		}
 	}
-	return reqs[:50]
+	reqs = reqs[:50]
+	for i := 0; i < 8; i++ {
+		reqs = append(reqs, PlanRequest{
+			Network:         neighborNetwork(tb, []string{"TinyCNN", "AlexNet"}[i%2], i/2, 1),
+			GLBKiloBytes:    64,
+			Objective:       []string{"accesses", "latency"}[i/4],
+			Homogeneous:     i == 7,
+			InterLayerReuse: i%4 >= 2,
+			DisablePrefetch: i == 5,
+		})
+	}
+	return append(reqs, PlanRequest{Model: "AlexNet", GLBKiloBytes: 4})
 }
 
-// TestBatchMatchesSequential pins the batch acceptance criterion: a 50-pair
-// sweep through POST /v1/plan/batch returns documents byte-identical to 50
+// TestBatchMatchesSequential pins the batch acceptance criterion: a sweep
+// through POST /v1/plan/batch returns documents byte-identical to
 // sequential /v1/plan calls. Each item's raw plan bytes are the /v1/plan body minus its trailing
 // newline: the envelope splices cached documents in verbatim.
 func TestBatchMatchesSequential(t *testing.T) {
-	reqs := sweepRequests()
+	reqs := sweepRequests(t)
 
 	seq := httptest.NewServer(New(Config{}).Handler())
 	defer seq.Close()
@@ -83,6 +124,9 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if !bytes.Equal(item.Plan, bytes.TrimSuffix(sequential[i], []byte("\n"))) {
 			t.Errorf("item %d: batch document differs from the sequential one", i)
 		}
+	}
+	if last := br.Results[len(reqs)-1].Plan; !bytes.Contains(last, []byte(`"degraded_mode": "baseline-fallback"`)) {
+		t.Errorf("the AlexNet 4 kB item is not a baseline plan:\n%s", last)
 	}
 	_, metricsBody := get(t, bat, "/metrics")
 	if got := metric(t, metricsBody, "smm_batch_size_sum"); got != int64(len(reqs)) {

@@ -148,7 +148,7 @@ func BenchmarkBatchHandler(b *testing.B) {
 // BenchmarkBatchHandlerMiss is BenchmarkBatchHandler with a new GLB size
 // every iteration, so every item misses the plan cache and is planned, as
 // on the neighbor-batch workload: decode, resolve, key, the planner with
-// the batch's splice, render and envelope.
+// the batch's shared sweep tables, render and envelope.
 func BenchmarkBatchHandlerMiss(b *testing.B) {
 	bodies := make([][]byte, b.N)
 	for i := range bodies {

@@ -8,10 +8,10 @@ import (
 	"runtime/debug"
 	"strconv"
 
+	"scratchmem/internal/core"
 	"scratchmem/internal/model"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/parallel"
-	"scratchmem/internal/plancache"
 )
 
 // maxBatchItems bounds one POST /v1/plan/batch. A DSE sweep over every
@@ -42,11 +42,12 @@ type BatchResponse struct {
 }
 
 // handleBatch plans every request in the body concurrently, sharing one
-// batch-local fingerprint index so neighbors splice from each other's
-// checkpoints. Items succeed and fail independently — the response is
-// always 200 with per-item statuses — and each item takes the same cache /
-// single-flight / peer-fill path as a lone POST /v1/plan, so the returned
-// documents are byte-identical to sequential calls.
+// set of sweep tables, so a layer question any item asks is swept once for
+// every item planned under the same knobs. Items succeed and fail
+// independently — the response is always 200 with per-item statuses — and
+// each item takes the same cache / single-flight / peer-fill path as a lone
+// POST /v1/plan, so the returned documents are byte-identical to sequential
+// calls.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
@@ -64,11 +65,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	// One shared fingerprint index per batch: batch items are typically
-	// dense neighbor sets (DSE sweeps, one-layer mutations), so checkpoints
-	// captured by early items splice later ones even before anything lands
-	// in the server-wide index.
-	batchFP := plancache.NewFingerprints(maxBatchItems)
+	// Batch items are typically dense neighbour sets (DSE sweeps, one-layer
+	// mutations) whose layers ask the same questions.
+	tables := new(core.SweepTables)
 	results := make([]BatchItem, len(items))
 	// Fan out across the CPUs; the worker semaphore inside planned still
 	// bounds how many planner executions actually run at once, so a big
@@ -80,7 +79,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = BatchItem{Status: code, Error: msg}
 			return nil
 		}
-		entry, shared, err := s.planned(ctx, in.key, &in.req, batchFP, in.net, in.opts)
+		entry, shared, err := s.planned(ctx, in.key, &in.req, tables, in.net, in.opts)
 		if err != nil {
 			code, msg := statusOf(err)
 			results[i] = BatchItem{Status: code, PlanKey: in.key, Error: msg}

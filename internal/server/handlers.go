@@ -17,8 +17,6 @@ import (
 	"scratchmem/internal/model"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/parallel"
-	"scratchmem/internal/plancache"
-	"scratchmem/internal/policy"
 	"scratchmem/internal/smmerr"
 	"scratchmem/internal/trace"
 )
@@ -246,8 +244,9 @@ func cacheHeader(w http.ResponseWriter, shared bool) {
 // observation. A non-nil wire request makes the key eligible for a peer
 // cache-fill (the request is what the key's ring owner computes from); the
 // peer-fill handler itself passes nil so rings that momentarily disagree
-// cannot forward a request in a loop.
-func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, batchFP *plancache.Fingerprints, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
+// cannot forward a request in a loop. A non-nil tables is the sweep-table
+// set of the request's batch, which the flight plans through.
+func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, tables *core.SweepTables, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
 	var spec *cluster.FillSpec
 	if wire != nil {
 		spec = &cluster.FillSpec{
@@ -255,39 +254,19 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, bat
 			Decode:  func(body []byte) (any, error) { return decodePeerPlan(body, net, opts) },
 		}
 	}
-	// Differential planning: install a differ so the planner's requested
-	// rung can resume from the best shape-overlapping checkpoint — the
-	// batch-local index first (neighbors in one batch are the densest
-	// source), then the server-wide index. Homogeneous plans have no
-	// per-layer decisions to splice.
-	var differ *core.Differ
-	group := ""
-	if !opts.Homogeneous {
-		group = fpGroup(opts)
-		differ = &core.Differ{Lookup: func(chain []policy.LayerKey) *core.Checkpoint {
-			if ck, ok := batchFP.Best(group, chain).(*core.Checkpoint); ok && ck != nil {
-				return ck
-			}
-			ck, _ := s.fp.Best(group, chain).(*core.Checkpoint)
-			return ck
-		}}
-	}
 	v, shared, err := s.cache.Do(ctx, "plan:"+key, spec, func(ctx context.Context) (any, error) {
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}
 		defer s.sem.Release()
-		if differ != nil {
-			ctx = core.WithDiffer(ctx, differ)
+		if tables != nil {
+			ctx = core.WithSweepTables(ctx, tables)
 		}
 		start := time.Now()
 		p, err := s.planFn(ctx, net, opts)
 		s.met.observePlanner(time.Since(start))
 		if err != nil {
 			return nil, err
-		}
-		if differ != nil && differ.Outcome != "" {
-			s.met.incrementalPlan(differ.Outcome, differ.LayersReused)
 		}
 		if p.Degraded {
 			s.met.degradedPlan()
@@ -307,38 +286,12 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, bat
 	}
 	entry := v.(*planEntry)
 	if !shared {
-		// Freshly computed here: index the run's checkpoint for future
-		// neighbors. Degraded plans are excluded — their decisions come
-		// from relaxed rungs, not the requested knobs — and the insert is
-		// atomic with the cache's own store (InsertFingerprint verifies the
-		// key is still cached, so Remove/Purge can never lose the race).
-		if differ != nil && differ.Checkpoint != nil && !entry.plan.Degraded {
-			chain := differ.Checkpoint.Chain()
-			batchFP.Insert("plan:"+key, group, chain, differ.Checkpoint)
-			s.local.InsertFingerprint("plan:"+key, group, chain, differ.Checkpoint)
-		}
-		// If this member owns the key, push the plan to its ring successor
-		// (async, best-effort) so an owner death does not cost the fleet a
-		// recompute.
+		// Freshly computed here: if this member owns the key, push the plan
+		// to its ring successor (async, best-effort) so an owner death does
+		// not cost the fleet a recompute.
 		s.replicateFresh(ctx, key, entry)
 	}
 	return entry, shared, nil
-}
-
-// fpGroup digests the planning knobs a checkpoint depends on into the
-// fingerprint-index group key: only requests with byte-identical knobs may
-// share checkpoints (the planner re-verifies compatibility before reuse).
-// Strict is deliberately absent — it gates the degradation ladder, not the
-// requested rung's decisions — and Batch 1 normalises to 0 exactly as
-// scratchmem.PlanKey does.
-func fpGroup(opts scratchmem.PlanOptions) string {
-	cfg := opts.Config
-	if cfg.Batch == 1 {
-		cfg.Batch = 0
-	}
-	return fmt.Sprintf("%d/%d/%d/%d/%t/%d|%d|%t|%t",
-		cfg.GLBBytes, cfg.DataWidthBits, cfg.OpsPerCycle, cfg.DRAMBytesPerCycle,
-		cfg.IncludePadding, cfg.Batch, opts.Objective, opts.DisablePrefetch, opts.InterLayerReuse)
 }
 
 // decodePeerPlan turns a peer's /v1/peer/fill response into a planEntry.

@@ -101,12 +101,6 @@ type metrics struct {
 	dramBytes      map[string]*atomic.Int64 // per datatype planned off-chip bytes
 	degradedMode   map[string]*atomic.Int64 // per degradation-ladder rung
 
-	// Differential-planning counters: plans that resumed from a cached
-	// checkpoint ("spliced") vs planned every layer ("full"), and the total
-	// layers whose decisions were reused without re-estimation.
-	incremental       map[string]*atomic.Int64 // per outcome
-	incrementalLayers atomic.Int64
-
 	planner *histogram            // planner wall time (observePlanner)
 	phase   map[string]*histogram // span-derived phase latencies
 }
@@ -133,7 +127,6 @@ func newMetrics(routes []string) *metrics {
 	for _, mode := range degradedModes {
 		m.degradedMode[mode] = &atomic.Int64{}
 	}
-	m.incremental = map[string]*atomic.Int64{core.OutcomeSpliced: {}, core.OutcomeFull: {}}
 	for _, ph := range phaseNames {
 		m.phase[ph] = newHistogram()
 	}
@@ -159,15 +152,6 @@ func (m *metrics) shedRequest() { m.shed.Add(1) }
 
 // degradedPlan counts one plan produced by the degradation ladder.
 func (m *metrics) degradedPlan() { m.degraded.Add(1) }
-
-// incrementalPlan records one differential-planning outcome and how many
-// layer decisions it reused.
-func (m *metrics) incrementalPlan(outcome string, layersReused int) {
-	if c, ok := m.incremental[outcome]; ok {
-		c.Add(1)
-	}
-	m.incrementalLayers.Add(int64(layersReused))
-}
 
 // breakerOpened counts one request fast-failed by an open circuit breaker.
 func (m *metrics) breakerOpened() { m.breakerOpen.Add(1) }
@@ -287,10 +271,6 @@ func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, ps cluster.PeerStat
 	for _, dt := range datatypes {
 		fmt.Fprintf(w, "smm_dram_bytes_total{datatype=%q} %d\n", dt, m.dramBytes[dt].Load())
 	}
-	for _, o := range []string{core.OutcomeSpliced, core.OutcomeFull} {
-		fmt.Fprintf(w, "smm_incremental_plans_total{outcome=%q} %d\n", o, m.incremental[o].Load())
-	}
-	fmt.Fprintf(w, "smm_incremental_layers_reused_total %d\n", m.incrementalLayers.Load())
 	peerFills := map[string]int64{
 		"hit": ps.Hit, "error": ps.Error, "bad": ps.Bad, "open": ps.Open,
 		"dead": ps.Dead, "successor": ps.SuccHit,

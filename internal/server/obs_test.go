@@ -194,6 +194,36 @@ func TestHomPlanSpanEvents(t *testing.T) {
 	}
 }
 
+// TestHetPlanSpanEvents: a heterogeneous plan, whether from /v1/plan or
+// as a /v1/plan/batch item, records no progress events on its plan span;
+// only homogeneous plans feed their layers to the span.
+func TestHetPlanSpanEvents(t *testing.T) {
+	tracer := obs.NewTracer(64)
+	ts := httptest.NewServer(New(Config{Tracer: tracer}).Handler())
+	defer ts.Close()
+	if resp, body := post(t, ts, "/v1/plan", `{"model": "ResNet18", "glb_kb": 256}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plan: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body := post(t, ts, "/v1/plan/batch", `{"requests": [{"model": "ResNet18", "glb_kb": 128}]}`)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"status": 200`) {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
+	}
+	var plans []*obs.Span
+	for _, s := range tracer.Spans() {
+		if s.Name == "plan" {
+			plans = append(plans, s)
+		}
+	}
+	if len(plans) != 2 {
+		t.Fatalf("%d plan spans, want 2", len(plans))
+	}
+	for _, s := range plans {
+		if len(s.Events) != 0 {
+			t.Errorf("het plan span has %d events, want 0", len(s.Events))
+		}
+	}
+}
+
 // TestTraceEndpoint covers GET /v1/trace/{key}: Perfetto JSON and CSV
 // renderings of a planned model, the 404 for unknown keys, and the 400 for
 // unknown formats.

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,26 @@ import (
 
 	scratchmem "scratchmem"
 )
+
+// metricValue scrapes one counter (with its exact label string) out of a
+// /metrics exposition body.
+func metricValue(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	resp, body := get(t, ts, "/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`)
+	m := re.FindSubmatch(body)
+	if m == nil {
+		t.Fatalf("metric %s not exposed:\n%s", name, body)
+	}
+	v, err := strconv.ParseInt(string(m[1]), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 // countPlans wraps srv's planner with a run counter.
 func countPlans(srv *Server) *atomic.Int64 {

@@ -136,12 +136,6 @@ type Server struct {
 	breakers map[string]*breaker.Breaker // per compute route
 	log      *slog.Logger
 	tracer   *obs.Tracer
-	// fp indexes locally cached plans by shape-signature chain for
-	// differential planning: a near-identical request resumes from the
-	// best-overlapping cached plan's checkpoint instead of re-planning
-	// every layer. Attached to local, so cache Remove/Purge/eviction
-	// invalidate fingerprints in lockstep.
-	fp *plancache.Fingerprints
 
 	// planFn runs the planner; a test seam (defaults to
 	// scratchmem.PlanModelCtx). The context is the flight's, not any single
@@ -192,8 +186,6 @@ func New(cfg Config) *Server {
 		tracer = obs.NewTracer(DefaultSpanRing)
 	}
 	local := plancache.New(entries)
-	fp := plancache.NewFingerprints(0)
-	local.AttachFingerprints(fp)
 	var backend cluster.Backend = cluster.NewLocal(local)
 	if cfg.Cluster != nil {
 		backend = cfg.Cluster(local)
@@ -209,7 +201,6 @@ func New(cfg Config) *Server {
 		breakers: make(map[string]*breaker.Breaker, len(computeRoutes)),
 		log:      logger,
 		tracer:   tracer,
-		fp:       fp,
 		planFn: func(ctx context.Context, n *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
 			if err := faultinject.Hit("server.plan"); err != nil {
 				return nil, err

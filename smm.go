@@ -250,20 +250,18 @@ func PlanModelCtx(ctx context.Context, n *Network, o PlanOptions, prog Progress)
 	if err != nil {
 		return nil, err
 	}
-	// A caller-supplied observer wants one event per planned layer, which a
-	// spliced run cannot deliver — detach any differ so such requests take
-	// the full walk. The tracing span's own progress wrapper (attached
-	// below) is telemetry, not a caller contract, and does not disable
-	// differential planning.
-	if prog != nil {
-		ctx = core.WithDiffer(ctx, nil)
-	}
 	ctx, span := obs.StartSpan(ctx, "plan")
 	if span != nil {
 		span.SetAttr("model", n.Name)
 		span.SetAttr("layers", len(n.Layers))
 		span.SetAttr("objective", o.Objective.String())
-		prog = obs.SpanProgress(span, prog)
+		// Only a homogeneous plan records its layers on the span, one
+		// event per layer of the winning variant's walk. Het runs feed
+		// only a caller's hook: recording their layers costs a served
+		// plan about a quarter more CPU (DESIGN §12).
+		if o.Homogeneous {
+			prog = obs.SpanProgress(span, prog)
+		}
 		defer span.End()
 	}
 	plan, err := planLadder(ctx, cfg, n, o, prog)
@@ -293,10 +291,6 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 	if o.Strict || !errors.Is(err, smmerr.ErrInfeasible) {
 		return nil, err
 	}
-	// The degradation rungs re-plan under relaxed knobs: detach any differ
-	// so their plans are neither spliced from foreign checkpoints nor
-	// captured/counted as the requested rung's.
-	ctx = core.WithDiffer(ctx, nil)
 	reasons := []core.DegradedReason{{Mode: "requested", Err: err.Error()}}
 
 	// Rung 1: relax prefetching. Prefetch double-buffers every tile (paper
@@ -329,23 +323,6 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 func planRequested(ctx context.Context, pl *core.Planner, n *Network, homogeneous bool, prog Progress) (*Plan, error) {
 	if homogeneous {
 		return pl.BestHomogeneousCtx(ctx, n, prog)
-	}
-	// Differential planning: when a differ is installed (the server does,
-	// per request), look up the best-overlapping checkpoint and resume from
-	// it. Homogeneous plans pick one global variant (nothing per-layer to
-	// splice), and caller-observed runs had their differ detached in
-	// PlanModelCtx, so both take the plain path.
-	if d := core.DifferFrom(ctx); d != nil {
-		var ck *core.Checkpoint
-		if d.Lookup != nil {
-			ck = d.Lookup(policy.ChainOf(n.Layers))
-		}
-		plan, nck, stats, err := pl.HeterogeneousDiffCtx(ctx, n, ck)
-		if err != nil {
-			return nil, err
-		}
-		d.Checkpoint, d.Outcome, d.LayersReused = nck, stats.Outcome, stats.LayersReused
-		return plan, nil
 	}
 	return pl.HeterogeneousCtx(ctx, n, prog)
 }
