@@ -34,7 +34,7 @@
 //	smm-bench                 # ~1s per workload, writes BENCH_10.json
 //	smm-bench -time 5 -count 3 -o /tmp/bench.json
 //	smm-bench -quick          # single iteration per workload (CI smoke)
-//	smm-bench -against BENCH_5.json   # regression gate: non-zero exit when
+//	smm-bench -against BENCH_10.json  # regression gate: non-zero exit when
 //	                                  # any shared benchmark slowed >10%
 //	                                  # (tune with -tolerance)
 //	smm-bench -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -92,7 +92,7 @@ type entry struct {
 	SequentialNs int64   `json:"sequential_ns_per_op,omitempty"`
 }
 
-// document is the whole BENCH_5.json payload.
+// document is the whole BENCH_10.json payload.
 type document struct {
 	Schema     string  `json:"schema"`
 	GoMaxProcs int     `json:"gomaxprocs"`

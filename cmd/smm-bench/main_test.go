@@ -11,7 +11,7 @@ import (
 // TestRunQuickEmitsValidDocument: a -quick run touches every workload once
 // and writes a decodable smm-bench/v1 document with positive timings.
 func TestRunQuickEmitsValidDocument(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_5.json")
+	out := filepath.Join(t.TempDir(), "BENCH_10.json")
 	var buf bytes.Buffer
 	if err := run([]string{"-quick", "-o", out}, &buf); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())

@@ -39,12 +39,13 @@
 // /v1/peer/fill before planning locally, so each plan is computed once
 // fleet-wide, and a per-peer circuit breaker plus local fallback keep a
 // dead owner from taking the fleet down with it. -self must match this
-// node's own entry in -peers; -hot-cache sizes the small local cache of
-// remotely-owned plans layered in front of the ring. The membership list
-// is static but liveness is dynamic: every member probes its peers each
-// -probe-every, skips known-dead owners, and owners push freshly computed
-// plans to their ring successor (bounded by -replicate-queue), so a miss
-// falls back owner → successor replica → local compute.
+// node's own entry in -peers. A plan filled from another member is stored
+// in the node's one -cache plan cache, so a repeat is served locally. The
+// membership list is static but liveness is dynamic: every member probes
+// its peers each -probe-every, skips known-dead owners, and owners push
+// freshly computed plans to their ring successor (bounded by
+// -replicate-queue), so a miss falls back owner → successor replica →
+// local compute.
 //
 // All operational output is structured (log/slog; -log-level, -log-format):
 // an access-log record per request carrying the trace ID, warn records for
@@ -79,12 +80,6 @@ import (
 	"scratchmem/internal/server"
 )
 
-// DefaultHotCacheEntries sizes the layered hot cache of remotely-owned
-// plans in fleet mode. Small on purpose: the ring owner holds the
-// authoritative copy, this is just the working set a single node keeps
-// re-serving.
-const DefaultHotCacheEntries = 128
-
 func main() {
 	ctx, stop := cli.SignalContext()
 	err := run(ctx, os.Args[1:], os.Stderr)
@@ -100,7 +95,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
 		workers      = fs.Int("workers", 0, "max concurrent planner/simulator executions (0 = GOMAXPROCS)")
-		cache        = fs.Int("cache", server.DefaultCacheEntries, "plan-cache capacity in entries (negative disables storage)")
+		cache        = fs.Int("cache", server.DefaultCacheEntries, "plan-cache capacity in entries, plans filled from fleet peers included (negative disables storage)")
 		timeout      = fs.Duration("timeout", server.DefaultTimeout, "per-request deadline")
 		drain        = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		queue        = fs.Int("queue", server.DefaultQueueDepth, "max requests waiting for a worker before shedding with 503 (negative = unbounded)")
@@ -115,8 +110,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"comma-separated base URLs of every fleet member (consistent-hash ring; empty = standalone)")
 		self = fs.String("self", "",
 			"this node's own entry in -peers (required with -peers)")
-		hotCache = fs.Int("hot-cache", DefaultHotCacheEntries,
-			"entries in the layered hot cache of remotely-owned plans (fleet mode only)")
 		probeEvery = fs.Duration("probe-every", cluster.DefaultProbeInterval,
 			"peer health-probe period (0 disables liveness tracking; fleet mode only)")
 		replicateQueue = fs.Int("replicate-queue", cluster.DefaultReplicateQueue,
@@ -166,14 +159,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// peerConns is the fleet client's own transport (nil standalone).
 	var peerConns *http.Transport
 	if *peers != "" {
-		backend, fleet, conns, err := clusterBackend(*peers, *self, *hotCache, *probeEvery, *replicateQueue)
+		backend, fleet, conns, err := clusterBackend(*peers, *self, *probeEvery, *replicateQueue)
 		if err != nil {
 			return err
 		}
 		cfg.Cluster = backend
 		cfg.Fleet = fleet
 		peerConns = conns
-		logger.Info("fleet member", "self", *self, "peers", *peers, "hot_cache", *hotCache,
+		logger.Info("fleet member", "self", *self, "peers", *peers,
 			"probe_every", *probeEvery, "replicate_queue", *replicateQueue)
 	} else if *self != "" {
 		return fmt.Errorf("-self is only meaningful with -peers")
@@ -296,14 +289,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// clusterBackend builds the server's fleet cache stack and control plane:
-// a consistent-hash ring over the static member list, peer fills and
-// successor lookups through the resilient client, a small hot cache of
-// remotely-owned plans layered in front, plus health probing, successor
-// replication and the fan-out invalidation transport. It also returns the
-// fleet client's transport, which no other client shares, so shutdown can
-// close its idle peer connections.
-func clusterBackend(peers, self string, hotEntries int, probeEvery time.Duration, replicateQueue int) (func(*plancache.Cache) cluster.Backend, *cluster.Fleet, *http.Transport, error) {
+// clusterBackend builds the server's fleet backend and control plane: a
+// consistent-hash ring over the static member list, peer fills and
+// successor lookups through the resilient client, plus health probing,
+// successor replication and the fan-out invalidation transport. It also
+// returns the fleet client's transport, which no other client shares, so
+// shutdown can close its idle peer connections.
+func clusterBackend(peers, self string, probeEvery time.Duration, replicateQueue int) (func(*plancache.Cache) cluster.Backend, *cluster.Fleet, *http.Transport, error) {
 	var members []string
 	seen := make(map[string]bool)
 	for _, m := range strings.Split(peers, ",") {
@@ -356,8 +348,7 @@ func clusterBackend(peers, self string, hotEntries int, probeEvery time.Duration
 	}
 	popts := cluster.PeerOptions{Health: fleet.Health, Lookup: fill.LookupTransport()}
 	return func(local *plancache.Cache) cluster.Backend {
-		peer := cluster.NewPeer(cluster.NewLocal(local), ring, self, transport, popts)
-		return cluster.NewLayered(plancache.New(hotEntries), peer, peer.Remote)
+		return cluster.NewPeer(local, ring, self, transport, popts)
 	}, fleet, conns, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // TestDegradationLadder pins the graceful-degradation contract at the API
 // root: a GLB too small for every policy no longer returns ErrInfeasible
 // but the baseline fallback plan, marked degraded, with the machine-
-// readable chain of rungs that failed on the way down.
+// readable chain of rungs that failed before it: only the request.
 func TestDegradationLadder(t *testing.T) {
 	net, err := BuiltinModel("ResNet18")
 	if err != nil {
@@ -26,7 +26,7 @@ func TestDegradationLadder(t *testing.T) {
 	if !plan.Degraded || plan.DegradedMode != core.DegradedBaseline {
 		t.Fatalf("degraded=%v mode=%q, want true/%q", plan.Degraded, plan.DegradedMode, core.DegradedBaseline)
 	}
-	wantChain := []string{"requested", core.DegradedPrefetchRelaxed}
+	wantChain := []string{"requested"}
 	if len(plan.DegradedReasons) != len(wantChain) {
 		t.Fatalf("reason chain %+v, want modes %v", plan.DegradedReasons, wantChain)
 	}

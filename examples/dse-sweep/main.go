@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,25 +28,25 @@ func main() {
 	models := []string{"EfficientNetB0", "GoogLeNet", "MnasNet", "MobileNet", "MobileNetV2", "ResNet18"}
 	sizes := []int{64, 128, 256, 512, 1024}
 
-	cells := parallel.Map(len(models)*len(sizes), 0, func(i int) cell {
+	cells, err := parallel.MapCtx(context.Background(), len(models)*len(sizes), 0, func(_ context.Context, i int) (cell, error) {
 		m, kb := models[i/len(sizes)], sizes[i%len(sizes)]
 		net, err := scratchmem.BuiltinModel(m)
 		if err != nil {
-			log.Fatal(err)
+			return cell{}, err
 		}
 		acc, err := scratchmem.PlanModel(net, scratchmem.PlanOptions{GLBKiloBytes: kb})
 		if err != nil {
-			log.Fatal(err)
+			return cell{}, err
 		}
 		lat, err := scratchmem.PlanModel(net, scratchmem.PlanOptions{GLBKiloBytes: kb, Objective: scratchmem.MinLatency})
 		if err != nil {
-			log.Fatal(err)
+			return cell{}, err
 		}
 		best := int64(0)
 		for _, bc := range scratchmem.BaselineSplits(kb, 8) {
 			r, err := scratchmem.SimulateBaseline(net, bc)
 			if err != nil {
-				log.Fatal(err)
+				return cell{}, err
 			}
 			if b := r.DRAMBytes(); best == 0 || b < best {
 				best = b
@@ -57,8 +58,11 @@ func main() {
 			hetAccessMB: float64(acc.AccessBytes()) / (1 << 20),
 			hetLatencyM: float64(lat.LatencyCycles()) / 1e6,
 			baselineMB:  float64(best) / (1 << 20),
-		}
+		}, nil
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-15s %6s  %12s %12s %12s %10s\n",
 		"model", "GLB", "baseline MB", "Het MB", "reduction", "Het_l Mcyc")

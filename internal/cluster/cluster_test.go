@@ -62,7 +62,7 @@ func decodeString(body []byte) (any, error) { return string(body), nil }
 func newPeerUnderTest(t *testing.T, tr Transport, opts PeerOptions) (*Peer, *plancache.Cache) {
 	t.Helper()
 	c := plancache.New(16)
-	return NewPeer(NewLocal(c), twoRing(t), memberA, tr, opts), c
+	return NewPeer(c, twoRing(t), memberA, tr, opts), c
 }
 
 func TestPeerOwnedKeyComputesLocally(t *testing.T) {
@@ -110,10 +110,22 @@ func TestPeerFillHit(t *testing.T) {
 	if st := p.PeerStats(); st.Hit != 1 || st.OwnerSelf != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Non-owned fills are NOT stored in the authoritative cache — that is
-	// the Layered hot cache's job.
-	if _, ok := c.Get(key); ok {
-		t.Fatal("peer fill leaked into the authoritative cache")
+	// The fill is stored in the member's plan cache, so repeats are local
+	// hits with no second round trip.
+	if !c.Contains(key) {
+		t.Fatal("peer fill was not stored in the plan cache")
+	}
+	for i := 0; i < 2; i++ {
+		v, shared, err := p.Do(context.Background(), key, spec, nil)
+		if err != nil || !shared || v != "from-owner" {
+			t.Fatalf("repeat #%d = %v, %v, %v", i, v, shared, err)
+		}
+	}
+	if tr.calls.Load() != 1 {
+		t.Fatalf("transport calls = %d after two repeats, want 1", tr.calls.Load())
+	}
+	if st := p.PeerStats(); st.Hit != 1 {
+		t.Fatalf("stats after repeats = %+v, want one fill", st)
 	}
 }
 
@@ -261,56 +273,5 @@ func TestPeerFaultInjection(t *testing.T) {
 	}
 	if st := p.PeerStats(); st.Error != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestLayeredHotCachesRemoteFills(t *testing.T) {
-	tr := &fakeTransport{body: []byte("from-owner")}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	hot := plancache.New(8)
-	l := NewLayered(hot, p, p.Remote)
-	key := keyOwnedBy(t, p.Ring(), memberB)
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-
-	for i := 0; i < 3; i++ {
-		v, shared, err := l.Do(context.Background(), key, spec, nil)
-		if err != nil || !shared || v != "from-owner" {
-			t.Fatalf("Do #%d = %v, %v, %v", i, v, shared, err)
-		}
-	}
-	if got := tr.calls.Load(); got != 1 {
-		t.Fatalf("transport calls = %d, want 1 (hot cache should absorb repeats)", got)
-	}
-	if st := l.PeerStats(); st.Hit != 1 {
-		t.Fatalf("stats did not pass through Layered: %+v", st)
-	}
-}
-
-func TestLayeredDoesNotHotCacheOwnedKeys(t *testing.T) {
-	tr := &fakeTransport{}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	hot := plancache.New(8)
-	l := NewLayered(hot, p, p.Remote)
-	key := keyOwnedBy(t, p.Ring(), memberA)
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-
-	if _, _, err := l.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		return "local", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := hot.Get(key); ok {
-		t.Fatal("owned key double-stored in the hot cache")
-	}
-	// Snapshot must still surface it (authoritative layer), exactly once.
-	snap := l.Snapshot()
-	n := 0
-	for _, e := range snap {
-		if e.Key == key {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("key appears %d times in the layered snapshot", n)
 	}
 }

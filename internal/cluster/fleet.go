@@ -28,8 +28,8 @@ type InvalidateFunc func(ctx context.Context, baseURL, key string) error
 type StatusFunc func(ctx context.Context, baseURL string) ([]byte, error)
 
 // Fleet bundles the cluster control plane — everything beyond the data-path
-// Backend composition: liveness, replication, and the transport for
-// fan-out invalidation. The server holds one (nil when standalone) and
+// Backend: liveness, replication, and the transport for fan-out
+// invalidation. The server holds one (nil when standalone) and
 // nil-guards every use, so single-node behavior is untouched.
 type Fleet struct {
 	// Ring is the member ring (shared with the Peer backend).

@@ -353,7 +353,7 @@ func TestPeerSkipsDeadOwner(t *testing.T) {
 
 	tr := &fakeTransport{body: []byte("never")}
 	c := plancache.New(16)
-	p := NewPeer(NewLocal(c), ring, memberA, tr, PeerOptions{Health: h})
+	p := NewPeer(c, ring, memberA, tr, PeerOptions{Health: h})
 	key := keyOwnedBy(t, ring, memberB)
 
 	spec := &FillSpec{Request: "req", Decode: decodeString}
@@ -385,7 +385,7 @@ func TestPeerSuccessorLookupRecoversReplica(t *testing.T) {
 		return []byte("replica"), nil
 	}
 	tr := &fakeTransport{body: []byte("never")}
-	p := NewPeer(NewLocal(plancache.New(16)), ring, memberA, tr, PeerOptions{Health: h, Lookup: lookup})
+	p := NewPeer(plancache.New(16), ring, memberA, tr, PeerOptions{Health: h, Lookup: lookup})
 
 	spec := &FillSpec{Request: "req", Decode: decodeString}
 	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
@@ -404,6 +404,17 @@ func TestPeerSuccessorLookupRecoversReplica(t *testing.T) {
 	if st := p.PeerStats(); st.SuccHit != 1 || st.Dead != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// The recovered replica is stored here: a repeat is a local hit that
+	// asks neither the owner nor the successor again.
+	if v, shared, err := p.Do(context.Background(), key, spec, nil); err != nil || !shared || v != "replica" {
+		t.Fatalf("repeat Do = %v, %v, %v", v, shared, err)
+	}
+	if len(lookups) != 1 {
+		t.Fatalf("lookups after a repeat = %v, want one", lookups)
+	}
+	if st := p.PeerStats(); st.SuccHit != 1 || st.Dead != 1 {
+		t.Fatalf("stats after a repeat = %+v", st)
+	}
 }
 
 func TestPeerSuccessorMissFallsBackToLocal(t *testing.T) {
@@ -413,7 +424,7 @@ func TestPeerSuccessorMissFallsBackToLocal(t *testing.T) {
 	lookup := func(context.Context, string, any) ([]byte, error) {
 		return nil, ErrNoReplica
 	}
-	p := NewPeer(NewLocal(plancache.New(16)), ring, memberA, tr, PeerOptions{Lookup: lookup})
+	p := NewPeer(plancache.New(16), ring, memberA, tr, PeerOptions{Lookup: lookup})
 
 	spec := &FillSpec{Request: "req", Decode: decodeString}
 	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
@@ -424,54 +435,5 @@ func TestPeerSuccessorMissFallsBackToLocal(t *testing.T) {
 	}
 	if st := p.PeerStats(); st.SuccHit != 0 || st.Error != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestBackendRemoveAndPurgeReachAllLayers(t *testing.T) {
-	tr := &fakeTransport{body: []byte("from-owner")}
-	p, c := newPeerUnderTest(t, tr, PeerOptions{})
-	hot := plancache.New(8)
-	l := NewLayered(hot, p, p.Remote)
-	remote := keyOwnedBy(t, p.Ring(), memberB)
-	owned := keyOwnedBy(t, p.Ring(), memberA)
-
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	if _, _, err := l.Do(context.Background(), remote, spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := l.Do(context.Background(), owned, spec, func(context.Context) (any, error) {
-		return "local", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Remove the hot-cached remote key: Remove reports false (the
-	// authoritative layer never stored it) but the hot copy must be gone.
-	if l.Remove(remote) {
-		t.Error("Remove reported an authoritative entry for a hot-only key")
-	}
-	if _, ok := l.Get(remote); ok {
-		t.Error("hot copy survived Remove")
-	}
-	if !l.Remove(owned) {
-		t.Error("Remove missed the authoritative entry")
-	}
-	if _, ok := c.Get(owned); ok {
-		t.Error("authoritative copy survived Remove")
-	}
-
-	// Refill and purge everything.
-	if _, _, err := l.Do(context.Background(), remote, spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	c.Put(owned, "back")
-	if n := l.Purge(); n != 1 {
-		t.Errorf("Purge dropped %d authoritative entries, want 1", n)
-	}
-	if _, ok := l.Get(remote); ok {
-		t.Error("hot copy survived Purge")
-	}
-	if _, ok := l.Get(owned); ok {
-		t.Error("authoritative copy survived Purge")
 	}
 }

@@ -71,11 +71,12 @@ type PeerOptions struct {
 // Peer routes cache misses to each key's ring owner before computing
 // locally. The owner runs the computation under its own single-flight, so
 // concurrent fleet-wide requests for one key collapse onto one planner
-// execution; this member stores owned keys in inner and leaves non-owned
-// values to the Layered hot cache above it. Any fill failure degrades to
-// computing locally — availability over dedup.
+// execution. A verified owner fill or successor replica is stored in this
+// member's plan cache like any other plan, so a repeat is a local hit with
+// no round trip. Any fill failure degrades to computing locally —
+// availability over dedup.
 type Peer struct {
-	inner     Backend
+	cache     *plancache.Cache
 	ring      *Ring
 	self      string
 	transport Transport
@@ -93,11 +94,12 @@ type Peer struct {
 	succHit   atomic.Int64
 }
 
-// NewPeer builds a Peer over inner. self must be a ring member and names
-// this process's own base URL, so it can recognise the keys it owns.
-func NewPeer(inner Backend, ring *Ring, self string, t Transport, opts PeerOptions) *Peer {
+// NewPeer builds a Peer that stores into cache. self must be a ring member
+// and names this process's own base URL, so it can recognise the keys it
+// owns.
+func NewPeer(cache *plancache.Cache, ring *Ring, self string, t Transport, opts PeerOptions) *Peer {
 	return &Peer{
-		inner:     inner,
+		cache:     cache,
 		ring:      ring,
 		self:      self,
 		transport: t,
@@ -108,13 +110,6 @@ func NewPeer(inner Backend, ring *Ring, self string, t Transport, opts PeerOptio
 
 // Ring returns the member ring.
 func (p *Peer) Ring() *Ring { return p.ring }
-
-// Self returns this member's own base URL.
-func (p *Peer) Self() string { return p.self }
-
-// Remote reports whether key's owner is another member — the predicate
-// Layered uses to decide what is worth hot-caching.
-func (p *Peer) Remote(key string) bool { return p.ring.Owner(key) != p.self }
 
 // PeerStats snapshots the fill counters.
 func (p *Peer) PeerStats() PeerStats {
@@ -129,49 +124,43 @@ func (p *Peer) PeerStats() PeerStats {
 	}
 }
 
-func (p *Peer) Get(key string) (any, bool) { return p.inner.Get(key) }
-
-func (p *Peer) Stats() plancache.Stats { return p.inner.Stats() }
-
-func (p *Peer) Snapshot() []plancache.Entry { return p.inner.Snapshot() }
-
-func (p *Peer) Remove(key string) bool { return p.inner.Remove(key) }
-
-func (p *Peer) Purge() int { return p.inner.Purge() }
-
 // Do implements Backend. Owned keys (and keys without a FillSpec) go
 // straight to the local single-flight; for the rest the owner is asked
-// first, with every failure mode falling back to local compute.
+// first, then its ring successor, with every failure mode falling back to
+// local compute.
 func (p *Peer) Do(ctx context.Context, key string, spec *FillSpec, fn Fill) (any, bool, error) {
 	owner := p.ring.Owner(key)
 	if owner == p.self {
 		p.ownerSelf.Add(1)
-		return p.inner.Do(ctx, key, spec, fn)
+		return p.cache.Do(ctx, key, fn)
 	}
 	if spec == nil {
 		// Local-only keys (simulations, sweeps, traces) never cross the
 		// network even when another member nominally owns them.
-		return p.inner.Do(ctx, key, nil, fn)
+		return p.cache.Do(ctx, key, fn)
 	}
-	// A non-owned key may still be stored here (warm restore, a received
-	// replica, an earlier ring configuration): serve it without a
-	// round-trip.
-	if v, ok := p.inner.Get(key); ok {
+	// A non-owned key may already be stored here (an earlier fill, a
+	// received replica, a warm restore): serve it without a round-trip.
+	if v, ok := p.cache.Get(key); ok {
 		return v, true, nil
 	}
+	var v any
+	ok := false
 	if p.opts.Health.Alive(owner) {
-		if v, ok, err := p.fill(ctx, key, owner, spec); ok || err != nil {
-			return v, ok, err
-		}
+		v, ok = p.fill(ctx, key, owner, spec)
 	} else {
 		// Health probes already know the owner is down: skip the
 		// round-trip (and the breaker round-trip) entirely.
 		p.dead.Add(1)
 	}
-	// The owner is dead or its fill failed; its ring successor may hold the
-	// replica the owner pushed before dying — a cached-only ask, so a miss
-	// there never costs a duplicate planner run.
-	if v, ok := p.lookupSuccessor(ctx, key, owner, spec); ok {
+	if !ok {
+		// The owner is dead or its fill failed; its ring successor may hold
+		// the replica the owner pushed before dying — a cached-only ask, so
+		// a miss there never costs a duplicate planner run.
+		v, ok = p.lookupSuccessor(ctx, key, owner, spec)
+	}
+	if ok {
+		p.cache.Put(key, v)
 		return v, true, nil
 	}
 	// The caller may have gone away while the fill failed; don't burn a
@@ -179,7 +168,7 @@ func (p *Peer) Do(ctx context.Context, key string, spec *FillSpec, fn Fill) (any
 	if ctx.Err() != nil {
 		return nil, false, ctx.Err()
 	}
-	return p.inner.Do(ctx, key, nil, fn)
+	return p.cache.Do(ctx, key, fn)
 }
 
 // lookupSuccessor asks key's ring successor for an already-cached replica.
@@ -218,9 +207,9 @@ func (p *Peer) lookupSuccessor(ctx context.Context, key, owner string, spec *Fil
 	return v, true
 }
 
-// fill attempts one peer round-trip. ok reports a decoded value; a false
-// ok with nil err means "fall back to local compute".
-func (p *Peer) fill(ctx context.Context, key, owner string, spec *FillSpec) (val any, ok bool, err error) {
+// fill attempts one peer round-trip. ok reports a decoded value; false
+// means "fall back to the successor, then to local compute".
+func (p *Peer) fill(ctx context.Context, key, owner string, spec *FillSpec) (any, bool) {
 	ctx, span := obs.StartSpan(ctx, "peer_fill")
 	span.SetAttr("key", key)
 	span.SetAttr("owner", owner)
@@ -234,19 +223,19 @@ func (p *Peer) fill(ctx context.Context, key, owner string, spec *FillSpec) (val
 	if !br.Allow() {
 		p.open.Add(1)
 		outcome = "open"
-		return nil, false, nil
+		return nil, false
 	}
 	if ferr := faultinject.Hit("cluster.peer"); ferr != nil {
 		br.Failure()
 		p.errs.Add(1)
-		return nil, false, nil
+		return nil, false
 	}
 	body, terr := p.transport.Fill(ctx, owner, spec.Request)
 	if terr != nil {
 		br.Failure()
 		p.errs.Add(1)
 		span.SetAttr("error", terr.Error())
-		return nil, false, nil
+		return nil, false
 	}
 	br.Success()
 	span.SetAttr("bytes", len(body))
@@ -258,11 +247,11 @@ func (p *Peer) fill(ctx context.Context, key, owner string, spec *FillSpec) (val
 		p.bad.Add(1)
 		outcome = "bad"
 		span.SetAttr("error", derr.Error())
-		return nil, false, nil
+		return nil, false
 	}
 	p.hit.Add(1)
 	outcome = "hit"
-	return v, true, nil
+	return v, true
 }
 
 func (p *Peer) breakerFor(owner string) *breaker.Breaker {

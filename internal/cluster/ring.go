@@ -2,18 +2,18 @@
 //
 // A plan is expensive to compute but tiny to store and perfectly
 // content-addressed (the canonical SHA-256 PlanKey), so every plan should
-// be computed exactly once fleet-wide. The package lifts the local
-// single-flight plan cache (internal/plancache) behind a Backend interface
-// with three implementations:
+// be computed exactly once fleet-wide. Each member keeps one single-flight
+// plan cache (internal/plancache); a Backend decides where a miss in it is
+// computed:
 //
-//   - Local    — the existing in-process LRU, unchanged semantics;
-//   - Peer     — consistent-hashes the key onto a static member Ring and
+//   - Local — in process, the single-node composition;
+//   - Peer  — consistent-hashes the key onto a static member Ring and
 //     asks the key's owner over POST /v1/peer/fill before computing
 //     locally (groupcache-style: the owner runs the computation under its
 //     own single-flight, so concurrent fleet-wide requests for one key
-//     collapse onto one planner execution);
-//   - Layered  — a small hot LRU over Peer, so repeated requests for
-//     non-owned keys stop crossing the network.
+//     collapse onto one planner execution). The owner's answer is stored
+//     in the member's plan cache, so repeated requests for a non-owned
+//     key stop crossing the network.
 //
 // Membership is static (the -peers flag), not gossip: fleet membership for
 // a planning tier changes by deploy, and a static ring keeps owner

@@ -10,19 +10,12 @@ import (
 	"scratchmem/internal/smmerr"
 )
 
-// The degradation ladder (scratchmem.PlanModelCtx) retries an infeasible
-// request through progressively more conservative planners. Each rung is
-// named so the reason chain and the PlanDoc stay machine-readable.
-const (
-	// DegradedPrefetchRelaxed re-plans with the "+p" variants removed:
-	// prefetch double-buffers every tile (paper Eq. 2), so dropping it
-	// halves the working set of each candidate.
-	DegradedPrefetchRelaxed = "prefetch-relaxed"
-	// DegradedBaseline is the last rung: every layer runs fallback tiling —
-	// the analogue of SCALE-Sim's statically split, double-buffered
-	// scratchpad. It never reports infeasibility.
-	DegradedBaseline = "baseline-fallback"
-)
+// DegradedBaseline names the degradation ladder's one rung below the
+// request (scratchmem.PlanModelCtx), so the reason chain and the PlanDoc
+// stay machine-readable: every layer runs fallback tiling — the analogue
+// of SCALE-Sim's statically split, double-buffered scratchpad. It never
+// reports infeasibility.
+const DegradedBaseline = "baseline-fallback"
 
 // DegradedReason records one failed rung of the degradation ladder.
 type DegradedReason struct {

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -234,18 +233,6 @@ func Stats() map[string]SiteStats {
 		out[site] = *st
 	}
 	reg.mu.Unlock()
-	return out
-}
-
-// Sites lists the sites of the current configuration, sorted.
-func Sites() []string {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	out := make([]string, 0, len(reg.faults))
-	for s := range reg.faults {
-		out = append(out, s)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -45,15 +45,6 @@ type Graph struct {
 	Nodes []GraphNode
 }
 
-// Network flattens the graph back into a linear Network in node order.
-func (g *Graph) Network() *Network {
-	n := &Network{Name: g.Name, Layers: make([]layer.Layer, len(g.Nodes))}
-	for i := range g.Nodes {
-		n.Layers[i] = g.Nodes[i].Layer
-	}
-	return n
-}
-
 // Chainable reports whether b can consume a's ofmap in place: matching
 // spatial dimensions and channel count (the inter-layer reuse condition).
 func Chainable(a, b *layer.Layer) bool {

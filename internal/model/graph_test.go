@@ -40,13 +40,12 @@ func TestBuiltinGraphsValidateAndMatchNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln := g.Network()
-		if len(ln.Layers) != len(n.Layers) {
-			t.Fatalf("%s: graph has %d layers, network %d", name, len(ln.Layers), len(n.Layers))
+		if len(g.Nodes) != len(n.Layers) {
+			t.Fatalf("%s: graph has %d nodes, network %d layers", name, len(g.Nodes), len(n.Layers))
 		}
 		for i := range n.Layers {
-			if ln.Layers[i] != n.Layers[i] {
-				t.Fatalf("%s layer %d: graph %+v != network %+v", name, i, ln.Layers[i], n.Layers[i])
+			if g.Nodes[i].Layer != n.Layers[i] {
+				t.Fatalf("%s layer %d: graph %+v != network %+v", name, i, g.Nodes[i].Layer, n.Layers[i])
 			}
 		}
 		if isDAG := !g.IsChain(); isDAG != wantDAG[name] {
@@ -156,33 +155,39 @@ func TestReadTopologyCSVRejectsMalformedRows(t *testing.T) {
 	}
 }
 
-// TestGraphJSONRoundTrip: the JSON graph format persists edges exactly, and
-// legacy files without edge columns load as inferred chains.
+// TestGraphJSONRoundTrip: the JSON graph format carries edges exactly —
+// a concatenation join and a residual — and legacy files without edge
+// columns load as inferred chains.
 func TestGraphJSONRoundTrip(t *testing.T) {
-	g, err := BuiltinGraph("GoogLeNet")
+	const doc = `{"name": "join", "layers": [
+		{"name": "a", "type": "CV", "ih": 8, "iw": 8, "ci": 3, "fh": 3, "fw": 3, "f": 4, "s": 1, "p": 1, "inputs": ["@in"]},
+		{"name": "b", "type": "CV", "ih": 8, "iw": 8, "ci": 4, "fh": 3, "fw": 3, "f": 4, "s": 1, "p": 1, "inputs": ["a"], "residual": ["a"]},
+		{"name": "c", "type": "PW", "ih": 8, "iw": 8, "ci": 8, "fh": 1, "fw": 1, "f": 4, "s": 1, "p": 0, "inputs": ["a", "b"]}
+	]}`
+	g, err := ReadGraphJSON(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	want := []GraphNode{
+		{Layer: layer.MustNew("a", layer.Conv, 8, 8, 3, 3, 3, 4, 1, 1), Inputs: []string{"@in"}},
+		{Layer: layer.MustNew("b", layer.Conv, 8, 8, 4, 3, 3, 4, 1, 1), Inputs: []string{"a"}, Residual: []string{"a"}},
+		{Layer: layer.MustNew("c", layer.PointwiseConv, 8, 8, 8, 1, 1, 4, 1, 0), Inputs: []string{"a", "b"}},
 	}
-	back, err := ReadGraphJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if g.Name != "join" || len(g.Nodes) != len(want) {
+		t.Fatalf("read %q with %d nodes, want join with %d", g.Name, len(g.Nodes), len(want))
 	}
-	if len(back.Nodes) != len(g.Nodes) {
-		t.Fatalf("round trip: %d nodes, want %d", len(back.Nodes), len(g.Nodes))
-	}
-	for i := range g.Nodes {
-		a, b := &g.Nodes[i], &back.Nodes[i]
+	for i := range want {
+		a, b := &want[i], &g.Nodes[i]
 		if a.Layer != b.Layer {
-			t.Fatalf("node %d layer changed", i)
+			t.Fatalf("node %d layer = %+v, want %+v", i, b.Layer, a.Layer)
 		}
 		if strings.Join(a.Inputs, "|") != strings.Join(b.Inputs, "|") ||
 			strings.Join(a.Residual, "|") != strings.Join(b.Residual, "|") {
-			t.Fatalf("node %d edges changed: %v/%v vs %v/%v", i, a.Inputs, a.Residual, b.Inputs, b.Residual)
+			t.Fatalf("node %d edges = %v/%v, want %v/%v", i, b.Inputs, b.Residual, a.Inputs, a.Residual)
 		}
+	}
+	if g.IsChain() {
+		t.Error("a graph with a concatenation join read as a chain")
 	}
 
 	// A legacy linear JSON file (no edge columns) loads as a chain.
@@ -190,7 +195,7 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := n.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -257,24 +257,6 @@ type jsonGraph struct {
 	Layers []jsonGraphLayer `json:"layers"`
 }
 
-// WriteJSON serialises the graph as indented JSON: the Network layer format
-// plus per-layer "inputs"/"residual" edge columns.
-func (g *Graph) WriteJSON(w io.Writer) error {
-	jg := jsonGraph{Name: g.Name, Layers: make([]jsonGraphLayer, len(g.Nodes))}
-	for i := range g.Nodes {
-		nd := &g.Nodes[i]
-		l := nd.Layer
-		jg.Layers[i] = jsonGraphLayer{
-			Name: l.Name, Type: l.Kind.String(),
-			IH: l.IH, IW: l.IW, CI: l.CI, FH: l.FH, FW: l.FW, F: l.F, S: l.S, P: l.P,
-			Inputs: nd.Inputs, Residual: nd.Residual,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jg)
-}
-
 // ReadGraphJSON parses a graph from JSON. The edge columns are optional:
 // when no layer declares inputs the file is a legacy linear network and the
 // chain is inferred (continuous neighbours connect, everything else reads

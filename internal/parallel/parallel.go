@@ -42,98 +42,20 @@ func workerCount(workers int) int {
 	return workers
 }
 
-// ForEach runs f(i) for every i in [0, n), distributing indices over
-// workers goroutines (GOMAXPROCS when workers is 0; negative counts
-// panic). It returns when all calls completed. f must only write to
-// per-index state.
+// ForEachCtx runs f(ctx, i) for every i in [0, n) over workers goroutines
+// (GOMAXPROCS when workers is 0; negative counts panic). f must only write
+// to per-index state. It stops dispatching new indices as soon as ctx is
+// cancelled or any call returns a non-nil error, drains the calls already
+// running, and returns the first error (first-error-wins; ctx.Err() when
+// cancellation came first). Indices not yet dispatched at that point never
+// run.
 //
 // A panic inside f does not kill the process from an anonymous worker
-// goroutine: the first panic is recovered, every remaining index still
-// runs, and after all workers finish the panic is re-raised on the caller's
+// goroutine: the first panic is recovered, the remaining indices still run,
+// and after all workers finish the panic is re-raised on the caller's
 // goroutine wrapped in *Panic — so a server handler can convert it into a
-// 500 with recover().
-func ForEach(n, workers int, f func(i int)) {
-	workers = workerCount(workers)
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Single-worker calls run on the caller's goroutine; a panic
-		// already propagates there, but wrap it the same way so callers
-		// see one type regardless of worker count.
-		for i := 0; i < n; i++ {
-			callSafe(f, i, nil)
-		}
-		return
-	}
-	var (
-		once     sync.Once
-		panicked *Panic
-	)
-	record := func(p *Panic) { once.Do(func() { panicked = p }) }
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				callSafe(f, i, record)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-// callSafe invokes f(i), converting a panic into *Panic. With record nil it
-// re-panics immediately (synchronous path); otherwise it records the panic
-// and returns, so the worker keeps draining indices and the feeder never
-// blocks on a dead pool.
-func callSafe(f func(int), i int, record func(*Panic)) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := r.(*Panic)
-			if !ok {
-				p = &Panic{Value: r, Stack: stack()}
-			}
-			if record == nil {
-				panic(p)
-			}
-			record(p)
-		}
-	}()
-	f(i)
-}
-
-func stack() []byte {
-	buf := make([]byte, 16<<10)
-	return buf[:runtime.Stack(buf, false)]
-}
-
-// Map runs f over [0, n) like ForEach and collects the results in order.
-func Map[T any](n, workers int, f func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, workers, func(i int) { out[i] = f(i) })
-	return out
-}
-
-// ForEachCtx is the context-aware ForEach: it runs f(ctx, i) for every i in
-// [0, n) over workers goroutines, stops dispatching new indices as soon as
-// ctx is cancelled or any call returns a non-nil error, drains the calls
-// already running, and returns the first error (first-error-wins; ctx.Err()
-// when cancellation came first). Indices not yet dispatched at that point
-// never run. Worker panics propagate to the caller wrapped in *Panic,
-// exactly like ForEach.
+// 500 with recover(). A single worker runs on the caller's goroutine, where
+// the panic propagates at once, wrapped the same way.
 func ForEachCtx(ctx context.Context, n, workers int, f func(ctx context.Context, i int) error) error {
 	workers = workerCount(workers)
 	if n <= 0 {
@@ -234,6 +156,11 @@ func callSafeErr(ctx context.Context, f func(context.Context, int) error, i int,
 		}
 	}()
 	return f(ctx, i)
+}
+
+func stack() []byte {
+	buf := make([]byte, 16<<10)
+	return buf[:runtime.Stack(buf, false)]
 }
 
 // MapCtx runs f over [0, n) like ForEachCtx and collects the results in

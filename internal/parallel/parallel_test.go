@@ -10,76 +10,23 @@ import (
 	"time"
 )
 
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		n := 100
-		seen := make([]int32, n)
-		ForEach(n, workers, func(i int) { atomic.AddInt32(&seen[i], 1) })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 func TestForEachEmpty(t *testing.T) {
 	called := false
-	ForEach(0, 4, func(int) { called = true })
-	ForEach(-3, 4, func(int) { called = true })
-	if called {
-		t.Error("ForEach called f for n <= 0")
-	}
-}
-
-func TestMapPreservesOrder(t *testing.T) {
-	got := Map(50, 8, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i*i)
+	f := func(context.Context, int) error { called = true; return nil }
+	for _, n := range []int{0, -3} {
+		if err := ForEachCtx(context.Background(), n, 4, f); err != nil {
+			t.Errorf("ForEachCtx(n=%d) = %v", n, err)
 		}
+	}
+	if called {
+		t.Error("ForEachCtx called f for n <= 0")
 	}
 }
 
 func TestMapZero(t *testing.T) {
-	if got := Map(0, 4, func(i int) int { return i }); len(got) != 0 {
-		t.Errorf("Map(0) returned %d elements", len(got))
-	}
-}
-
-func TestForEachPanicPropagatesToCaller(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		n := 50
-		var visited int32
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("workers=%d: panic not propagated", workers)
-				}
-				p, ok := r.(*Panic)
-				if !ok {
-					t.Fatalf("workers=%d: recovered %T, want *Panic", workers, r)
-				}
-				if p.Value != "boom 7" {
-					t.Errorf("workers=%d: panic value %v, want boom 7", workers, p.Value)
-				}
-				if len(p.Stack) == 0 {
-					t.Errorf("workers=%d: panic carries no stack", workers)
-				}
-			}()
-			ForEach(n, workers, func(i int) {
-				atomic.AddInt32(&visited, 1)
-				if i == 7 {
-					panic("boom 7")
-				}
-			})
-		}()
-		// The pool must keep draining after a panic so the feeder never
-		// deadlocks; with multiple workers every index still runs.
-		if workers > 1 && visited != int32(n) {
-			t.Errorf("workers=%d: visited %d of %d indices after panic", workers, visited, n)
-		}
+	got, err := MapCtx(context.Background(), 0, 4, func(_ context.Context, i int) (int, error) { return i, nil })
+	if err != nil || len(got) != 0 {
+		t.Errorf("MapCtx(0) = %d elements, %v", len(got), err)
 	}
 }
 
@@ -94,7 +41,7 @@ func TestForEachFirstPanicWins(t *testing.T) {
 			t.Errorf("panic value %v (%T), want an index", p.Value, p.Value)
 		}
 	}()
-	ForEach(32, 8, func(i int) { panic(i) })
+	ForEachCtx(context.Background(), 32, 8, func(_ context.Context, i int) error { panic(i) })
 }
 
 func TestForEachCtxCoversAllIndices(t *testing.T) {
@@ -203,6 +150,8 @@ func TestForEachCtxDrainsRunningWorkers(t *testing.T) {
 
 func TestForEachCtxPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		n := 50
+		var visited int32
 		func() {
 			defer func() {
 				r := recover()
@@ -213,14 +162,23 @@ func TestForEachCtxPanicPropagates(t *testing.T) {
 				if p.Value != "boom 3" {
 					t.Errorf("workers=%d: panic value %v, want boom 3", workers, p.Value)
 				}
+				if len(p.Stack) == 0 {
+					t.Errorf("workers=%d: panic carries no stack", workers)
+				}
 			}()
-			ForEachCtx(context.Background(), 50, workers, func(_ context.Context, i int) error {
+			ForEachCtx(context.Background(), n, workers, func(_ context.Context, i int) error {
+				atomic.AddInt32(&visited, 1)
 				if i == 3 {
 					panic("boom 3")
 				}
 				return nil
 			})
 		}()
+		// The pool must keep draining after a panic so the feeder never
+		// deadlocks; with multiple workers every index still runs.
+		if workers > 1 && visited != int32(n) {
+			t.Errorf("workers=%d: visited %d of %d indices after panic", workers, visited, n)
+		}
 	}
 }
 
@@ -263,9 +221,11 @@ func TestWorkerCountDefaultsToGOMAXPROCS(t *testing.T) {
 	// The zero default actually runs work (and from more than one
 	// goroutine when the machine has them).
 	var n atomic.Int64
-	ForEach(100, 0, func(i int) { n.Add(1) })
+	if err := ForEachCtx(context.Background(), 100, 0, func(context.Context, int) error { n.Add(1); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if n.Load() != 100 {
-		t.Fatalf("ForEach with default workers ran %d calls, want 100", n.Load())
+		t.Fatalf("ForEachCtx with default workers ran %d calls, want 100", n.Load())
 	}
 	out, err := MapCtx(context.Background(), 10, 0, func(ctx context.Context, i int) (int, error) { return i * i, nil })
 	if err != nil {
@@ -282,9 +242,10 @@ func TestWorkerCountDefaultsToGOMAXPROCS(t *testing.T) {
 // error and fails loudly, naming the offending value.
 func TestNegativeWorkersPanic(t *testing.T) {
 	for name, call := range map[string]func(){
-		"ForEach":    func() { ForEach(1, -1, func(int) {}) },
 		"ForEachCtx": func() { _ = ForEachCtx(context.Background(), 1, -2, func(context.Context, int) error { return nil }) },
-		"Map":        func() { _ = Map(1, -1, func(int) int { return 0 }) },
+		"ForEachCtx/empty": func() {
+			_ = ForEachCtx(context.Background(), 0, -1, func(context.Context, int) error { return nil })
+		},
 		"MapCtx": func() {
 			_, _ = MapCtx(context.Background(), 1, -3, func(context.Context, int) (int, error) { return 0, nil })
 		},

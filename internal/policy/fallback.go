@@ -24,12 +24,8 @@ func FallbackEstimate(l *layer.Layer, o Options, cfg Config) Result {
 	return fallbackShaped(l, &s, o, cfg)
 }
 
-// Fallback is FallbackEstimate against the precomputed geometry.
-func (sh *Shape) Fallback(o Options, cfg Config) Result {
-	return fallbackShaped(sh.l, &sh.s, o, cfg)
-}
-
-// FallbackInto is Fallback writing its result in place.
+// FallbackInto is FallbackEstimate against the precomputed geometry,
+// writing its result in place.
 func (sh *Shape) FallbackInto(e *Result, o Options, cfg Config) {
 	fallbackShapedInto(e, sh.l, &sh.s, o, cfg)
 }

@@ -40,8 +40,8 @@ func neighborNetwork(tb testing.TB, base string, idx, delta int) []byte {
 // crossed with objective/scheme/reuse options over a few GLB sizes; eight
 // one-layer mutants of the two models at 64 kB, most under options the
 // pairs also plan, so batch items share sweep tables with other items'
-// bases; and one AlexNet plan at 4 kB, whose requested and prefetch-relaxed
-// rungs fail before the baseline plan. Every item is a distinct plan key.
+// bases; and one AlexNet plan at 4 kB, whose requested plan fails before
+// the baseline plan. Every item is a distinct plan key.
 func sweepRequests(tb testing.TB) []PlanRequest {
 	var reqs []PlanRequest
 	for _, model := range []string{"TinyCNN", "AlexNet"} {

@@ -164,7 +164,7 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	// computing locally, so triggering a compute here would turn the
 	// exactly-once guarantee into at-least-twice.
 	if r.URL.Query().Get("cached") == "only" {
-		v, ok := s.cache.Get("plan:" + res.key)
+		v, ok := s.local.Get("plan:" + res.key)
 		if !ok {
 			s.writeError(w, http.StatusNotFound, "no cached plan for key "+res.key)
 			return

@@ -35,7 +35,7 @@ func fillThroughPeer(t *testing.T, body []byte, net *scratchmem.Network, opts sc
 		}
 	}
 	answer := cluster.TransportFunc(func(context.Context, string, any) ([]byte, error) { return body, nil })
-	peer := cluster.NewPeer(cluster.NewLocal(plancache.New(4)), ring, self, answer, cluster.PeerOptions{})
+	peer := cluster.NewPeer(plancache.New(4), ring, self, answer, cluster.PeerOptions{})
 	local := false
 	spec := &cluster.FillSpec{Request: struct{}{}, Decode: func(b []byte) (any, error) { return decodePeerPlan(b, net, opts) }}
 	if _, _, err := peer.Do(context.Background(), key, spec, func(context.Context) (any, error) {

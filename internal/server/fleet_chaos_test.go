@@ -176,9 +176,8 @@ func startChaosNode(t *testing.T, ring *cluster.Ring, self string, l net.Listene
 		Timeout: 5 * time.Second,
 		Fleet:   fleet,
 		Cluster: func(local *plancache.Cache) cluster.Backend {
-			peer := cluster.NewPeer(cluster.NewLocal(local), ring, self, cluster.TransportFunc(testFill),
+			return cluster.NewPeer(local, ring, self, cluster.TransportFunc(testFill),
 				cluster.PeerOptions{Health: health, Lookup: chaosLookup})
-			return cluster.NewLayered(plancache.New(32), peer, peer.Remote)
 		},
 	})
 	counter := &atomic.Int64{}
@@ -324,7 +323,7 @@ func TestChaosFleetOwnerKillRecoversFromSuccessor(t *testing.T) {
 	if n := nodes[third].planned.Load() + nodes[succ].planned.Load(); n != 0 {
 		t.Fatalf("survivors ran the planner %d times; the replica made that unnecessary", n)
 	}
-	ps := nodes[third].srv.cache.(cluster.PeerStatser).PeerStats()
+	ps := nodes[third].srv.cache.(*cluster.Peer).PeerStats()
 	if ps.Dead == 0 || ps.SuccHit != 1 {
 		t.Fatalf("peer stats = %+v, want Dead>=1 and SuccHit=1", ps)
 	}
@@ -350,9 +349,12 @@ func TestChaosFleetOwnerKillRecoversFromSuccessor(t *testing.T) {
 	if inv.Key != bare {
 		t.Fatalf("invalidate echoed key %q, want %q", inv.Key, bare)
 	}
-	// The third node is not the key's owner: its copy was a hot-layer
-	// replica, so Removed (authoritative entries) is 0 — the Get checks
-	// below prove the copies are gone anyway.
+	// The third node is not the key's owner, but the successor's replica it
+	// recovered is stored in its plan cache like any other plan, so Removed
+	// counts it.
+	if inv.Removed != 1 {
+		t.Fatalf("invalidate removed %d entries on the third node, want its one plan", inv.Removed)
+	}
 	for _, fr := range inv.Fanout {
 		if fr.Member == owner {
 			t.Fatalf("fan-out addressed the dead owner: %+v", fr)
@@ -364,8 +366,8 @@ func TestChaosFleetOwnerKillRecoversFromSuccessor(t *testing.T) {
 	if nodes[succ].srv.local.Contains(key) {
 		t.Fatal("successor replica survived fleet-wide invalidation")
 	}
-	if _, ok := nodes[third].srv.cache.Get(key); ok {
-		t.Fatal("third node's hot copy survived its own invalidation")
+	if nodes[third].srv.local.Contains(key) {
+		t.Fatal("third node's copy survived its own invalidation")
 	}
 
 	// Restart the owner on the same address. One successful probe round

@@ -12,8 +12,9 @@ import (
 )
 
 // replicateFresh pushes a freshly computed plan toward its ring successor.
-// Only the key's owner replicates (non-owners hold hot copies, not the
-// authoritative one), only non-degraded plans travel, and the push is
+// Only the key's owner replicates (a non-owner computes a key only when its
+// owner and the successor failed it, and its copy is not the one the fleet
+// falls back on), only non-degraded plans travel, and the push is
 // asynchronous and best-effort — a lost replica costs one recompute after
 // an owner death, never a wrong answer. ctx contributes only its trace
 // context, so the eventual push still appears in the computing request's
@@ -85,7 +86,7 @@ func derivedCacheKeys(key string) []string {
 func (s *Server) removeLocal(key string) int {
 	removed := 0
 	for _, k := range derivedCacheKeys(key) {
-		if s.cache.Remove(k) {
+		if s.local.Remove(k) {
 			removed++
 		}
 	}
@@ -171,7 +172,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 // handlePurge empties this member's caches and fans the purge out to every
 // live member. ?fanout=no marks a fan-out delivery and applies locally only.
 func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
-	resp := PurgeResponse{Purged: s.cache.Purge()}
+	resp := PurgeResponse{Purged: s.local.Purge()}
 	s.met.invalidatedLocally()
 	if r.URL.Query().Get("fanout") != "no" {
 		ctx, cancel := s.requestCtx(r)
@@ -201,11 +202,11 @@ type ClusterStatus struct {
 // GET /v1/cluster/status and the self row of GET /v1/cluster/overview.
 func (s *Server) statusDoc() ClusterStatus {
 	resp := ClusterStatus{
-		Cache:         s.cache.Stats(),
+		Cache:         s.local.Stats(),
 		DegradedPlans: s.met.degradedCount(),
 	}
-	if ps, ok := s.cache.(cluster.PeerStatser); ok {
-		resp.Peer = ps.PeerStats()
+	if p, ok := s.cache.(*cluster.Peer); ok {
+		resp.Peer = p.PeerStats()
 	}
 	if f := s.fleet; f != nil {
 		resp.Self = f.Self

@@ -162,9 +162,8 @@ func newObsFleet(t *testing.T, n int) (map[string]*obsNode, []string, *cluster.R
 			Logger:  logger,
 			Fleet:   fleet,
 			Cluster: func(local *plancache.Cache) cluster.Backend {
-				peer := cluster.NewPeer(cluster.NewLocal(local), ring, self, cluster.TransportFunc(testFill),
+				return cluster.NewPeer(local, ring, self, cluster.TransportFunc(testFill),
 					cluster.PeerOptions{Health: health, Lookup: chaosLookup})
-				return cluster.NewLayered(plancache.New(32), peer, peer.Remote)
 			},
 		})
 		counter := &atomic.Int64{}

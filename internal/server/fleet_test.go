@@ -85,8 +85,7 @@ func newFleet(t *testing.T, n int, popts cluster.PeerOptions) ([]*fleetNode, *cl
 		srv := New(Config{
 			Timeout: 5 * time.Second,
 			Cluster: func(local *plancache.Cache) cluster.Backend {
-				peer := cluster.NewPeer(cluster.NewLocal(local), ring, self, cluster.TransportFunc(testFill), popts)
-				return cluster.NewLayered(plancache.New(32), peer, peer.Remote)
+				return cluster.NewPeer(local, ring, self, cluster.TransportFunc(testFill), popts)
 			},
 		})
 		counter := &atomic.Int64{}
@@ -151,7 +150,7 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 	owner := ring.Owner(planKeyFor(t, "TinyCNN", 32))
 	hits := int64(0)
 	for _, n := range nodes {
-		ps := n.srv.cache.(cluster.PeerStatser).PeerStats()
+		ps := n.srv.cache.(*cluster.Peer).PeerStats()
 		_, metricsBody := get(t, n.ts, "/metrics")
 		if n.url == owner {
 			if n.planned.Load() != 1 {
@@ -177,13 +176,13 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 		t.Fatalf("fleet recorded %d fill hits, want 2", hits)
 	}
 
-	// Repeat requests on a non-owner are absorbed by its hot cache: no new
-	// fills, no new planner runs.
+	// Repeat requests on a non-owner are served from its plan cache, where
+	// the fill was stored: no new fills, no new planner runs.
 	for _, n := range nodes {
 		if n.url == owner {
 			continue
 		}
-		before := n.srv.cache.(cluster.PeerStatser).PeerStats().Hit
+		before := n.srv.cache.(*cluster.Peer).PeerStats().Hit
 		resp, body := post(t, n.ts, "/v1/plan", tinyPlanBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("repeat on %s: status %d", n.url, resp.StatusCode)
@@ -194,7 +193,7 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 		if resp.Header.Get("X-SMM-Cache") != "hit" {
 			t.Errorf("repeat on %s: X-SMM-Cache = %q, want hit", n.url, resp.Header.Get("X-SMM-Cache"))
 		}
-		if after := n.srv.cache.(cluster.PeerStatser).PeerStats().Hit; after != before {
+		if after := n.srv.cache.(*cluster.Peer).PeerStats().Hit; after != before {
 			t.Errorf("repeat on %s crossed the network again", n.url)
 		}
 		break
@@ -227,7 +226,7 @@ func TestFleetOwnerDownDegradesToLocal(t *testing.T) {
 	if nodes[0].planned.Load() != 1 {
 		t.Fatalf("survivor ran the planner %d times, want 1", nodes[0].planned.Load())
 	}
-	ps := nodes[0].srv.cache.(cluster.PeerStatser).PeerStats()
+	ps := nodes[0].srv.cache.(*cluster.Peer).PeerStats()
 	if ps.Error != 1 || ps.Hit != 0 {
 		t.Fatalf("peer stats = %+v, want exactly one fill error", ps)
 	}
@@ -271,7 +270,7 @@ func TestFleetDegradedPlanFillsBadAndRecomputes(t *testing.T) {
 	if !strings.Contains(string(body), `"degraded": true`) {
 		t.Fatal("expected a degraded document")
 	}
-	ps := nodes[0].srv.cache.(cluster.PeerStatser).PeerStats()
+	ps := nodes[0].srv.cache.(*cluster.Peer).PeerStats()
 	if ps.Bad != 1 {
 		t.Fatalf("peer stats = %+v, want Bad=1", ps)
 	}
@@ -303,7 +302,7 @@ func TestFleetPeerFaultInjection(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d under peer faults: %s", resp.StatusCode, body)
 	}
-	if ps := nodes[0].srv.cache.(cluster.PeerStatser).PeerStats(); ps.Error != 1 {
+	if ps := nodes[0].srv.cache.(*cluster.Peer).PeerStats(); ps.Error != 1 {
 		t.Fatalf("peer stats = %+v, want Error=1", ps)
 	}
 	if nodes[0].planned.Load() != 1 {

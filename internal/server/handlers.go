@@ -482,8 +482,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var ps cluster.PeerStats
-	if st, ok := s.cache.(cluster.PeerStatser); ok {
-		ps = st.PeerStats()
+	if p, ok := s.cache.(*cluster.Peer); ok {
+		ps = p.PeerStats()
 	}
 	var fv fleetView
 	if s.fleet != nil {
@@ -494,7 +494,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fv.health = append([]cluster.MemberHealth{{Member: s.fleet.Self, Alive: true}}, s.fleet.Health.View()...)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.met.write(w, s.cache.Stats(), s.resolved.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
+	s.met.write(w, s.local.Stats(), s.resolved.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
 }
 
 // handleTrace renders the execution trace of an already-planned model:
@@ -512,7 +512,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequestf("unknown format %q (want perfetto or csv)", format))
 		return
 	}
-	v, ok := s.cache.Get("plan:" + key)
+	v, ok := s.local.Get("plan:" + key)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "no cached plan for key "+key+"; POST /v1/plan first")
 		return

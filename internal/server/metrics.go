@@ -28,7 +28,7 @@ var phaseNames = []string{"plan", "simulate", "cache_wait"}
 var datatypes = []string{"ifmap", "filter", "ofmap"}
 
 // degradedModes are the ladder rungs a served plan can carry.
-var degradedModes = []string{core.DegradedPrefetchRelaxed, core.DegradedBaseline}
+var degradedModes = []string{core.DegradedBaseline}
 
 // histogram is a fixed-bucket latency histogram (plannerBuckets bounds plus
 // +Inf overflow), atomic throughout so observation never takes a lock.

@@ -39,7 +39,7 @@ func TestDegradedPlan(t *testing.T) {
 	if !doc.Degraded || doc.DegradedMode != core.DegradedBaseline {
 		t.Errorf("degraded=%v mode=%q, want true/%q", doc.Degraded, doc.DegradedMode, core.DegradedBaseline)
 	}
-	wantChain := []string{"requested", core.DegradedPrefetchRelaxed}
+	wantChain := []string{"requested"}
 	if len(doc.DegradedReasons) != len(wantChain) {
 		t.Fatalf("reason chain %v, want modes %v", doc.DegradedReasons, wantChain)
 	}

@@ -89,9 +89,10 @@ type Config struct {
 	// SlowRequest is the threshold past which a completed request is also
 	// logged at warn level (0 disables slow-request logging).
 	SlowRequest time.Duration
-	// Cluster, when non-nil, wraps the local plan cache into the fleet
-	// backend (cmd/smm-serve composes Layered over Peer over Local from the
-	// -peers flag). Nil keeps the historical single-node behaviour.
+	// Cluster, when non-nil, builds the fleet backend over the local plan
+	// cache (cmd/smm-serve builds a cluster.Peer from the -peers flag), so
+	// plan misses ask their ring owner before computing. Nil keeps the
+	// single-node behaviour.
 	Cluster func(local *plancache.Cache) cluster.Backend
 	// Fleet, when non-nil, is the cluster control plane: liveness view,
 	// successor replication and the fan-out invalidation transport. Nil
@@ -116,13 +117,13 @@ const (
 // shared result cache. Construct with New.
 type Server struct {
 	cfg Config
-	// cache is the backend every plan request goes through: the local
-	// single-flight LRU alone, or the cluster composition over it. Requests
-	// to non-clustered value kinds (simulations, sweeps, traces) pass a nil
+	// cache decides where a miss in local is computed: in process, or on
+	// the key's ring owner first (a *cluster.Peer). Requests to
+	// non-clustered value kinds (simulations, sweeps, traces) pass a nil
 	// fill spec and stay local either way.
 	cache cluster.Backend
-	// local is the authoritative in-process store under cache; warm
-	// snapshot restore inserts through it directly.
+	// local is this member's one plan cache. Lookups, invalidation, purge,
+	// snapshots, warm restore, replicas and counters use it directly.
 	local *plancache.Cache
 	// resolved is the resolve memo of /v1/plan and /v1/peer/fill, keyed by
 	// body digest (see resolvedBody). It holds no plan state, so
@@ -246,7 +247,7 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // CacheStats exposes the cache counters (for smm-serve's shutdown log).
-func (s *Server) CacheStats() plancache.Stats { return s.cache.Stats() }
+func (s *Server) CacheStats() plancache.Stats { return s.local.Stats() }
 
 // counted wraps a handler with its request counter, the route's circuit
 // breaker, the request span and access log, and a recover that converts a

@@ -157,9 +157,9 @@ func TestPlanSingleFlight(t *testing.T) {
 	// Wait until all but the leader have coalesced onto the flight, then
 	// let the planner finish.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.cache.Stats().Coalesced < concurrent-1 {
+	for srv.local.Stats().Coalesced < concurrent-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d requests coalesced", srv.cache.Stats().Coalesced)
+			t.Fatalf("only %d requests coalesced", srv.local.Stats().Coalesced)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -582,7 +582,7 @@ func TestLeaderCancelFollowerStillServed(t *testing.T) {
 		followerCode <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.cache.Stats().Coalesced < 1 {
+	for srv.local.Stats().Coalesced < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never coalesced")
 		}

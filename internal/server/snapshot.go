@@ -183,7 +183,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	var stream []byte
 	n := 0
-	for _, e := range s.cache.Snapshot() {
+	for _, e := range s.local.Snapshot() {
 		key, ok := strings.CutPrefix(e.Key, "plan:")
 		if !ok {
 			continue

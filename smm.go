@@ -238,13 +238,13 @@ func PlanModel(n *Network, o PlanOptions) (*Plan, error) {
 // (as *InfeasibleError, inside a *LayerError) when a layer does not fit.
 //
 // When the requested policy set is infeasible and o.Strict is false, the
-// planner walks a degradation ladder instead of failing: re-plan with
-// prefetching relaxed, then fall back to the baseline statically-split
-// double-buffered plan, which always succeeds.
-// A ladder plan is marked Degraded with the mode that produced it and the
-// machine-readable chain of rungs that failed before it. Cancellation,
-// invalid models and injected faults abort the ladder immediately; only
-// genuine infeasibility descends a rung.
+// planner falls back instead of failing: it emits the baseline
+// statically-split double-buffered plan, which always succeeds. (Relaxing
+// prefetch first could never help: the requested sweep already tries every
+// policy and fallback tiling without prefetch.) The plan is marked Degraded
+// with the mode that produced it and the machine-readable chain of rungs
+// that failed before it. Cancellation, invalid models and injected faults
+// abort the ladder immediately; only genuine infeasibility descends a rung.
 func PlanModelCtx(ctx context.Context, n *Network, o PlanOptions, prog Progress) (*Plan, error) {
 	cfg, err := o.config()
 	if err != nil {
@@ -293,23 +293,7 @@ func planLadder(ctx context.Context, cfg Config, n *Network, o PlanOptions, prog
 	}
 	reasons := []core.DegradedReason{{Mode: "requested", Err: err.Error()}}
 
-	// Rung 1: relax prefetching. Prefetch double-buffers every tile (paper
-	// Eq. 2), so the "+p"-free policy set needs half the buffer space.
-	if !o.DisablePrefetch {
-		relaxed := *pl
-		relaxed.DisablePrefetch = true
-		plan, err = planRequested(ctx, &relaxed, n, o.Homogeneous, prog)
-		if err == nil {
-			plan.MarkDegraded(core.DegradedPrefetchRelaxed, reasons)
-			return plan, nil
-		}
-		if !errors.Is(err, smmerr.ErrInfeasible) {
-			return nil, err
-		}
-		reasons = append(reasons, core.DegradedReason{Mode: core.DegradedPrefetchRelaxed, Err: err.Error()})
-	}
-
-	// Rung 2: the baseline statically-split double-buffered plan. It never
+	// Rung 1: the baseline statically-split double-buffered plan. It never
 	// reports infeasibility, so the ladder always terminates with a plan.
 	plan, err = pl.BaselineFallbackCtx(ctx, n, prog)
 	if err != nil {
