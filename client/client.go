@@ -185,7 +185,7 @@ func (c *Client) do(ctx context.Context, method, path string, payload any) ([]by
 // the server's Retry-After as a floor), respect the deadline budget. The
 // base URL is explicit so the same client (and its retry policy, jitter
 // source, and test seams) can address any member of a fleet — the
-// cluster.Transport adapter depends on this. A non-nil payload is sent as
+// cluster.FillFunc adapter depends on this. A non-nil payload is sent as
 // its JSON encoding.
 func (c *Client) doAt(ctx context.Context, baseURL, method, path string, payload any) ([]byte, error) {
 	var body []byte

@@ -87,16 +87,16 @@ func (c *Client) Version(ctx context.Context) (*server.VersionInfo, error) {
 	return &v, nil
 }
 
-// Transport adapts the client into a cluster.Transport: peer fills go to
+// Transport adapts the client into a cluster.FillFunc: peer fills go to
 // whichever member owns the key, through this client's retry policy and
 // backoff seams. The client's own BaseURL is ignored for these calls —
 // configure a dedicated Client (typically with few or no retries, since the
-// Peer backend already breaks the circuit and falls back to planning
-// locally) and hand its Transport to cluster.NewPeer.
-func (c *Client) Transport() cluster.Transport {
-	return cluster.TransportFunc(func(ctx context.Context, baseURL string, request any) ([]byte, error) {
+// fleet already breaks the circuit and falls back to planning locally) and
+// set its Transport as the cluster.Fleet's Fill.
+func (c *Client) Transport() cluster.FillFunc {
+	return func(ctx context.Context, baseURL string, request any) ([]byte, error) {
 		return c.doAt(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/fill", request)
-	})
+	}
 }
 
 // ProbeTransport adapts the client into a cluster.ProbeFunc: one GET
@@ -113,8 +113,8 @@ func (c *Client) ProbeTransport() cluster.ProbeFunc {
 // LookupTransport adapts the client into a cluster.LookupFunc: a
 // cached-only peer fill (POST /v1/peer/fill?cached=only) that can never
 // trigger a compute on the asked member. A 404 — the member simply holds no
-// replica — maps to cluster.ErrNoReplica so the Peer backend can tell "no
-// copy" from "member broken".
+// replica — maps to cluster.ErrNoReplica so the fleet can tell "no copy"
+// from "member broken".
 func (c *Client) LookupTransport() cluster.LookupFunc {
 	return func(ctx context.Context, baseURL string, request any) ([]byte, error) {
 		body, err := c.doAt(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/fill?cached=only", request)

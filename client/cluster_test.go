@@ -63,7 +63,7 @@ func TestPeerFillFlappingPeer(t *testing.T) {
 // TestPeerFillRetryBudgetExhausted: when the flapping peer's Retry-After
 // floor cannot fit inside the caller's deadline, the client gives up
 // immediately — no sleep, no extra attempt — and surfaces the underlying
-// 503 inside a budget error so the Peer backend can fall back to planning
+// 503 inside a budget error so the fleet can fall back to planning
 // locally with the deadline still mostly intact.
 func TestPeerFillRetryBudgetExhausted(t *testing.T) {
 	var calls atomic.Int32
@@ -173,7 +173,7 @@ func TestSnapshotFetchAndRestore(t *testing.T) {
 	}
 }
 
-// TestTransportAddressesThePeer: the cluster.Transport adapter posts the
+// TestTransportAddressesThePeer: the cluster.FillFunc adapter posts the
 // wire request to the base URL it is handed, not the client's own.
 func TestTransportAddressesThePeer(t *testing.T) {
 	var gotPath atomic.Value
@@ -189,7 +189,7 @@ func TestTransportAddressesThePeer(t *testing.T) {
 	c := New("http://client-base-url-must-not-be-used.invalid")
 	c.MaxRetries = -1
 
-	body, err := c.Transport().Fill(context.Background(), peer.URL+"/", server.PlanRequest{Model: "TinyCNN", GLBKiloBytes: 32})
+	body, err := c.Transport()(context.Background(), peer.URL+"/", server.PlanRequest{Model: "TinyCNN", GLBKiloBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestSnapshotWithoutEntriesHeaderIsTrusted(t *testing.T) {
 }
 
 // TestLookupTransportMapsMissToErrNoReplica: the successor-lookup adapter
-// must let the Peer backend distinguish "no replica here" (404 →
+// must let the fleet distinguish "no replica here" (404 →
 // ErrNoReplica, fall through to local compute) from "member broken".
 func TestLookupTransportMapsMissToErrNoReplica(t *testing.T) {
 	var path atomic.Value

@@ -39,13 +39,14 @@
 // /v1/peer/fill before planning locally, so each plan is computed once
 // fleet-wide, and a per-peer circuit breaker plus local fallback keep a
 // dead owner from taking the fleet down with it. -self must match this
-// node's own entry in -peers. A plan filled from another member is stored
-// in the node's one -cache plan cache, so a repeat is served locally. The
-// membership list is static but liveness is dynamic: every member probes
-// its peers each -probe-every, skips known-dead owners, and owners push
-// freshly computed plans to their ring successor (bounded by
-// -replicate-queue), so a miss falls back owner → successor replica →
-// local compute.
+// node's own entry in -peers. The fill runs inside the plan cache's
+// single-flight, so concurrent misses for one key on a node make one round
+// trip, and the filled plan is stored in the node's one -cache plan cache,
+// so a repeat is served locally. The membership list is static but liveness
+// is dynamic: every member probes its peers each -probe-every, skips
+// known-dead owners, and owners push freshly computed plans to their ring
+// successor (bounded by -replicate-queue), so a miss falls back owner →
+// successor replica → local compute.
 //
 // All operational output is structured (log/slog; -log-level, -log-format):
 // an access-log record per request carrying the trace ID, warn records for
@@ -76,7 +77,6 @@ import (
 	"scratchmem/internal/cli"
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/faultinject"
-	"scratchmem/internal/plancache"
 	"scratchmem/internal/server"
 )
 
@@ -159,11 +159,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// peerConns is the fleet client's own transport (nil standalone).
 	var peerConns *http.Transport
 	if *peers != "" {
-		backend, fleet, conns, err := clusterBackend(*peers, *self, *probeEvery, *replicateQueue)
+		fleet, conns, err := clusterBackend(*peers, *self, *probeEvery, *replicateQueue)
 		if err != nil {
 			return err
 		}
-		cfg.Cluster = backend
 		cfg.Fleet = fleet
 		peerConns = conns
 		logger.Info("fleet member", "self", *self, "peers", *peers,
@@ -289,13 +288,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// clusterBackend builds the server's fleet backend and control plane: a
-// consistent-hash ring over the static member list, peer fills and
-// successor lookups through the resilient client, plus health probing,
-// successor replication and the fan-out invalidation transport. It also
-// returns the fleet client's transport, which no other client shares, so
-// shutdown can close its idle peer connections.
-func clusterBackend(peers, self string, probeEvery time.Duration, replicateQueue int) (func(*plancache.Cache) cluster.Backend, *cluster.Fleet, *http.Transport, error) {
+// clusterBackend builds the member's fleet handle: a consistent-hash ring
+// over the static member list, owner fills and successor lookups through
+// the resilient client, plus health probing, successor replication and the
+// fan-out invalidation and status transports. It also returns the fleet
+// client's transport, which no other client shares, so shutdown can close
+// its idle peer connections.
+func clusterBackend(peers, self string, probeEvery time.Duration, replicateQueue int) (*cluster.Fleet, *http.Transport, error) {
 	var members []string
 	seen := make(map[string]bool)
 	for _, m := range strings.Split(peers, ",") {
@@ -307,34 +306,35 @@ func clusterBackend(peers, self string, probeEvery time.Duration, replicateQueue
 			// A duplicated member would silently deduplicate inside the ring
 			// and almost certainly means a typo in a deploy config: refuse
 			// rather than run with a membership the operator did not write.
-			return nil, nil, nil, fmt.Errorf("-peers lists %q more than once", m)
+			return nil, nil, fmt.Errorf("-peers lists %q more than once", m)
 		}
 		seen[m] = true
 		members = append(members, m)
 	}
 	ring, err := cluster.NewRing(members, cluster.DefaultReplicas)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if self == "" {
-		return nil, nil, nil, fmt.Errorf("-self is required with -peers")
+		return nil, nil, fmt.Errorf("-self is required with -peers")
 	}
 	self = strings.TrimRight(strings.TrimSpace(self), "/")
 	if !slices.Contains(ring.Members(), self) {
-		return nil, nil, nil, fmt.Errorf("-self %q is not one of -peers %q", self, peers)
+		return nil, nil, fmt.Errorf("-self %q is not one of -peers %q", self, peers)
 	}
-	// Peer fills get a single retry: the Peer backend already breaks the
-	// circuit and falls back to planning locally, so a long client-side
-	// retry loop would only delay that fallback.
+	// Peer fills get a single retry: the fleet already breaks the circuit
+	// and falls back to planning locally, so a long client-side retry loop
+	// would only delay that fallback.
 	fill := client.New("")
 	fill.MaxRetries = 1
 	conns := http.DefaultTransport.(*http.Transport).Clone()
 	fill.HTTPClient = &http.Client{Transport: conns}
-	transport := fill.Transport()
 
 	fleet := &cluster.Fleet{
 		Ring:       ring,
 		Self:       self,
+		Fill:       fill.Transport(),
+		Lookup:     fill.LookupTransport(),
 		Invalidate: fill.InvalidateTransport(),
 		Status:     fill.StatusTransport(),
 	}
@@ -346,10 +346,7 @@ func clusterBackend(peers, self string, probeEvery time.Duration, replicateQueue
 		fleet.Repl = cluster.NewReplicator(ring, self, fill.ReplicateTransport(), fleet.Health,
 			cluster.ReplicatorOptions{QueueDepth: replicateQueue})
 	}
-	popts := cluster.PeerOptions{Health: fleet.Health, Lookup: fill.LookupTransport()}
-	return func(local *plancache.Cache) cluster.Backend {
-		return cluster.NewPeer(local, ring, self, transport, popts)
-	}, fleet, conns, nil
+	return fleet, conns, nil
 }
 
 // warmSource opens the -warm-from snapshot stream: a peer base URL (the

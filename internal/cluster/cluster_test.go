@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scratchmem/internal/faultinject"
-	"scratchmem/internal/plancache"
 )
 
 // fakeTransport records fills and answers from a canned table.
@@ -17,15 +16,10 @@ type fakeTransport struct {
 	calls atomic.Int64
 	body  []byte
 	err   error
-	// hook runs inside Fill before answering (for cancellation tests).
-	hook func(ctx context.Context)
 }
 
-func (f *fakeTransport) Fill(ctx context.Context, baseURL string, request any) ([]byte, error) {
+func (f *fakeTransport) fill(ctx context.Context, baseURL string, request any) ([]byte, error) {
 	f.calls.Add(1)
-	if f.hook != nil {
-		f.hook(ctx)
-	}
 	return f.body, f.err
 }
 
@@ -59,197 +53,124 @@ func keyOwnedBy(t *testing.T, r *Ring, owner string) string {
 
 func decodeString(body []byte) (any, error) { return string(body), nil }
 
-func newPeerUnderTest(t *testing.T, tr Transport, opts PeerOptions) (*Peer, *plancache.Cache) {
+// fleetUnderTest is member A of a two-member ring, filling through tr.
+func fleetUnderTest(t *testing.T, tr *fakeTransport) *Fleet {
 	t.Helper()
-	c := plancache.New(16)
-	return NewPeer(c, twoRing(t), memberA, tr, opts), c
+	return &Fleet{Ring: twoRing(t), Self: memberA, Fill: tr.fill}
 }
 
 func TestPeerOwnedKeyComputesLocally(t *testing.T) {
 	tr := &fakeTransport{}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberA)
+	f := fleetUnderTest(t, tr)
+	key := keyOwnedBy(t, f.Ring, memberA)
 
-	var ran atomic.Int64
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		ran.Add(1)
-		return "local", nil
-	})
-	if err != nil || shared || v != "local" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	if v, ok := f.Fetch(context.Background(), key, "req", decodeString); ok || v != nil {
+		t.Fatalf("Fetch of an owned key = %v, %v; want nothing, so the caller computes", v, ok)
 	}
-	if ran.Load() != 1 || tr.calls.Load() != 0 {
-		t.Fatalf("ran=%d transport calls=%d, want 1 and 0", ran.Load(), tr.calls.Load())
+	if tr.calls.Load() != 0 {
+		t.Fatalf("transport calls = %d, want 0", tr.calls.Load())
 	}
-	if st := p.PeerStats(); st.OwnerSelf != 1 || st.Hit != 0 {
+	if st := f.PeerStats(); st.OwnerSelf != 1 || st.Hit != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	// The owned key is stored: a second Do is a shared cache hit.
-	if _, shared, _ := p.Do(context.Background(), key, spec, nil); !shared {
-		t.Fatal("second Do for owned key was not a cache hit")
 	}
 }
 
 func TestPeerFillHit(t *testing.T) {
 	tr := &fakeTransport{body: []byte("from-owner")}
-	p, c := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberB)
+	f := fleetUnderTest(t, tr)
+	key := keyOwnedBy(t, f.Ring, memberB)
 
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		t.Fatal("local compute ran despite a successful peer fill")
-		return nil, nil
-	})
-	if err != nil || !shared || v != "from-owner" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	v, ok := f.Fetch(context.Background(), key, "req", decodeString)
+	if !ok || v != "from-owner" {
+		t.Fatalf("Fetch = %v, %v", v, ok)
 	}
 	if tr.calls.Load() != 1 {
 		t.Fatalf("transport calls = %d, want 1", tr.calls.Load())
 	}
-	if st := p.PeerStats(); st.Hit != 1 || st.OwnerSelf != 0 {
+	if st := f.PeerStats(); st.Hit != 1 || st.OwnerSelf != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	// The fill is stored in the member's plan cache, so repeats are local
-	// hits with no second round trip.
-	if !c.Contains(key) {
-		t.Fatal("peer fill was not stored in the plan cache")
-	}
-	for i := 0; i < 2; i++ {
-		v, shared, err := p.Do(context.Background(), key, spec, nil)
-		if err != nil || !shared || v != "from-owner" {
-			t.Fatalf("repeat #%d = %v, %v, %v", i, v, shared, err)
-		}
-	}
-	if tr.calls.Load() != 1 {
-		t.Fatalf("transport calls = %d after two repeats, want 1", tr.calls.Load())
-	}
-	if st := p.PeerStats(); st.Hit != 1 {
-		t.Fatalf("stats after repeats = %+v, want one fill", st)
 	}
 }
 
 func TestPeerFillErrorFallsBackToLocal(t *testing.T) {
 	tr := &fakeTransport{err: errors.New("owner down")}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberB)
+	f := fleetUnderTest(t, tr)
+	key := keyOwnedBy(t, f.Ring, memberB)
 
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		return "degraded-local", nil
-	})
-	if err != nil || shared || v != "degraded-local" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	if v, ok := f.Fetch(context.Background(), key, "req", decodeString); ok {
+		t.Fatalf("Fetch = %v, %v; a failed fill must leave the caller to compute", v, ok)
 	}
-	if st := p.PeerStats(); st.Error != 1 || st.Hit != 0 {
+	if st := f.PeerStats(); st.Error != 1 || st.Hit != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestPeerBadDecodeFallsBackWithoutBreaking(t *testing.T) {
 	tr := &fakeTransport{body: []byte("garbage")}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{BreakerThreshold: 1})
-	key := keyOwnedBy(t, p.Ring(), memberB)
+	f := fleetUnderTest(t, tr)
+	f.BreakerThreshold = 1
+	key := keyOwnedBy(t, f.Ring, memberB)
 
-	spec := &FillSpec{
-		Request: "req",
-		Decode:  func([]byte) (any, error) { return nil, errors.New("version skew") },
+	skew := func([]byte) (any, error) { return nil, errors.New("version skew") }
+	if v, ok := f.Fetch(context.Background(), key, "req", skew); ok {
+		t.Fatalf("Fetch = %v, %v; a refused body must leave the caller to compute", v, ok)
 	}
-	v, _, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		return "local", nil
-	})
-	if err != nil || v != "local" {
-		t.Fatalf("Do = %v, %v", v, err)
-	}
-	if st := p.PeerStats(); st.Bad != 1 || st.Error != 0 {
+	if st := f.PeerStats(); st.Bad != 1 || st.Error != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// A bad decode must not open the member's breaker: the next fill still
 	// goes out on the wire.
-	spec.Decode = decodeString
-	if _, _, err := p.Do(context.Background(), keyOwnedBy(t, p.Ring(), memberB), spec, nil); err != nil {
-		t.Fatal(err)
+	if _, ok := f.Fetch(context.Background(), key, "req", decodeString); !ok {
+		t.Fatal("the fill after a bad decode did not go out")
 	}
-	if st := p.PeerStats(); st.Open != 0 {
-		t.Fatalf("breaker opened after decode failure: %+v", st)
+	if st := f.PeerStats(); st.Open != 0 || tr.calls.Load() != 2 {
+		t.Fatalf("breaker opened after decode failure: %+v, %d calls", st, tr.calls.Load())
 	}
 }
 
 func TestPeerBreakerOpensAfterFailures(t *testing.T) {
 	tr := &fakeTransport{err: errors.New("owner down")}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{BreakerThreshold: 1, BreakerCooldown: time.Hour})
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	local := func(context.Context) (any, error) { return "local", nil }
+	f := fleetUnderTest(t, tr)
+	f.BreakerThreshold, f.BreakerCooldown = 1, time.Hour
 
-	k1 := keyOwnedBy(t, p.Ring(), memberB)
-	if _, _, err := p.Do(context.Background(), k1, spec, local); err != nil {
-		t.Fatal(err)
-	}
+	k1 := keyOwnedBy(t, f.Ring, memberB)
+	f.Fetch(context.Background(), k1, "req", decodeString)
 	// The breaker opened on the first failure; the next non-owned key
 	// skips the wire entirely.
-	k2 := keyOwnedBy(t, p.Ring(), memberB)
-	if k2 == k1 {
-		k2 = k1 + "-b"
-		for p.Ring().Owner(k2) != memberB {
-			k2 += "b"
-		}
+	k2 := k1 + "-b"
+	for f.Ring.Owner(k2) != memberB {
+		k2 += "b"
 	}
-	if _, _, err := p.Do(context.Background(), k2, spec, local); err != nil {
-		t.Fatal(err)
+	if _, ok := f.Fetch(context.Background(), k2, "req", decodeString); ok {
+		t.Fatal("Fetch through an open breaker answered")
 	}
 	if got := tr.calls.Load(); got != 1 {
 		t.Fatalf("transport calls = %d, want 1 (breaker should fast-fail)", got)
 	}
-	if st := p.PeerStats(); st.Error != 1 || st.Open != 1 {
+	if st := f.PeerStats(); st.Error != 1 || st.Open != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestPeerNilSpecStaysLocal(t *testing.T) {
 	tr := &fakeTransport{body: []byte("never")}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberB)
+	f := fleetUnderTest(t, tr)
+	key := keyOwnedBy(t, f.Ring, memberB)
 
-	v, shared, err := p.Do(context.Background(), key, nil, func(context.Context) (any, error) {
-		return "sim-result", nil
-	})
-	if err != nil || shared || v != "sim-result" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	// A nil request is a fill being served for a peer: never forwarded.
+	if v, ok := f.Fetch(context.Background(), key, nil, decodeString); ok {
+		t.Fatalf("Fetch(nil request) = %v, %v", v, ok)
 	}
 	if tr.calls.Load() != 0 {
-		t.Fatal("local-only key crossed the network")
+		t.Fatal("a nil request crossed the network")
 	}
-}
-
-func TestPeerStoredNonOwnedKeyServedWithoutFill(t *testing.T) {
-	tr := &fakeTransport{body: []byte("never")}
-	p, c := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberB)
-	c.Put(key, "warm-restored")
-
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, nil)
-	if err != nil || !shared || v != "warm-restored" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	if st := f.PeerStats(); st != (PeerStats{}) {
+		t.Fatalf("stats = %+v, want none counted", st)
 	}
-	if tr.calls.Load() != 0 {
-		t.Fatal("warm-restored key crossed the network")
-	}
-}
-
-func TestPeerDeadCallerSkipsLocalFallback(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	tr := &fakeTransport{err: errors.New("owner down"), hook: func(context.Context) { cancel() }}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberB)
-
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	_, _, err := p.Do(ctx, key, spec, func(context.Context) (any, error) {
-		t.Fatal("planner ran for a cancelled caller")
-		return nil, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	// A nil fleet (standalone) is a valid handle that fetches nothing.
+	var none *Fleet
+	if _, ok := none.Fetch(context.Background(), key, "req", decodeString); ok || none.PeerStats() != (PeerStats{}) {
+		t.Fatal("a nil fleet fetched or counted")
 	}
 }
 
@@ -258,20 +179,16 @@ func TestPeerFaultInjection(t *testing.T) {
 	defer faultinject.Disable()
 
 	tr := &fakeTransport{body: []byte("never")}
-	p, _ := newPeerUnderTest(t, tr, PeerOptions{})
-	key := keyOwnedBy(t, p.Ring(), memberB)
+	f := fleetUnderTest(t, tr)
+	key := keyOwnedBy(t, f.Ring, memberB)
 
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, _, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		return "local", nil
-	})
-	if err != nil || v != "local" {
-		t.Fatalf("Do = %v, %v", v, err)
+	if v, ok := f.Fetch(context.Background(), key, "req", decodeString); ok {
+		t.Fatalf("Fetch = %v, %v under an injected fault", v, ok)
 	}
 	if tr.calls.Load() != 0 {
 		t.Fatal("injected fault did not stop the transport call")
 	}
-	if st := p.PeerStats(); st.Error != 1 {
+	if st := f.PeerStats(); st.Error != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

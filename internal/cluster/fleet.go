@@ -3,7 +3,17 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"scratchmem/internal/breaker"
 )
+
+// FillFunc asks the member at baseURL to produce the value for request
+// (POST /v1/peer/fill through the client's transport) and returns its
+// canonical response body.
+type FillFunc func(ctx context.Context, baseURL string, request any) ([]byte, error)
 
 // ErrNoReplica is what a LookupFunc returns when the asked member does not
 // hold a cached copy of the key (a cached-only miss). It is an expected
@@ -27,26 +37,43 @@ type InvalidateFunc func(ctx context.Context, baseURL, key string) error
 // primitive behind GET /v1/cluster/overview.
 type StatusFunc func(ctx context.Context, baseURL string) ([]byte, error)
 
-// Fleet bundles the cluster control plane — everything beyond the data-path
-// Backend: liveness, replication, and the transport for fan-out
-// invalidation. The server holds one (nil when standalone) and
-// nil-guards every use, so single-node behavior is untouched.
+// Fleet is one member's handle on the cluster: the ring, this member's
+// place in it, liveness, replication and the transports it talks to its
+// peers through. The server holds one (nil when standalone); every method
+// is nil-safe, so single-node behaviour is untouched. Build it as a struct
+// literal and share it by pointer.
 type Fleet struct {
-	// Ring is the member ring (shared with the Peer backend).
+	// Ring is the static member ring.
 	Ring *Ring
-	// Self is this process's own base URL.
+	// Self is this process's own base URL; it must be a ring member.
 	Self string
-	// Health tracks peer liveness; may be nil (probes disabled).
+	// Health tracks peer liveness, so fills and fan-outs skip members
+	// that probes marked dead; may be nil (every member presumed alive).
 	Health *Health
 	// Repl pushes freshly computed owned plans to ring successors; may be
 	// nil (replication disabled).
 	Repl *Replicator
+	// Fill is the transport for owner fills.
+	Fill FillFunc
+	// Lookup is the transport for cached-only successor lookups after the
+	// owner is dead or failed; may be nil (no successor fallback).
+	Lookup LookupFunc
 	// Invalidate is the transport for fan-out invalidation; may be nil
 	// (invalidation then applies locally only).
 	Invalidate InvalidateFunc
 	// Status is the transport for the overview fan-out; may be nil (the
 	// overview then reports peers as unreachable, never errors).
 	Status StatusFunc
+	// BreakerThreshold and BreakerCooldown configure the per-member
+	// circuit breaker on owner fills (breaker.New semantics: 0 selects the
+	// default, threshold < 0 disables breaking).
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
+
+	mu       sync.Mutex
+	breakers map[string]*breaker.Breaker
+
+	ownerSelf, hit, errs, bad, open, dead, succHit atomic.Int64
 }
 
 // Stop shuts down the fleet's background loops (probes, replication).

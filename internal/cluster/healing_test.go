@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scratchmem/internal/faultinject"
-	"scratchmem/internal/plancache"
 )
 
 const memberC = "http://c:1"
@@ -352,21 +351,16 @@ func TestPeerSkipsDeadOwner(t *testing.T) {
 	h.ProbeNow(context.Background())
 
 	tr := &fakeTransport{body: []byte("never")}
-	c := plancache.New(16)
-	p := NewPeer(c, ring, memberA, tr, PeerOptions{Health: h})
+	f := &Fleet{Ring: ring, Self: memberA, Health: h, Fill: tr.fill}
 	key := keyOwnedBy(t, ring, memberB)
 
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		return "local", nil
-	})
-	if err != nil || shared || v != "local" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	if v, ok := f.Fetch(context.Background(), key, "req", decodeString); ok {
+		t.Fatalf("Fetch = %v, %v with the owner dead and no successor lookup", v, ok)
 	}
 	if tr.calls.Load() != 0 {
 		t.Fatal("dead owner was still asked")
 	}
-	if st := p.PeerStats(); st.Dead != 1 || st.Error != 0 {
+	if st := f.PeerStats(); st.Dead != 1 || st.Error != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -385,15 +379,11 @@ func TestPeerSuccessorLookupRecoversReplica(t *testing.T) {
 		return []byte("replica"), nil
 	}
 	tr := &fakeTransport{body: []byte("never")}
-	p := NewPeer(plancache.New(16), ring, memberA, tr, PeerOptions{Health: h, Lookup: lookup})
+	f := &Fleet{Ring: ring, Self: memberA, Health: h, Fill: tr.fill, Lookup: lookup}
 
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		t.Fatal("planner ran despite a successor replica")
-		return nil, nil
-	})
-	if err != nil || !shared || v != "replica" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	v, ok := f.Fetch(context.Background(), key, "req", decodeString)
+	if !ok || v != "replica" {
+		t.Fatalf("Fetch = %v, %v", v, ok)
 	}
 	if len(lookups) != 1 || lookups[0] != memberC {
 		t.Fatalf("lookups = %v, want [%s]", lookups, memberC)
@@ -401,19 +391,8 @@ func TestPeerSuccessorLookupRecoversReplica(t *testing.T) {
 	if tr.calls.Load() != 0 {
 		t.Fatal("dead owner was still asked")
 	}
-	if st := p.PeerStats(); st.SuccHit != 1 || st.Dead != 1 {
+	if st := f.PeerStats(); st.SuccHit != 1 || st.Dead != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	// The recovered replica is stored here: a repeat is a local hit that
-	// asks neither the owner nor the successor again.
-	if v, shared, err := p.Do(context.Background(), key, spec, nil); err != nil || !shared || v != "replica" {
-		t.Fatalf("repeat Do = %v, %v, %v", v, shared, err)
-	}
-	if len(lookups) != 1 {
-		t.Fatalf("lookups after a repeat = %v, want one", lookups)
-	}
-	if st := p.PeerStats(); st.SuccHit != 1 || st.Dead != 1 {
-		t.Fatalf("stats after a repeat = %+v", st)
 	}
 }
 
@@ -424,16 +403,12 @@ func TestPeerSuccessorMissFallsBackToLocal(t *testing.T) {
 	lookup := func(context.Context, string, any) ([]byte, error) {
 		return nil, ErrNoReplica
 	}
-	p := NewPeer(plancache.New(16), ring, memberA, tr, PeerOptions{Lookup: lookup})
+	f := &Fleet{Ring: ring, Self: memberA, Fill: tr.fill, Lookup: lookup}
 
-	spec := &FillSpec{Request: "req", Decode: decodeString}
-	v, shared, err := p.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		return "local", nil
-	})
-	if err != nil || shared || v != "local" {
-		t.Fatalf("Do = %v, %v, %v", v, shared, err)
+	if v, ok := f.Fetch(context.Background(), key, "req", decodeString); ok {
+		t.Fatalf("Fetch = %v, %v; a successor miss must leave the caller to compute", v, ok)
 	}
-	if st := p.PeerStats(); st.SuccHit != 0 || st.Error != 1 {
+	if st := f.PeerStats(); st.SuccHit != 0 || st.Error != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

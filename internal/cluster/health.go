@@ -52,7 +52,7 @@ type MemberHealth struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Health tracks peer liveness with periodic probes, so the Peer backend can
+// Health tracks peer liveness with periodic probes, so Fleet.Fetch can
 // skip a known-dead owner immediately instead of burning a round-trip (or a
 // breaker cooldown) per request. Membership stays static (the ring); only
 // liveness is dynamic. A nil *Health reports every member alive, so callers

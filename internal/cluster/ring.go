@@ -3,17 +3,15 @@
 // A plan is expensive to compute but tiny to store and perfectly
 // content-addressed (the canonical SHA-256 PlanKey), so every plan should
 // be computed exactly once fleet-wide. Each member keeps one single-flight
-// plan cache (internal/plancache); a Backend decides where a miss in it is
-// computed:
-//
-//   - Local — in process, the single-node composition;
-//   - Peer  — consistent-hashes the key onto a static member Ring and
-//     asks the key's owner over POST /v1/peer/fill before computing
-//     locally (groupcache-style: the owner runs the computation under its
-//     own single-flight, so concurrent fleet-wide requests for one key
-//     collapse onto one planner execution). The owner's answer is stored
-//     in the member's plan cache, so repeated requests for a non-owned
-//     key stop crossing the network.
+// plan cache (internal/plancache) and one Fleet handle. A plan-cache miss
+// runs one flight per key, and inside it the server calls Fleet.Fetch:
+// the key is consistent-hashed onto a static member Ring, and a member
+// that does not own it asks the owner over POST /v1/peer/fill
+// (groupcache-style: the owner runs the computation under its own
+// single-flight, so concurrent fleet-wide requests for one key collapse
+// onto one planner execution). The answer is stored in the asking
+// member's plan cache like any computed plan, so repeated requests for a
+// non-owned key stop crossing the network.
 //
 // Membership is static (the -peers flag), not gossip: fleet membership for
 // a planning tier changes by deploy, and a static ring keeps owner

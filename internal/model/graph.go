@@ -104,8 +104,8 @@ func (t tensorDims) spatialOK(ih, iw int) bool {
 	return t.h+(t.fh-1) >= ih && t.w+(t.fw-1) >= iw
 }
 
-// Validate checks the graph end to end: layer validity, unique non-external
-// node names, topological order (every produced tensor is read only by later
+// Validate checks the graph end to end: at most MaxLayers nodes, layer
+// validity, unique non-external node names, topological order (every produced tensor is read only by later
 // nodes), and shape continuity on every edge. Continuity accepts the exact
 // match plus three deliberate relaxations matching how real topologies
 // serialise: padding slack and pooled views (spatialOK), channel
@@ -122,6 +122,9 @@ func (g *Graph) validate() error {
 	}
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("model: graph %s has no nodes", g.Name)
+	}
+	if len(g.Nodes) > MaxLayers {
+		return fmt.Errorf("model: graph %s has %d nodes, more than the maximum %d", g.Name, len(g.Nodes), MaxLayers)
 	}
 	prod := make(map[string]int, len(g.Nodes))
 	for i := range g.Nodes {

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,6 +206,33 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	}
 	if !lg.IsChain() {
 		t.Error("legacy linear JSON did not load as a chain")
+	}
+}
+
+// TestGraphLayerBound: graph input obeys Network.Validate's layer bound. A
+// chain of MaxLayers nodes reads; one more is refused as a bad model.
+func TestGraphLayerBound(t *testing.T) {
+	chain := func(nodes int) string {
+		var b strings.Builder
+		b.WriteString(`{"name": "long", "layers": [`)
+		for i := 0; i < nodes; i++ {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, `{"name": "l%d", "type": "PW", "ih": 4, "iw": 4, "ci": 4, "fh": 1, "fw": 1, "f": 4, "s": 1, "p": 0}`, i)
+		}
+		b.WriteString("]}")
+		return b.String()
+	}
+	g, err := ReadGraphJSON(strings.NewReader(chain(MaxLayers)))
+	if err != nil {
+		t.Fatalf("a %d-node chain was refused: %v", MaxLayers, err)
+	}
+	if len(g.Nodes) != MaxLayers || !g.IsChain() {
+		t.Fatalf("read %d nodes (chain %t), want a %d-node chain", len(g.Nodes), g.IsChain(), MaxLayers)
+	}
+	if _, err := ReadGraphJSON(strings.NewReader(chain(MaxLayers + 1))); !errors.Is(err, smmerr.ErrBadModel) {
+		t.Fatalf("a %d-node chain: err = %v, want ErrBadModel", MaxLayers+1, err)
 	}
 }
 

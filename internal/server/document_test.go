@@ -13,14 +13,13 @@ import (
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/core"
 	"scratchmem/internal/model"
-	"scratchmem/internal/plancache"
 	"scratchmem/internal/policy"
 )
 
-// fillThroughPeer runs one peer fill of key through a two-member ring whose
-// other member owns it and answers with body, as decodePeerPlan decodes a
-// fill of net under opts. It returns the fill counters and whether the
-// asker fell back to computing locally.
+// fillThroughPeer runs one fleet fetch of key through a two-member ring
+// whose other member owns it and answers with body, as decodePeerPlan
+// decodes a fill of net under opts. It returns the fill counters and
+// whether the asker is left to compute the plan locally.
 func fillThroughPeer(t *testing.T, body []byte, net *scratchmem.Network, opts scratchmem.PlanOptions) (cluster.PeerStats, bool) {
 	t.Helper()
 	const self, owner = "http://self", "http://owner"
@@ -34,17 +33,10 @@ func fillThroughPeer(t *testing.T, body []byte, net *scratchmem.Network, opts sc
 			key = k
 		}
 	}
-	answer := cluster.TransportFunc(func(context.Context, string, any) ([]byte, error) { return body, nil })
-	peer := cluster.NewPeer(plancache.New(4), ring, self, answer, cluster.PeerOptions{})
-	local := false
-	spec := &cluster.FillSpec{Request: struct{}{}, Decode: func(b []byte) (any, error) { return decodePeerPlan(b, net, opts) }}
-	if _, _, err := peer.Do(context.Background(), key, spec, func(context.Context) (any, error) {
-		local = true
-		return &planEntry{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return peer.PeerStats(), local
+	answer := func(context.Context, string, any) ([]byte, error) { return body, nil }
+	fleet := &cluster.Fleet{Ring: ring, Self: self, Fill: answer}
+	_, ok := fleet.Fetch(context.Background(), key, struct{}{}, func(b []byte) (any, error) { return decodePeerPlan(b, net, opts) })
+	return fleet.PeerStats(), !ok
 }
 
 // TestPeerFillRefusesTampering: a peer-fill body with any single byte

@@ -19,7 +19,6 @@ import (
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/obs"
-	"scratchmem/internal/plancache"
 )
 
 // The chaos transports are the plain-HTTP twins of the client package's
@@ -171,14 +170,11 @@ func startChaosNode(t *testing.T, ring *cluster.Ring, self string, l net.Listene
 	}
 	health := cluster.NewHealth(ring, self, chaosProbe, hopts)
 	repl := cluster.NewReplicator(ring, self, chaosPush, health, cluster.ReplicatorOptions{})
-	fleet := &cluster.Fleet{Ring: ring, Self: self, Health: health, Repl: repl, Invalidate: chaosInvalidate, Status: chaosStatus}
+	fleet := &cluster.Fleet{Ring: ring, Self: self, Health: health, Repl: repl,
+		Fill: testFill, Lookup: chaosLookup, Invalidate: chaosInvalidate, Status: chaosStatus}
 	srv := New(Config{
 		Timeout: 5 * time.Second,
 		Fleet:   fleet,
-		Cluster: func(local *plancache.Cache) cluster.Backend {
-			return cluster.NewPeer(local, ring, self, cluster.TransportFunc(testFill),
-				cluster.PeerOptions{Health: health, Lookup: chaosLookup})
-		},
 	})
 	counter := &atomic.Int64{}
 	inner := srv.planFn
@@ -323,7 +319,7 @@ func TestChaosFleetOwnerKillRecoversFromSuccessor(t *testing.T) {
 	if n := nodes[third].planned.Load() + nodes[succ].planned.Load(); n != 0 {
 		t.Fatalf("survivors ran the planner %d times; the replica made that unnecessary", n)
 	}
-	ps := nodes[third].srv.cache.(*cluster.Peer).PeerStats()
+	ps := nodes[third].fleet.PeerStats()
 	if ps.Dead == 0 || ps.SuccHit != 1 {
 		t.Fatalf("peer stats = %+v, want Dead>=1 and SuccHit=1", ps)
 	}

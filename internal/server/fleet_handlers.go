@@ -203,10 +203,8 @@ type ClusterStatus struct {
 func (s *Server) statusDoc() ClusterStatus {
 	resp := ClusterStatus{
 		Cache:         s.local.Stats(),
+		Peer:          s.fleet.PeerStats(),
 		DegradedPlans: s.met.degradedCount(),
-	}
-	if p, ok := s.cache.(*cluster.Peer); ok {
-		resp.Peer = p.PeerStats()
 	}
 	if f := s.fleet; f != nil {
 		resp.Self = f.Self

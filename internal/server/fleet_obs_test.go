@@ -16,7 +16,6 @@ import (
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/obs"
-	"scratchmem/internal/plancache"
 )
 
 // waitSpans polls until the tracer has finished at least n spans; the
@@ -49,7 +48,7 @@ func spanNamed(tr *obs.Tracer, name string) *obs.Span {
 // under the caller's peer_fill span — one distributed trace, not two
 // per-process ones.
 func TestFleetCrossNodeTrace(t *testing.T) {
-	nodes, ring := newFleet(t, 3, cluster.PeerOptions{})
+	nodes, ring := newFleet(t, 3, 0)
 	key := planKeyFor(t, "TinyCNN", 32)
 	owner := ring.Owner(key)
 
@@ -156,15 +155,12 @@ func newObsFleet(t *testing.T, n int) (map[string]*obsNode, []string, *cluster.R
 		}
 		health := cluster.NewHealth(ring, self, chaosProbe, hopts)
 		repl := cluster.NewReplicator(ring, self, chaosPush, health, cluster.ReplicatorOptions{})
-		fleet := &cluster.Fleet{Ring: ring, Self: self, Health: health, Repl: repl, Invalidate: chaosInvalidate, Status: chaosStatus}
+		fleet := &cluster.Fleet{Ring: ring, Self: self, Health: health, Repl: repl,
+			Fill: testFill, Lookup: chaosLookup, Invalidate: chaosInvalidate, Status: chaosStatus}
 		srv := New(Config{
 			Timeout: 5 * time.Second,
 			Logger:  logger,
 			Fleet:   fleet,
-			Cluster: func(local *plancache.Cache) cluster.Backend {
-				return cluster.NewPeer(local, ring, self, cluster.TransportFunc(testFill),
-					cluster.PeerOptions{Health: health, Lookup: chaosLookup})
-			},
 		})
 		counter := &atomic.Int64{}
 		inner := srv.planFn

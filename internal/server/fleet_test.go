@@ -18,7 +18,6 @@ import (
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/obs"
-	"scratchmem/internal/plancache"
 )
 
 // fleetNode is one member of an in-process loopback fleet.
@@ -62,8 +61,9 @@ func testFill(ctx context.Context, baseURL string, request any) ([]byte, error) 
 }
 
 // newFleet starts n clustered servers on loopback listeners sharing one
-// ring, each with a counting planner seam.
-func newFleet(t *testing.T, n int, popts cluster.PeerOptions) ([]*fleetNode, *cluster.Ring) {
+// ring, each with a counting planner seam and breakerThreshold for its
+// per-member fill breakers (0 selects the default).
+func newFleet(t *testing.T, n, breakerThreshold int) ([]*fleetNode, *cluster.Ring) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -84,9 +84,7 @@ func newFleet(t *testing.T, n int, popts cluster.PeerOptions) ([]*fleetNode, *cl
 		self := urls[i]
 		srv := New(Config{
 			Timeout: 5 * time.Second,
-			Cluster: func(local *plancache.Cache) cluster.Backend {
-				return cluster.NewPeer(local, ring, self, cluster.TransportFunc(testFill), popts)
-			},
+			Fleet:   &cluster.Fleet{Ring: ring, Self: self, Fill: testFill, BreakerThreshold: breakerThreshold},
 		})
 		counter := &atomic.Int64{}
 		inner := srv.planFn
@@ -103,7 +101,7 @@ func newFleet(t *testing.T, n int, popts cluster.PeerOptions) ([]*fleetNode, *cl
 }
 
 // planKeyFor computes the full cache key ("plan:" + content hash) for a
-// builtin-model request, matching what the fleet backends see.
+// builtin-model request, matching what the fleet hashes onto its ring.
 func planKeyFor(t *testing.T, modelName string, glbKB int) string {
 	t.Helper()
 	net, err := scratchmem.BuiltinModel(modelName)
@@ -121,7 +119,7 @@ func planKeyFor(t *testing.T, modelName string, glbKB int) string {
 // requested on every node of a three-node fleet runs the planner exactly
 // once fleet-wide, the non-owners filling from the owner.
 func TestFleetPlansExactlyOnce(t *testing.T) {
-	nodes, ring := newFleet(t, 3, cluster.PeerOptions{})
+	nodes, ring := newFleet(t, 3, 0)
 
 	var bodies [][]byte
 	for _, n := range nodes {
@@ -150,7 +148,7 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 	owner := ring.Owner(planKeyFor(t, "TinyCNN", 32))
 	hits := int64(0)
 	for _, n := range nodes {
-		ps := n.srv.cache.(*cluster.Peer).PeerStats()
+		ps := n.srv.fleet.PeerStats()
 		_, metricsBody := get(t, n.ts, "/metrics")
 		if n.url == owner {
 			if n.planned.Load() != 1 {
@@ -182,7 +180,7 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 		if n.url == owner {
 			continue
 		}
-		before := n.srv.cache.(*cluster.Peer).PeerStats().Hit
+		before := n.srv.fleet.PeerStats().Hit
 		resp, body := post(t, n.ts, "/v1/plan", tinyPlanBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("repeat on %s: status %d", n.url, resp.StatusCode)
@@ -193,7 +191,7 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 		if resp.Header.Get("X-SMM-Cache") != "hit" {
 			t.Errorf("repeat on %s: X-SMM-Cache = %q, want hit", n.url, resp.Header.Get("X-SMM-Cache"))
 		}
-		if after := n.srv.cache.(*cluster.Peer).PeerStats().Hit; after != before {
+		if after := n.srv.fleet.PeerStats().Hit; after != before {
 			t.Errorf("repeat on %s crossed the network again", n.url)
 		}
 		break
@@ -203,7 +201,7 @@ func TestFleetPlansExactlyOnce(t *testing.T) {
 // TestFleetOwnerDownDegradesToLocal: killing a key's owner must not take
 // plan availability with it — the non-owner computes locally.
 func TestFleetOwnerDownDegradesToLocal(t *testing.T) {
-	nodes, ring := newFleet(t, 2, cluster.PeerOptions{})
+	nodes, ring := newFleet(t, 2, 0)
 
 	// Find a request whose key the second node owns.
 	glb := 0
@@ -226,7 +224,7 @@ func TestFleetOwnerDownDegradesToLocal(t *testing.T) {
 	if nodes[0].planned.Load() != 1 {
 		t.Fatalf("survivor ran the planner %d times, want 1", nodes[0].planned.Load())
 	}
-	ps := nodes[0].srv.cache.(*cluster.Peer).PeerStats()
+	ps := nodes[0].srv.fleet.PeerStats()
 	if ps.Error != 1 || ps.Hit != 0 {
 		t.Fatalf("peer stats = %+v, want exactly one fill error", ps)
 	}
@@ -237,7 +235,7 @@ func TestFleetOwnerDownDegradesToLocal(t *testing.T) {
 // node recomputes locally — same answer, one extra planner run, no wrong
 // result served.
 func TestFleetDegradedPlanFillsBadAndRecomputes(t *testing.T) {
-	nodes, ring := newFleet(t, 2, cluster.PeerOptions{})
+	nodes, ring := newFleet(t, 2, 0)
 
 	// Find a request that degrades AND is owned by the other node.
 	found := ""
@@ -270,7 +268,7 @@ func TestFleetDegradedPlanFillsBadAndRecomputes(t *testing.T) {
 	if !strings.Contains(string(body), `"degraded": true`) {
 		t.Fatal("expected a degraded document")
 	}
-	ps := nodes[0].srv.cache.(*cluster.Peer).PeerStats()
+	ps := nodes[0].srv.fleet.PeerStats()
 	if ps.Bad != 1 {
 		t.Fatalf("peer stats = %+v, want Bad=1", ps)
 	}
@@ -284,7 +282,7 @@ func TestFleetDegradedPlanFillsBadAndRecomputes(t *testing.T) {
 // TestFleetPeerFaultInjection: the cluster.peer chaos site downs fills
 // without downing planning.
 func TestFleetPeerFaultInjection(t *testing.T) {
-	nodes, ring := newFleet(t, 2, cluster.PeerOptions{BreakerThreshold: -1})
+	nodes, ring := newFleet(t, 2, -1)
 	faultinject.Enable(7, faultinject.Fault{Site: "cluster.peer", Kind: faultinject.KindError, P: 1})
 	defer faultinject.Disable()
 
@@ -302,7 +300,7 @@ func TestFleetPeerFaultInjection(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d under peer faults: %s", resp.StatusCode, body)
 	}
-	if ps := nodes[0].srv.cache.(*cluster.Peer).PeerStats(); ps.Error != 1 {
+	if ps := nodes[0].srv.fleet.PeerStats(); ps.Error != 1 {
 		t.Fatalf("peer stats = %+v, want Error=1", ps)
 	}
 	if nodes[0].planned.Load() != 1 {

@@ -105,6 +105,10 @@ type planEntry struct {
 	body []byte
 	net  *scratchmem.Network
 	opts scratchmem.PlanOptions
+	// fetched marks a plan another member answered (a verified owner fill
+	// or successor replica), so the flight that fetched it still reports a
+	// cache hit.
+	fetched bool
 }
 
 // resolvedBody is everything /v1/plan and /v1/peer/fill derive from one
@@ -113,7 +117,7 @@ type planEntry struct {
 // (Server.resolved). A memoized value is shared by every request with the
 // same body and by every re-plan after an eviction or invalidation, so
 // nothing may mutate it: the planner and the document seam only read net,
-// and req reaches cluster.FillSpec.Request read-only.
+// and req reaches the fleet fill request read-only.
 type resolvedBody struct {
 	digest string // raw SHA-256 of the body, the memo key
 	planInput
@@ -240,21 +244,43 @@ func cacheHeader(w http.ResponseWriter, shared bool) {
 
 // planned returns the cached-or-computed planEntry for a request. It is the
 // shared path of /v1/plan, /v1/plan/batch, /v1/simulate and /v1/peer/fill:
-// cache lookup, single-flight execution under a worker slot, latency
-// observation. A non-nil wire request makes the key eligible for a peer
-// cache-fill (the request is what the key's ring owner computes from); the
-// peer-fill handler itself passes nil so rings that momentarily disagree
+// one plan-cache flight per key, inside which the fleet is asked first (the
+// key's ring owner, then its successor) and the planner runs under a worker
+// slot only when that yields nothing. A nil wire request keeps the flight
+// local: the peer-fill handler passes nil so rings that momentarily disagree
 // cannot forward a request in a loop. A non-nil tables is the sweep-table
-// set of the request's batch, which the flight plans through.
+// set of the request's batch, which the flight plans through. shared
+// reports a plan this member did not compute for this caller: a stored
+// plan, a coalesced flight, or a fill from another member.
+//
+// The flight outlives its leader's deadline, but the fleet ask does not:
+// it runs under the leader's deadline, so a hung or slow owner costs the
+// flight at most one request timeout, counts against the owner's breaker,
+// and lets the client's retry budget see the time left. Waiters that
+// outlast the ask get a local plan.
 func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, tables *core.SweepTables, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
-	var spec *cluster.FillSpec
-	if wire != nil {
-		spec = &cluster.FillSpec{
-			Request: wire,
-			Decode:  func(body []byte) (any, error) { return decodePeerPlan(body, net, opts) },
+	cacheKey := "plan:" + key
+	deadline, bounded := ctx.Deadline()
+	v, shared, err := s.local.Do(ctx, cacheKey, func(ctx context.Context) (any, error) {
+		var request any
+		if wire != nil {
+			request = wire
 		}
-	}
-	v, shared, err := s.cache.Do(ctx, "plan:"+key, spec, func(ctx context.Context) (any, error) {
+		decode := func(body []byte) (any, error) { return decodePeerPlan(body, net, opts) }
+		fetchCtx, cancel := ctx, func() {}
+		if bounded && s.fleet != nil {
+			fetchCtx, cancel = context.WithDeadline(ctx, deadline)
+		}
+		v, ok := s.fleet.Fetch(fetchCtx, cacheKey, request, decode)
+		cancel()
+		if ok {
+			return v, nil
+		}
+		// Every waiter may have gone while the fleet was asked; don't burn
+		// a planner run nobody will read.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}
@@ -279,19 +305,18 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, tab
 		if err != nil {
 			return nil, err
 		}
-		return &planEntry{plan: p, body: body, net: net, opts: opts}, nil
+		entry := &planEntry{plan: p, body: body, net: net, opts: opts}
+		// If this member owns the key, push the plan to its ring successor
+		// (async, best-effort) so an owner death does not cost the fleet a
+		// recompute.
+		s.replicateFresh(ctx, key, entry)
+		return entry, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	entry := v.(*planEntry)
-	if !shared {
-		// Freshly computed here: if this member owns the key, push the plan
-		// to its ring successor (async, best-effort) so an owner death does
-		// not cost the fleet a recompute.
-		s.replicateFresh(ctx, key, entry)
-	}
-	return entry, shared, nil
+	return entry, shared || entry.fetched, nil
 }
 
 // decodePeerPlan turns a peer's /v1/peer/fill response into a planEntry.
@@ -309,7 +334,7 @@ func decodePeerPlan(body []byte, net *scratchmem.Network, opts scratchmem.PlanOp
 		return nil, fmt.Errorf("peer fill: the document plans %s under %+v, not this request's %s under %+v",
 			p.Objective, p.Cfg, opts.Objective, opts.Config)
 	}
-	return &planEntry{plan: p, body: rendered, net: net, opts: opts}, nil
+	return &planEntry{plan: p, body: rendered, net: net, opts: opts, fetched: true}, nil
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -363,7 +388,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			net.Name, entry.plan.MaxMemoryBytes(), entry.plan.Cfg.GLBBytes, scratchmem.ErrInfeasible))
 		return
 	}
-	v, shared, err := s.cache.Do(ctx, "sim:"+key, nil, func(ctx context.Context) (any, error) {
+	v, shared, err := s.local.Do(ctx, "sim:"+key, func(ctx context.Context) (any, error) {
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}
@@ -405,7 +430,7 @@ func (s *Server) simulateBaseline(ctx context.Context, w http.ResponseWriter, ke
 	}
 	base := scratchmem.BaselineSplits(glbKB, cfg.DataWidthBits)[idx]
 	cacheKey := fmt.Sprintf("base:%s:%d", key, spec.SplitPercent)
-	v, shared, err := s.cache.Do(ctx, cacheKey, nil, func(ctx context.Context) (any, error) {
+	v, shared, err := s.local.Do(ctx, cacheKey, func(ctx context.Context) (any, error) {
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}
@@ -439,7 +464,7 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 	obs.SpanFrom(r.Context()).SetAttr("model_hash", key)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	v, shared, err := s.cache.Do(ctx, "dse:"+key, nil, func(ctx context.Context) (any, error) {
+	v, shared, err := s.local.Do(ctx, "dse:"+key, func(ctx context.Context) (any, error) {
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}
@@ -481,10 +506,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var ps cluster.PeerStats
-	if p, ok := s.cache.(*cluster.Peer); ok {
-		ps = p.PeerStats()
-	}
 	var fv fleetView
 	if s.fleet != nil {
 		fv.repl = s.fleet.Repl.Stats()
@@ -494,7 +515,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fv.health = append([]cluster.MemberHealth{{Member: s.fleet.Self, Alive: true}}, s.fleet.Health.View()...)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.met.write(w, s.local.Stats(), s.resolved.Stats(), ps, fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
+	s.met.write(w, s.local.Stats(), s.resolved.Stats(), s.fleet.PeerStats(), fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
 }
 
 // handleTrace renders the execution trace of an already-planned model:
@@ -525,7 +546,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	tv, shared, err := s.cache.Do(ctx, "trace:"+key, nil, func(ctx context.Context) (any, error) {
+	tv, shared, err := s.local.Do(ctx, "trace:"+key, func(ctx context.Context) (any, error) {
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}

@@ -89,15 +89,11 @@ type Config struct {
 	// SlowRequest is the threshold past which a completed request is also
 	// logged at warn level (0 disables slow-request logging).
 	SlowRequest time.Duration
-	// Cluster, when non-nil, builds the fleet backend over the local plan
-	// cache (cmd/smm-serve builds a cluster.Peer from the -peers flag), so
-	// plan misses ask their ring owner before computing. Nil keeps the
+	// Fleet, when non-nil, makes the server a fleet member
+	// (cmd/smm-serve builds one from the -peers flag): plan misses ask
+	// their ring owner before computing, and the member probes liveness,
+	// replicates to successors and fans invalidations out. Nil keeps the
 	// single-node behaviour.
-	Cluster func(local *plancache.Cache) cluster.Backend
-	// Fleet, when non-nil, is the cluster control plane: liveness view,
-	// successor replication and the fan-out invalidation transport. Nil
-	// (standalone, or clustering without self-healing) turns every fleet
-	// behaviour into a no-op.
 	Fleet *cluster.Fleet
 }
 
@@ -117,19 +113,15 @@ const (
 // shared result cache. Construct with New.
 type Server struct {
 	cfg Config
-	// cache decides where a miss in local is computed: in process, or on
-	// the key's ring owner first (a *cluster.Peer). Requests to
-	// non-clustered value kinds (simulations, sweeps, traces) pass a nil
-	// fill spec and stay local either way.
-	cache cluster.Backend
-	// local is this member's one plan cache. Lookups, invalidation, purge,
-	// snapshots, warm restore, replicas and counters use it directly.
+	// local is this member's one plan cache. Every route's single-flight,
+	// lookups, invalidation, purge, snapshots, warm restore, replicas and
+	// counters use it; a plan miss asks the fleet inside its flight.
 	local *plancache.Cache
 	// resolved is the resolve memo of /v1/plan and /v1/peer/fill, keyed by
 	// body digest (see resolvedBody). It holds no plan state, so
 	// invalidation and purge leave it alone.
 	resolved *plancache.Cache
-	// fleet is the cluster control plane (Config.Fleet); nil standalone.
+	// fleet is this member's fleet handle (Config.Fleet); nil standalone.
 	fleet    *cluster.Fleet
 	sem      *parallel.Semaphore
 	met      *metrics
@@ -186,15 +178,9 @@ func New(cfg Config) *Server {
 	if tracer == nil {
 		tracer = obs.NewTracer(DefaultSpanRing)
 	}
-	local := plancache.New(entries)
-	var backend cluster.Backend = cluster.NewLocal(local)
-	if cfg.Cluster != nil {
-		backend = cfg.Cluster(local)
-	}
 	s := &Server{
 		cfg:      cfg,
-		cache:    backend,
-		local:    local,
+		local:    plancache.New(entries),
 		resolved: plancache.New(entries),
 		fleet:    cfg.Fleet,
 		sem:      parallel.NewQueuedSemaphore(cfg.Workers, queue),
