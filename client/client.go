@@ -184,9 +184,9 @@ func (c *Client) do(ctx context.Context, method, path string, payload any) ([]by
 // doAt runs the retry loop around once: classify, back off (full jitter with
 // the server's Retry-After as a floor), respect the deadline budget. The
 // base URL is explicit so the same client (and its retry policy, jitter
-// source, and test seams) can address any member of a fleet — the
-// cluster.FillFunc adapter depends on this. A non-nil payload is sent as
-// its JSON encoding.
+// source, and test seams) can address any member of a fleet — the cluster
+// transport adapters depend on this. A non-nil payload is sent as its JSON
+// encoding.
 func (c *Client) doAt(ctx context.Context, baseURL, method, path string, payload any) ([]byte, error) {
 	var body []byte
 	if payload != nil {
@@ -249,8 +249,8 @@ func (c *Client) once(ctx context.Context, baseURL, method, path string, body []
 	}
 	// Propagate the caller's trace context so a fleet member receiving this
 	// call parents its spans under the originating request — every transport
-	// adapter (peer fill, lookup, replicate, invalidate, snapshot, status)
-	// funnels through here, so all cross-node calls carry the header.
+	// adapter (probe, invalidate, snapshot, status) funnels through here, so
+	// all cross-node calls carry the header.
 	if tc := obs.TraceContextFrom(ctx); tc.Valid() {
 		req.Header.Set(obs.TraceparentHeader, tc.String())
 	}

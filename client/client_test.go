@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,6 +197,44 @@ func TestDeadlineBudget(t *testing.T) {
 	}
 	if len(slept) != 0 {
 		t.Errorf("client slept %v with a 30s floor and a 500ms budget", slept)
+	}
+}
+
+// TestPlanRawRetryBudgetExhausted: when a flapping server's Retry-After
+// floor cannot fit inside the caller's deadline, PlanRaw gives up
+// immediately — no sleep, no extra attempt — and surfaces the underlying
+// 503 inside a budget error, leaving the caller the rest of its deadline.
+func TestPlanRawRetryBudgetExhausted(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/plan" {
+			t.Errorf("PlanRaw hit %s", r.URL.Path)
+		}
+		calls.Add(1)
+		w.Header().Set("Retry-After", "2")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error": "shed"}`))
+	}))
+	defer ts.Close()
+	var slept []time.Duration
+	c := testClient(ts, &slept)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := c.PlanRaw(ctx, server.PlanRequest{Model: "TinyCNN", GLBKiloBytes: 32})
+	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
+		t.Errorf("budget-bounded call took %v", elapsed)
+	}
+	if err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
+		t.Fatalf("err = %v, want a retry-budget error", err)
+	}
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
+		t.Errorf("err = %v, want the underlying 503 preserved", err)
+	}
+	if calls.Load() != 1 || len(slept) != 0 {
+		t.Errorf("exhausted budget: %d calls, %d sleeps; want 1, 0", calls.Load(), len(slept))
 	}
 }
 

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -30,14 +29,6 @@ func (c *Client) PlanBatch(ctx context.Context, reqs []server.PlanRequest) (*ser
 		return nil, fmt.Errorf("client: invalid batch response: %w", err)
 	}
 	return &res, nil
-}
-
-// PeerFill asks the server to compute (or serve from cache) a plan on its
-// own, never forwarding to another ring member. It is the sending half of
-// the cluster cache-fill protocol; the body is the canonical plan document,
-// byte-identical to POST /v1/plan.
-func (c *Client) PeerFill(ctx context.Context, req server.PlanRequest) ([]byte, error) {
-	return c.do(ctx, http.MethodPost, "/v1/peer/fill", req)
 }
 
 // Snapshot fetches the server's cache snapshot stream (GET
@@ -87,18 +78,6 @@ func (c *Client) Version(ctx context.Context) (*server.VersionInfo, error) {
 	return &v, nil
 }
 
-// Transport adapts the client into a cluster.FillFunc: peer fills go to
-// whichever member owns the key, through this client's retry policy and
-// backoff seams. The client's own BaseURL is ignored for these calls —
-// configure a dedicated Client (typically with few or no retries, since the
-// fleet already breaks the circuit and falls back to planning locally) and
-// set its Transport as the cluster.Fleet's Fill.
-func (c *Client) Transport() cluster.FillFunc {
-	return func(ctx context.Context, baseURL string, request any) ([]byte, error) {
-		return c.doAt(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/fill", request)
-	}
-}
-
 // ProbeTransport adapts the client into a cluster.ProbeFunc: one GET
 // /healthz per call, deliberately without the retry loop — the health
 // tracker is itself the retry policy (consecutive failures, probe period),
@@ -106,32 +85,6 @@ func (c *Client) Transport() cluster.FillFunc {
 func (c *Client) ProbeTransport() cluster.ProbeFunc {
 	return func(ctx context.Context, baseURL string) error {
 		_, _, err := c.once(ctx, strings.TrimRight(baseURL, "/"), http.MethodGet, "/healthz", nil)
-		return err
-	}
-}
-
-// LookupTransport adapts the client into a cluster.LookupFunc: a
-// cached-only peer fill (POST /v1/peer/fill?cached=only) that can never
-// trigger a compute on the asked member. A 404 — the member simply holds no
-// replica — maps to cluster.ErrNoReplica so the fleet can tell "no copy"
-// from "member broken".
-func (c *Client) LookupTransport() cluster.LookupFunc {
-	return func(ctx context.Context, baseURL string, request any) ([]byte, error) {
-		body, err := c.doAt(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/fill?cached=only", request)
-		var ae *APIError
-		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
-			return nil, cluster.ErrNoReplica
-		}
-		return body, err
-	}
-}
-
-// ReplicateTransport adapts the client into a cluster.PushFunc: POST
-// /v1/peer/replicate delivering one encoded snapshot record to a ring
-// successor, as the body it is.
-func (c *Client) ReplicateTransport() cluster.PushFunc {
-	return func(ctx context.Context, baseURL string, payload []byte) error {
-		_, err := c.doChecked(ctx, strings.TrimRight(baseURL, "/"), http.MethodPost, "/v1/peer/replicate", payload, nil)
 		return err
 	}
 }
@@ -203,8 +156,8 @@ func (c *Client) StatusTransport() cluster.StatusFunc {
 }
 
 // ClusterOverview fetches the merged fleet view as seen by the addressed
-// member: every member's own status (or a per-member error stub), ring
-// ownership shares, and fleet totals. smm-top polls exactly this.
+// member: every member's own status (or a per-member error stub) and fleet
+// totals. smm-top polls exactly this.
 func (c *Client) ClusterOverview(ctx context.Context) (*server.OverviewResponse, error) {
 	body, err := c.do(ctx, http.MethodGet, "/v1/cluster/overview", nil)
 	if err != nil {

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"scratchmem/internal/cluster"
 )
 
 // TestSnapshotHonorsRetryAfter: a 503 with Retry-After from the snapshot
@@ -122,31 +120,6 @@ func TestSnapshotWithoutEntriesHeaderIsTrusted(t *testing.T) {
 	}
 	if len(slept) != 0 {
 		t.Fatal("headerless snapshot was retried")
-	}
-}
-
-// TestLookupTransportMapsMissToErrNoReplica: the successor-lookup adapter
-// must let the fleet distinguish "no replica here" (404 →
-// ErrNoReplica, fall through to local compute) from "member broken".
-func TestLookupTransportMapsMissToErrNoReplica(t *testing.T) {
-	var path atomic.Value
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		path.Store(r.URL.String())
-		http.Error(w, `{"error": "no cached plan"}`, http.StatusNotFound)
-	}))
-	defer ts.Close()
-
-	var slept []time.Duration
-	lookup := testClient(ts, &slept).LookupTransport()
-	_, err := lookup(context.Background(), ts.URL, map[string]any{"model": "TinyCNN"})
-	if !errors.Is(err, cluster.ErrNoReplica) {
-		t.Fatalf("err = %v, want cluster.ErrNoReplica", err)
-	}
-	if got := path.Load().(string); got != "/v1/peer/fill?cached=only" {
-		t.Fatalf("lookup hit %s, want the cached-only fill", got)
-	}
-	if len(slept) != 0 {
-		t.Fatal("a 404 miss was retried; it is a definitive answer")
 	}
 }
 

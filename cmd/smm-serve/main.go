@@ -9,7 +9,7 @@
 //	smm-serve -log-format json -slow-request 2s -debug-addr 127.0.0.1:6060
 //	smm-serve -faults "seed=42;server.plan=error:0.1"   (chaos testing; also $SMM_FAULTS)
 //	smm-serve -peers http://n1:8080,http://n2:8080 -self http://n1:8080   (fleet member)
-//	smm-serve -probe-every 1s -replicate-queue 64  (fleet self-healing knobs)
+//	smm-serve -probe-every 1s                       (fleet liveness probe period)
 //	smm-serve -warm-from http://n1:8080            (boot with a peer's cache)
 //	smm-serve -warm-from http://n1:8080 -rewarm-every 30s   (keep pulling missing keys)
 //	smm-serve -version
@@ -21,12 +21,11 @@
 //	POST /v1/simulate       {"model": "TinyCNN", "glb_kb": 32}            (plan timing)
 //	POST /v1/simulate       {..., "baseline": {"split_percent": 50}}      (SCALE-Sim baseline)
 //	POST /v1/dse            {"model": "TinyCNN", "glb_kb": 32}
-//	POST /v1/peer/fill      (cluster-internal: compute locally, never forward)
-//	POST /v1/peer/replicate (cluster-internal: store a verified successor replica)
 //	GET  /v1/cache/snapshot (ndjson plan-cache dump for -warm-from)
 //	DELETE /v1/cache/{key}  (invalidate one plan fleet-wide)
 //	POST /v1/cache/purge    (empty the plan caches fleet-wide)
 //	GET  /v1/cluster/status (this member's liveness view)
+//	GET  /v1/cluster/overview (every member's status, merged)
 //	GET  /v1/trace/{key}    (?format=perfetto|csv — key from X-SMM-Plan-Key)
 //	GET  /v1/spans
 //	GET  /v1/models
@@ -34,19 +33,14 @@
 //	GET  /healthz
 //	GET  /metrics
 //
-// With -peers, the static member list forms a consistent-hash ring over
-// plan keys: a node that does not own a key asks the owner over POST
-// /v1/peer/fill before planning locally, so each plan is computed once
-// fleet-wide, and a per-peer circuit breaker plus local fallback keep a
-// dead owner from taking the fleet down with it. -self must match this
-// node's own entry in -peers. The fill runs inside the plan cache's
-// single-flight, so concurrent misses for one key on a node make one round
-// trip, and the filled plan is stored in the node's one -cache plan cache,
-// so a repeat is served locally. The membership list is static but liveness
-// is dynamic: every member probes its peers each -probe-every, skips
-// known-dead owners, and owners push freshly computed plans to their ring
-// successor (bounded by -replicate-queue), so a miss falls back owner →
-// successor replica → local compute.
+// With -peers, the static member list forms a fleet; -self must match this
+// node's own entry in -peers. Every member plans its own misses into its
+// one -cache plan cache: planning a key costs about what verifying another
+// member's copy of it would. The members fan invalidations and purges out
+// to each other and merge their status into one overview. The membership
+// list is static but liveness is dynamic: every member probes its peers
+// each -probe-every, and fan-outs skip known-dead members. A restarted
+// member warms its cache from a peer with -warm-from.
 //
 // All operational output is structured (log/slog; -log-level, -log-format):
 // an access-log record per request carrying the trace ID, warn records for
@@ -69,7 +63,6 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -95,7 +88,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
 		workers      = fs.Int("workers", 0, "max concurrent planner/simulator executions (0 = GOMAXPROCS)")
-		cache        = fs.Int("cache", server.DefaultCacheEntries, "plan-cache capacity in entries, plans filled from fleet peers included (negative disables storage)")
+		cache        = fs.Int("cache", server.DefaultCacheEntries, "plan-cache capacity in entries (negative disables storage)")
 		timeout      = fs.Duration("timeout", server.DefaultTimeout, "per-request deadline")
 		drain        = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		queue        = fs.Int("queue", server.DefaultQueueDepth, "max requests waiting for a worker before shedding with 503 (negative = unbounded)")
@@ -107,13 +100,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		faults       = fs.String("faults", os.Getenv("SMM_FAULTS"),
 			`arm fault injection for chaos testing, e.g. "seed=42;server.plan=error:0.1;core.layer=latency:0.05:2ms" (default $SMM_FAULTS)`)
 		peers = fs.String("peers", "",
-			"comma-separated base URLs of every fleet member (consistent-hash ring; empty = standalone)")
+			"comma-separated base URLs of every fleet member (empty = standalone)")
 		self = fs.String("self", "",
 			"this node's own entry in -peers (required with -peers)")
 		probeEvery = fs.Duration("probe-every", cluster.DefaultProbeInterval,
 			"peer health-probe period (0 disables liveness tracking; fleet mode only)")
-		replicateQueue = fs.Int("replicate-queue", cluster.DefaultReplicateQueue,
-			"pending successor-replication pushes before drop-oldest (0 disables replication; fleet mode only)")
 		warmFrom = fs.String("warm-from", "",
 			"warm the plan cache at boot from a snapshot: a peer base URL or an ndjson file")
 		rewarmEvery = fs.Duration("rewarm-every", 0,
@@ -159,14 +150,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// peerConns is the fleet client's own transport (nil standalone).
 	var peerConns *http.Transport
 	if *peers != "" {
-		fleet, conns, err := clusterBackend(*peers, *self, *probeEvery, *replicateQueue)
+		fleet, conns, err := clusterBackend(*peers, *self, *probeEvery)
 		if err != nil {
 			return err
 		}
 		cfg.Fleet = fleet
 		peerConns = conns
-		logger.Info("fleet member", "self", *self, "peers", *peers,
-			"probe_every", *probeEvery, "replicate_queue", *replicateQueue)
+		logger.Info("fleet member", "self", *self, "peers", *peers, "probe_every", *probeEvery)
 	} else if *self != "" {
 		return fmt.Errorf("-self is only meaningful with -peers")
 	}
@@ -176,7 +166,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	srv := server.New(cfg)
 	if cfg.Fleet != nil {
 		cfg.Fleet.Health.Start()
-		cfg.Fleet.Repl.Start()
 		defer cfg.Fleet.Stop()
 	}
 	if *warmFrom != "" {
@@ -288,63 +277,36 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// clusterBackend builds the member's fleet handle: a consistent-hash ring
-// over the static member list, owner fills and successor lookups through
-// the resilient client, plus health probing, successor replication and the
-// fan-out invalidation and status transports. It also returns the fleet
-// client's transport, which no other client shares, so shutdown can close
-// its idle peer connections.
-func clusterBackend(peers, self string, probeEvery time.Duration, replicateQueue int) (*cluster.Fleet, *http.Transport, error) {
+// clusterBackend builds the member's fleet handle over the static member
+// list: health probing plus the fan-out invalidation and status transports
+// through the resilient client. It also returns the fleet client's
+// transport, which no other client shares, so shutdown can close its idle
+// peer connections.
+func clusterBackend(peers, self string, probeEvery time.Duration) (*cluster.Fleet, *http.Transport, error) {
 	var members []string
-	seen := make(map[string]bool)
 	for _, m := range strings.Split(peers, ",") {
-		if m = strings.TrimSpace(m); m == "" {
-			continue
+		if m = strings.TrimRight(strings.TrimSpace(m), "/"); m != "" {
+			members = append(members, m)
 		}
-		m = strings.TrimRight(m, "/")
-		if seen[m] {
-			// A duplicated member would silently deduplicate inside the ring
-			// and almost certainly means a typo in a deploy config: refuse
-			// rather than run with a membership the operator did not write.
-			return nil, nil, fmt.Errorf("-peers lists %q more than once", m)
-		}
-		seen[m] = true
-		members = append(members, m)
-	}
-	ring, err := cluster.NewRing(members, cluster.DefaultReplicas)
-	if err != nil {
-		return nil, nil, err
 	}
 	if self == "" {
 		return nil, nil, fmt.Errorf("-self is required with -peers")
 	}
-	self = strings.TrimRight(strings.TrimSpace(self), "/")
-	if !slices.Contains(ring.Members(), self) {
-		return nil, nil, fmt.Errorf("-self %q is not one of -peers %q", self, peers)
+	fleet, err := cluster.NewFleet(members, strings.TrimRight(strings.TrimSpace(self), "/"))
+	if err != nil {
+		return nil, nil, fmt.Errorf("-peers %q, -self %q: %w", peers, self, err)
 	}
-	// Peer fills get a single retry: the fleet already breaks the circuit
-	// and falls back to planning locally, so a long client-side retry loop
-	// would only delay that fallback.
-	fill := client.New("")
-	fill.MaxRetries = 1
+	// Fan-outs get a single retry: they are best-effort, and a long
+	// client-side retry loop would only hold up the request that fans out.
+	peer := client.New("")
+	peer.MaxRetries = 1
 	conns := http.DefaultTransport.(*http.Transport).Clone()
-	fill.HTTPClient = &http.Client{Transport: conns}
-
-	fleet := &cluster.Fleet{
-		Ring:       ring,
-		Self:       self,
-		Fill:       fill.Transport(),
-		Lookup:     fill.LookupTransport(),
-		Invalidate: fill.InvalidateTransport(),
-		Status:     fill.StatusTransport(),
-	}
+	peer.HTTPClient = &http.Client{Transport: conns}
+	fleet.Invalidate = peer.InvalidateTransport()
+	fleet.Status = peer.StatusTransport()
 	if probeEvery > 0 {
-		fleet.Health = cluster.NewHealth(ring, self, fill.ProbeTransport(),
+		fleet.Health = cluster.NewHealth(fleet.Members, fleet.Self, peer.ProbeTransport(),
 			cluster.HealthOptions{Interval: probeEvery})
-	}
-	if replicateQueue > 0 {
-		fleet.Repl = cluster.NewReplicator(ring, self, fill.ReplicateTransport(), fleet.Health,
-			cluster.ReplicatorOptions{QueueDepth: replicateQueue})
 	}
 	return fleet, conns, nil
 }

@@ -346,57 +346,112 @@ func TestServeClusterFlagValidation(t *testing.T) {
 	}
 }
 
+// startFleet boots a two-member fleet through the binary path, each member
+// probing the other's liveness.
+func startFleet(t *testing.T, ctx context.Context) (addrs []string, dones []chan error) {
+	t.Helper()
+	addrs = []string{freeAddr(t), freeAddr(t)}
+	peers := "http://" + addrs[0] + ",http://" + addrs[1]
+	for _, a := range addrs {
+		_, _, done := startRun(t, ctx,
+			"-addr", a, "-peers", peers, "-self", "http://"+a,
+			"-timeout", "30s", "-probe-every", "50ms")
+		dones = append(dones, done)
+	}
+	return addrs, dones
+}
+
+// planMiss plans body on the member at addr, requires a 200 cache miss, and
+// returns the plan key and the document.
+func planMiss(t *testing.T, addr, body string) (key string, doc []byte) {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+"/v1/plan", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-SMM-Cache") != "miss" {
+		t.Fatalf("plan on %s: status %d, X-SMM-Cache %q: %s", addr, resp.StatusCode, resp.Header.Get("X-SMM-Cache"), doc)
+	}
+	return resp.Header.Get("X-SMM-Plan-Key"), doc
+}
+
 // TestServeClusterFleet boots a real two-member fleet through the binary
-// path: the same plan requested on both nodes runs the planner exactly
-// once fleet-wide, with the non-owner filled over POST /v1/peer/fill.
+// path: the same plan requested on both members is planned by each member
+// itself, once, and both answer the same document.
 func TestServeClusterFleet(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	addrs := []string{freeAddr(t), freeAddr(t)}
-	peers := "http://" + addrs[0] + ",http://" + addrs[1]
-	var dones []chan error
-	for _, a := range addrs {
-		// Replication off: with it on, the owner can push its replica to the
-		// other member before that member's own request arrives, making the
-		// peer-fill count depend on timing. TestServeFleetReplication covers
-		// the replication path.
-		_, _, done := startRun(t, ctx,
-			"-addr", a, "-peers", peers, "-self", "http://"+a, "-timeout", "30s",
-			"-replicate-queue", "0")
-		dones = append(dones, done)
-	}
+	addrs, dones := startFleet(t, ctx)
 
 	body := `{"model": "TinyCNN", "glb_kb": 48}`
+	_, want := planMiss(t, addrs[0], body)
+	if _, got := planMiss(t, addrs[1], body); !bytes.Equal(got, want) {
+		t.Error("the members planned different documents")
+	}
 	for _, a := range addrs {
-		resp, err := http.Post("http://"+a+"/v1/plan", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("plan on %s: status %d: %s", a, resp.StatusCode, b)
+		if n := metricValue(t, getBody(t, "http://"+a+"/metrics"), "smm_planner_latency_seconds_count"); n != 1 {
+			t.Errorf("planner ran %d times on %s, want once on each member", n, a)
 		}
 	}
 
-	var runs, fills, owners int64
+	cancel()
+	for _, done := range dones {
+		waitDone(t, done)
+	}
+}
+
+// TestServeFleetInvalidation boots a two-member fleet that has planned one
+// key on each member: /v1/cluster/status lists both members alive, and one
+// DELETE of the key is applied on both, so planning it again on the other
+// member misses and runs the planner again.
+func TestServeFleetInvalidation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrs, dones := startFleet(t, ctx)
+
+	body := `{"model": "TinyCNN", "glb_kb": 48}`
+	key, _ := planMiss(t, addrs[0], body)
+	planMiss(t, addrs[1], body)
+
+	// Status view: each member sees both, alive.
+	status := getBody(t, "http://"+addrs[0]+"/v1/cluster/status")
 	for _, a := range addrs {
-		mb := getBody(t, "http://"+a+"/metrics")
-		runs += metricValue(t, mb, "smm_planner_latency_seconds_count")
-		fills += metricValue(t, mb, `smm_peer_fill_total{outcome="hit"}`)
-		owners += metricValue(t, mb, "smm_ring_owner_self_total")
+		if !strings.Contains(status, "http://"+a) {
+			t.Errorf("cluster status missing member %s:\n%s", a, status)
+		}
 	}
-	if runs != 1 {
-		t.Errorf("planner ran %d times fleet-wide, want exactly 1", runs)
+	if strings.Contains(status, `"alive": false`) || strings.Contains(status, `"alive":false`) {
+		t.Errorf("cluster status reports a dead member:\n%s", status)
 	}
-	if fills != 1 {
-		t.Errorf("%d successful peer fills, want 1 (the non-owner's)", fills)
+
+	// Fleet-wide invalidation: one DELETE is applied on both members.
+	req, err := http.NewRequest(http.MethodDelete, "http://"+addrs[0]+"/v1/cache/"+key, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The owner misses the key once: whichever of its own /v1/plan and the
-	// other member's POST /v1/peer/fill arrives first runs the flight, and
-	// the other is a cache hit.
-	if owners != 1 {
-		t.Errorf("%d owner-self misses, want 1", owners)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _ := io.ReadAll(dresp.Body)
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusOK || !strings.Contains(string(db), `"ok": true`) {
+		t.Fatalf("invalidate: status %d, want a 200 with the fan-out outcome: %s", dresp.StatusCode, db)
+	}
+	for _, a := range addrs {
+		if n := metricValue(t, getBody(t, "http://"+a+"/metrics"), "smm_invalidate_total"); n < 1 {
+			t.Errorf("member %s never applied the invalidation", a)
+		}
+	}
+	planMiss(t, addrs[1], body)
+	var runs int64
+	for _, a := range addrs {
+		runs += metricValue(t, getBody(t, "http://"+a+"/metrics"), "smm_planner_latency_seconds_count")
+	}
+	if runs != 3 {
+		t.Errorf("planner ran %d times fleet-wide after the invalidation, want 3", runs)
 	}
 
 	cancel()
@@ -483,113 +538,6 @@ func TestServeFleetFlagValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-rewarm-every", "1s"}, out); err == nil {
 		t.Error("-rewarm-every without -warm-from accepted")
-	}
-}
-
-// TestServeFleetReplication boots a two-member fleet with replication on:
-// after one plan, the owner's push lands a verified replica on the other
-// member; a fleet-wide invalidation is then visible on both, and
-// /v1/cluster/status reports a live membership view.
-func TestServeFleetReplication(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	addrs := []string{freeAddr(t), freeAddr(t)}
-	peers := "http://" + addrs[0] + ",http://" + addrs[1]
-	var dones []chan error
-	for _, a := range addrs {
-		_, _, done := startRun(t, ctx,
-			"-addr", a, "-peers", peers, "-self", "http://"+a,
-			"-timeout", "30s", "-probe-every", "50ms")
-		dones = append(dones, done)
-	}
-
-	body := `{"model": "TinyCNN", "glb_kb": 48}`
-	resp, err := http.Post("http://"+addrs[0]+"/v1/plan", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan: status %d", resp.StatusCode)
-	}
-	key := resp.Header.Get("X-SMM-Plan-Key")
-	if key == "" {
-		t.Fatal("no X-SMM-Plan-Key header")
-	}
-
-	// The owner pushes asynchronously; poll until the replica lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var received int64
-		for _, a := range addrs {
-			received += metricValue(t, getBody(t, "http://"+a+"/metrics"), `smm_replicate_total{outcome="received"}`)
-		}
-		if received == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never landed (received=%d)", received)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Status view: each member sees both, alive.
-	status := getBody(t, "http://"+addrs[0]+"/v1/cluster/status")
-	for _, a := range addrs {
-		if !strings.Contains(status, "http://"+a) {
-			t.Errorf("cluster status missing member %s:\n%s", a, status)
-		}
-	}
-	if strings.Contains(status, `"alive": false`) || strings.Contains(status, `"alive":false`) {
-		t.Errorf("cluster status reports a dead member:\n%s", status)
-	}
-
-	// Fleet-wide invalidation: one DELETE is observed on both members.
-	req, err := http.NewRequest(http.MethodDelete, "http://"+addrs[0]+"/v1/cache/"+key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, _ := io.ReadAll(dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("invalidate: status %d: %s", dresp.StatusCode, db)
-	}
-	if !strings.Contains(string(db), `"ok": true`) {
-		t.Errorf("fan-out outcome missing from invalidate response:\n%s", db)
-	}
-	for _, a := range addrs {
-		if n := metricValue(t, getBody(t, "http://"+a+"/metrics"), "smm_invalidate_total"); n < 1 {
-			t.Errorf("member %s never applied the invalidation", a)
-		}
-	}
-	// The invalidated key is gone fleet-wide: planning again costs a second
-	// planner run somewhere (a peer fill still reports "hit" to the asker,
-	// so the run count is the observable, not the cache header).
-	resp2, err := http.Post("http://"+addrs[1]+"/v1/plan", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-invalidation plan: status %d", resp2.StatusCode)
-	}
-	var runs int64
-	for _, a := range addrs {
-		runs += metricValue(t, getBody(t, "http://"+a+"/metrics"), "smm_planner_latency_seconds_count")
-	}
-	if runs != 2 {
-		t.Errorf("planner ran %d times fleet-wide after invalidation, want 2", runs)
-	}
-
-	cancel()
-	for _, done := range dones {
-		waitDone(t, done)
 	}
 }
 

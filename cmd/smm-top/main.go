@@ -2,8 +2,7 @@
 // polls GET /v1/cluster/overview on one member and renders a refreshing
 // table of the whole fleet — liveness votes from every member's health
 // view (so asymmetric partitions show up as split votes), per-member cache
-// hit ratios, ring ownership shares, replication queue depth and
-// degraded-plan counts — plus the merged totals row.
+// hit ratios and degraded-plan counts — plus the merged totals row.
 //
 // Usage:
 //
@@ -136,28 +135,25 @@ func render(out io.Writer, serverURL string, ov *server.OverviewResponse) {
 	}
 	fmt.Fprintf(out, " — %d members, %d reachable\n\n", ov.Totals.Members, ov.Totals.Reachable)
 
-	tw := newTable(out, "MEMBER", "VOTES", "SHARE", "ENTRIES", "HIT", "REPLQ", "DEGRADED", "STATUS")
+	tw := newTable(out, "MEMBER", "VOTES", "ENTRIES", "HIT", "DEGRADED", "STATUS")
 	rows := append([]server.OverviewMember(nil), ov.Members...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Member < rows[j].Member })
 	for _, row := range rows {
 		vote := fmt.Sprintf("%d/%d", aliveVotes[row.Member], views)
-		share := fmt.Sprintf("%.1f%%", 100*row.RingShare)
 		if row.Status == nil {
-			tw.row(row.Member, vote, share, "-", "-", "-", "-", "DOWN: "+row.Error)
+			tw.row(row.Member, vote, "-", "-", "-", "DOWN: "+row.Error)
 			continue
 		}
 		st := row.Status
-		tw.row(row.Member, vote, share,
+		tw.row(row.Member, vote,
 			fmt.Sprintf("%d", st.Cache.Entries),
 			ratio(st.Cache.Hits, st.Cache.Misses),
-			fmt.Sprintf("%d", st.Replication.Queued),
 			fmt.Sprintf("%d", st.DegradedPlans),
 			"up")
 	}
-	tw.row("TOTAL", "", "",
+	tw.row("TOTAL", "",
 		fmt.Sprintf("%d", ov.Totals.CacheEntries),
 		ratio(ov.Totals.CacheHits, ov.Totals.CacheMisses),
-		fmt.Sprintf("%d", ov.Totals.ReplicationQueued),
 		fmt.Sprintf("%d", ov.Totals.DegradedPlans),
 		"")
 	tw.flush()

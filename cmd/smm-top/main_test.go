@@ -30,9 +30,9 @@ func fakeOverview() server.OverviewResponse {
 	return server.OverviewResponse{
 		Self: "http://a",
 		Members: []server.OverviewMember{
-			{Member: "http://a", RingShare: 0.4, Status: status("http://a", false)},
-			{Member: "http://b", RingShare: 0.35, Status: status("http://b", true)},
-			{Member: "http://c", RingShare: 0.25, Error: "member marked dead by health probes"},
+			{Member: "http://a", Status: status("http://a", false)},
+			{Member: "http://b", Status: status("http://b", true)},
+			{Member: "http://c", Error: "member marked dead by health probes"},
 		},
 		Totals: server.OverviewTotals{Members: 3, Reachable: 2, CacheEntries: 10, CacheHits: 16, CacheMisses: 4},
 	}

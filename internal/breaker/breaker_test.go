@@ -87,11 +87,12 @@ func TestBreakerNilAlwaysAllows(t *testing.T) {
 	}
 }
 
-// TestBreakerHalfOpenAdmitsExactlyOneProbe is the self-healing contract the
-// cluster peer backend leans on: when a breaker's cooldown lapses under
+// TestBreakerHalfOpenAdmitsExactlyOneProbe is the self-healing contract a
+// compute route's breaker leans on: when a breaker's cooldown lapses under
 // concurrent load, exactly one caller is admitted to probe the dependency
 // and every other caller keeps failing fast — a thundering herd against a
-// barely-recovering peer would defeat the point of breaking the circuit.
+// barely-recovering dependency would defeat the point of breaking the
+// circuit.
 func TestBreakerHalfOpenAdmitsExactlyOneProbe(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Second)
 	b.Failure()

@@ -1,31 +1,25 @@
+// Package cluster turns N smm-serve processes into one fleet.
+//
+// Every member plans its own plan-cache misses. The paper's analyser scores
+// closed-form estimates per layer, so planning a key costs about as much as
+// verifying a copy of it that another member sent, before any round trip;
+// DESIGN §10 records what sending plans between members cost. So no plan
+// crosses the network on the request path: a member's plan cache
+// (internal/plancache) and its single-flight are its own.
+//
+// What the fleet shares is operational: a static member list (the -peers
+// flag, not gossip: membership of a planning tier changes by deploy),
+// liveness probes (Health), fan-out invalidation and purge, and the merged
+// overview of every member's status. A restarted member warms its plan
+// cache from a peer's snapshot (smm-serve -warm-from), which verifies every
+// record before it is trusted.
 package cluster
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"scratchmem/internal/breaker"
+	"fmt"
+	"slices"
 )
-
-// FillFunc asks the member at baseURL to produce the value for request
-// (POST /v1/peer/fill through the client's transport) and returns its
-// canonical response body.
-type FillFunc func(ctx context.Context, baseURL string, request any) ([]byte, error)
-
-// ErrNoReplica is what a LookupFunc returns when the asked member does not
-// hold a cached copy of the key (a cached-only miss). It is an expected
-// outcome — the successor simply had not received the replica yet — so the
-// caller falls through to local compute without counting a member failure.
-var ErrNoReplica = errors.New("cluster: member holds no replica")
-
-// LookupFunc asks a member for an already-cached copy of the value for
-// request, never triggering a compute on the member (POST
-// /v1/peer/fill?cached=only through the client's transport). A miss is
-// ErrNoReplica.
-type LookupFunc func(ctx context.Context, baseURL string, request any) ([]byte, error)
 
 // InvalidateFunc removes key from a member's caches (DELETE /v1/cache/{key}
 // through the client's transport). key == "" purges the member's caches
@@ -37,66 +31,67 @@ type InvalidateFunc func(ctx context.Context, baseURL, key string) error
 // primitive behind GET /v1/cluster/overview.
 type StatusFunc func(ctx context.Context, baseURL string) ([]byte, error)
 
-// Fleet is one member's handle on the cluster: the ring, this member's
-// place in it, liveness, replication and the transports it talks to its
-// peers through. The server holds one (nil when standalone); every method
-// is nil-safe, so single-node behaviour is untouched. Build it as a struct
-// literal and share it by pointer.
+// Fleet is one member's handle on the cluster: the member list, this
+// member's place in it, liveness, and the transports it fans out through.
+// The server holds one (nil when standalone); every method is nil-safe, so
+// single-node behaviour is untouched. Build it with NewFleet and share it
+// by pointer.
 type Fleet struct {
-	// Ring is the static member ring.
-	Ring *Ring
-	// Self is this process's own base URL; it must be a ring member.
+	// Members is every member's base URL, Self included, sorted and
+	// distinct.
+	Members []string
+	// Self is this process's own base URL; it is one of Members.
 	Self string
-	// Health tracks peer liveness, so fills and fan-outs skip members
-	// that probes marked dead; may be nil (every member presumed alive).
+	// Health tracks peer liveness, so fan-outs skip members that probes
+	// marked dead; may be nil (every member presumed alive).
 	Health *Health
-	// Repl pushes freshly computed owned plans to ring successors; may be
-	// nil (replication disabled).
-	Repl *Replicator
-	// Fill is the transport for owner fills.
-	Fill FillFunc
-	// Lookup is the transport for cached-only successor lookups after the
-	// owner is dead or failed; may be nil (no successor fallback).
-	Lookup LookupFunc
 	// Invalidate is the transport for fan-out invalidation; may be nil
 	// (invalidation then applies locally only).
 	Invalidate InvalidateFunc
 	// Status is the transport for the overview fan-out; may be nil (the
 	// overview then reports peers as unreachable, never errors).
 	Status StatusFunc
-	// BreakerThreshold and BreakerCooldown configure the per-member
-	// circuit breaker on owner fills (breaker.New semantics: 0 selects the
-	// default, threshold < 0 disables breaking).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	mu       sync.Mutex
-	breakers map[string]*breaker.Breaker
-
-	ownerSelf, hit, errs, bad, open, dead, succHit atomic.Int64
 }
 
-// Stop shuts down the fleet's background loops (probes, replication).
+// NewFleet returns self's handle on the fleet of members, with Members a
+// sorted copy of the list. The list must name at least one member, none
+// empty or twice, and self must be one of them: a repeated member almost
+// certainly means a typo in a deploy config, so it is refused rather than
+// run with a membership the operator did not write.
+func NewFleet(members []string, self string) (*Fleet, error) {
+	sorted := slices.Clone(members)
+	slices.Sort(sorted)
+	for i, m := range sorted {
+		if m == "" {
+			return nil, fmt.Errorf("cluster: empty member")
+		}
+		if i > 0 && m == sorted[i-1] {
+			return nil, fmt.Errorf("cluster: member %q listed more than once", m)
+		}
+	}
+	if _, found := slices.BinarySearch(sorted, self); !found {
+		return nil, fmt.Errorf("cluster: self %q is not one of the members %q", self, members)
+	}
+	return &Fleet{Members: sorted, Self: self}, nil
+}
+
+// Stop ends the fleet's probe loop.
 func (f *Fleet) Stop() {
 	if f == nil {
 		return
 	}
 	f.Health.Stop()
-	f.Repl.Stop()
 }
 
-// LiveMembers returns the ring members (excluding self) currently believed
+// LiveMembers returns the members (excluding self) currently believed
 // alive — the fan-out set for invalidation.
 func (f *Fleet) LiveMembers() []string {
 	if f == nil {
 		return nil
 	}
 	var out []string
-	for _, m := range f.Ring.Members() {
-		if m == f.Self {
-			continue
-		}
-		if f.Health.Alive(m) {
+	for _, m := range f.Members {
+		if m != f.Self && f.Health.Alive(m) {
 			out = append(out, m)
 		}
 	}

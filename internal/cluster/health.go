@@ -52,11 +52,11 @@ type MemberHealth struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// Health tracks peer liveness with periodic probes, so Fleet.Fetch can
-// skip a known-dead owner immediately instead of burning a round-trip (or a
-// breaker cooldown) per request. Membership stays static (the ring); only
-// liveness is dynamic. A nil *Health reports every member alive, so callers
-// never branch on "health disabled".
+// Health tracks peer liveness with periodic probes, so fan-outs skip a
+// known-dead member immediately instead of burning a round-trip on it.
+// Membership stays static (Fleet.Members); only liveness is dynamic. A nil
+// *Health reports every member alive, so callers never branch on "health
+// disabled".
 type Health struct {
 	probe ProbeFunc
 	opts  HealthOptions
@@ -77,9 +77,9 @@ type memberState struct {
 	lastError   string
 }
 
-// NewHealth builds a tracker over every ring member except self (a process
-// does not probe itself). probe is required; Start begins the loop.
-func NewHealth(ring *Ring, self string, probe ProbeFunc, opts HealthOptions) *Health {
+// NewHealth builds a tracker over every member except self (a process does
+// not probe itself). probe is required; Start begins the loop.
+func NewHealth(members []string, self string, probe ProbeFunc, opts HealthOptions) *Health {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultProbeInterval
 	}
@@ -96,7 +96,7 @@ func NewHealth(ring *Ring, self string, probe ProbeFunc, opts HealthOptions) *He
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	for _, m := range ring.Members() {
+	for _, m := range members {
 		if m == self {
 			continue
 		}

@@ -23,10 +23,8 @@
 //	plancache.flight  inside every single-flight computation (internal/plancache)
 //	core.layer        per planned layer               (internal/core)
 //	dram.access       per replayed DMA event          (internal/dram)
-//	cluster.peer      before every peer cache-fill round-trip (internal/cluster)
 //	cluster.snapshot  before every cache-snapshot stream (internal/server)
 //	cluster.health    before every liveness probe     (internal/cluster)
-//	cluster.replicate before every successor replica push (internal/cluster)
 //	cluster.overview  before every overview status fan-out fetch (internal/server)
 package faultinject
 

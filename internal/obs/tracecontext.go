@@ -4,10 +4,10 @@ import "context"
 
 // TraceparentHeader is the HTTP header that carries trace context across
 // fleet members: "<trace-id>-<parent-span-id>", both 16 lowercase hex
-// digits. Every cross-node call (peer fill, successor lookup, replicate
-// push, invalidate fan-out, snapshot pull, overview fetch) stamps it and
-// the receiving server adopts it, so one request produces one trace no
-// matter how many members it crosses. The contract is strictly
+// digits. Every cross-node call made for a request (invalidate fan-out,
+// snapshot pull, overview fetch) stamps it and the receiving server adopts
+// it, so one request produces one trace no matter how many members it
+// crosses. The contract is strictly
 // best-effort: a missing or malformed header degrades to a fresh
 // per-process trace, never to an error.
 const TraceparentHeader = "X-SMM-Traceparent"

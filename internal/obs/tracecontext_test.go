@@ -92,7 +92,7 @@ func TestWithRemoteParentIgnoresInvalid(t *testing.T) {
 
 // TestTraceContextFromPrefersActiveSpan: an active local span is the
 // context to propagate; the inherited remote parent only applies when no
-// span has started yet (e.g. the async replication queue).
+// span has started yet (e.g. work a request queued for later).
 func TestTraceContextFromPrefersActiveSpan(t *testing.T) {
 	tr := NewTracer(8)
 	remote := TraceContext{TraceID: "0123456789abcdef", ParentID: "fedcba9876543210"}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	scratchmem "scratchmem"
+	"scratchmem/internal/model"
 )
 
 // benchHandler is a server whose planner returns one precomputed ResNet18
@@ -162,19 +163,13 @@ func BenchmarkBatchHandlerMiss(b *testing.B) {
 	}
 }
 
-// fleetDoc is one non-degraded plan of the fleet benchmark grid: its key
-// and its cache entry, whose body is the plan's peer-fill body.
-type fleetDoc struct {
-	key   string
-	entry *planEntry
-}
-
-// fleetGrid plans every builtin at 64, 256 and 1024 kB under the four
-// option sets smm-loadbench's workloads cycle through: het, het with the
-// latency objective, het with inter-layer reuse, and hom.
-func fleetGrid(b *testing.B) []fleetDoc {
+// recordGrid encodes the snapshot record of every builtin planned at 64,
+// 256 and 1024 kB under the four option sets smm-loadbench's workloads
+// cycle through: het, het with the latency objective, het with inter-layer
+// reuse, and hom. Degraded plans have no record.
+func recordGrid(b *testing.B) [][]byte {
 	b.Helper()
-	var grid []fleetDoc
+	var grid [][]byte
 	for _, name := range servedModels {
 		net, err := scratchmem.BuiltinModel(name)
 		if err != nil {
@@ -198,47 +193,28 @@ func fleetGrid(b *testing.B) []fleetDoc {
 				if err != nil {
 					b.Fatal(err)
 				}
-				grid = append(grid, fleetDoc{key: key, entry: &planEntry{plan: p, body: body, net: net, opts: o}})
+				rec, err := appendRecord(nil, key, &planEntry{plan: p, body: body, net: net, opts: o})
+				if err != nil {
+					b.Fatal(err)
+				}
+				grid = append(grid, rec)
 			}
 		}
 	}
 	return grid
 }
 
-// BenchmarkPeerFillDecode decodes and verifies one peer-fill body per
-// iteration, cycling through the grid: what a fleet member does with an
-// owner's answer before it caches the plan.
-func BenchmarkPeerFillDecode(b *testing.B) {
-	grid := fleetGrid(b)
+// BenchmarkSnapshotRestore reads and verifies one snapshot record per
+// iteration, cycling through the grid: what -warm-from and the re-warm loop
+// do with each line before they store its plan.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	grid := recordGrid(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := &grid[i%len(grid)]
-		if _, err := decodePeerPlan(d.entry.body, d.entry.net, d.entry.opts); err != nil {
+		rec := grid[i%len(grid)]
+		if _, _, err := readRecord(model.NewJSONReader(rec), rec).restore(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplicaRoundTrip is one successor replication per iteration,
-// cycling through the grid: the owner encodes the plan's record, and the
-// successor receives it through POST /v1/peer/replicate, verifies it and
-// stores it.
-func BenchmarkReplicaRoundTrip(b *testing.B) {
-	grid := fleetGrid(b)
-	h := New(Config{}).Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := &grid[i%len(grid)]
-		payload, err := appendRecord(nil, d.key, d.entry)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/peer/replicate", bytes.NewReader(payload)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
 	}
 }

@@ -49,7 +49,7 @@ func (c sharedCopy) check(t *testing.T, name, after string) {
 // builtin that every request shares (model.SharedBuiltin), so nothing the
 // server hands a resolved network to may write it: planning in every
 // scheme and down the degradation ladder, the simulate, baseline, DSE and
-// trace routes, the snapshot record encoder, and the peer-fill check
+// trace routes, the snapshot record encoder, and the document check
 // (scratchmem.VerifyPlanDocument).
 func TestSharedBuiltinsUnchanged(t *testing.T) {
 	h := New(Config{}).Handler()

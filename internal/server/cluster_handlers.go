@@ -45,8 +45,8 @@ type BatchResponse struct {
 // set of sweep tables, so a layer question any item asks is swept once for
 // every item planned under the same knobs. Items succeed and fail
 // independently — the response is always 200 with per-item statuses — and
-// each item takes the same cache / single-flight / peer-fill path as a lone
-// POST /v1/plan, so the returned documents are byte-identical to sequential
+// each item takes the same cache / single-flight path as a lone POST
+// /v1/plan, so the returned documents are byte-identical to sequential
 // calls.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
@@ -79,7 +79,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = BatchItem{Status: code, Error: msg}
 			return nil
 		}
-		entry, shared, err := s.planned(ctx, in.key, &in.req, tables, in.net, in.opts)
+		entry, shared, err := s.planned(ctx, in.key, tables, in.net, in.opts)
 		if err != nil {
 			code, msg := statusOf(err)
 			results[i] = BatchItem{Status: code, PlanKey: in.key, Error: msg}
@@ -141,48 +141,6 @@ func appendBatchField(buf []byte, name, val string) []byte {
 	buf = append(buf, name...)
 	buf = append(buf, "\": "...)
 	return model.AppendJSONString(buf, val)
-}
-
-// handlePeerFill computes a plan on behalf of a ring peer. It is the
-// receiving half of the cluster's cache-fill protocol: identical to
-// /v1/plan except that the request is never forwarded again (a nil wire
-// request keeps the fill local), so two nodes whose rings momentarily
-// disagree about a key's owner bounce the request at most once instead of
-// forwarding it in a loop.
-func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
-	res, memoized, err := s.resolveBody(w, r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	span := obs.SpanFrom(r.Context())
-	span.SetAttr("model_hash", res.key)
-	// ?cached=only is the successor-lookup half of the replication
-	// protocol: answer from cache or 404, never compute. A dead owner's
-	// peers use it to ask the key's ring successor for the replica the
-	// owner pushed, and a miss must stay cheap — the asker falls back to
-	// computing locally, so triggering a compute here would turn the
-	// exactly-once guarantee into at-least-twice.
-	if r.URL.Query().Get("cached") == "only" {
-		v, ok := s.local.Get("plan:" + res.key)
-		if !ok {
-			s.writeError(w, http.StatusNotFound, "no cached plan for key "+res.key)
-			return
-		}
-		s.writePlan(w, res, memoized, v.(*planEntry), true)
-		return
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	entry, shared, err := s.planned(ctx, res.key, nil, nil, res.net, res.opts)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if entry.plan.Degraded {
-		span.SetAttr("degraded_mode", entry.plan.DegradedMode)
-	}
-	s.writePlan(w, res, memoized, entry, shared)
 }
 
 // VersionInfo answers GET /v1/version and the smm-serve -version flag.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,40 +9,17 @@ import (
 	"testing"
 
 	scratchmem "scratchmem"
-	"scratchmem/internal/cluster"
 	"scratchmem/internal/core"
 	"scratchmem/internal/model"
 	"scratchmem/internal/policy"
 )
 
-// fillThroughPeer runs one fleet fetch of key through a two-member ring
-// whose other member owns it and answers with body, as decodePeerPlan
-// decodes a fill of net under opts. It returns the fill counters and
-// whether the asker is left to compute the plan locally.
-func fillThroughPeer(t *testing.T, body []byte, net *scratchmem.Network, opts scratchmem.PlanOptions) (cluster.PeerStats, bool) {
-	t.Helper()
-	const self, owner = "http://self", "http://owner"
-	ring, err := cluster.NewRing([]string{self, owner}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ""
-	for i := 0; key == ""; i++ {
-		if k := fmt.Sprintf("plan:%d", i); ring.Owner(k) == owner {
-			key = k
-		}
-	}
-	answer := func(context.Context, string, any) ([]byte, error) { return body, nil }
-	fleet := &cluster.Fleet{Ring: ring, Self: self, Fill: answer}
-	_, ok := fleet.Fetch(context.Background(), key, struct{}{}, func(b []byte) (any, error) { return decodePeerPlan(b, net, opts) })
-	return fleet.PeerStats(), !ok
-}
-
-// TestPeerFillRefusesTampering: a peer-fill body with any single byte
-// changed — in the totals, the policy mix, a coverage figure, the feasible
-// flag, a layer name or the white space — is refused and counted bad, and
-// the asker computes the plan itself. The untouched body fills.
-func TestPeerFillRefusesTampering(t *testing.T) {
+// TestRestoreRefusesTamperedRecords: a snapshot record whose document has
+// any single byte changed — in the totals, the policy mix, a coverage
+// figure, the feasible flag, a layer name, or a structural byte turned to
+// white space — restores nothing through RestoreSnapshot (-warm-from and
+// re-warm). The untouched record restores.
+func TestRestoreRefusesTamperedRecords(t *testing.T) {
 	for _, name := range []string{"TinyCNN", "ResNet18"} {
 		net, err := scratchmem.BuiltinModel(name)
 		if err != nil {
@@ -58,17 +34,29 @@ func TestPeerFillRefusesTampering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ps, local := fillThroughPeer(t, body, net, opts); ps.Hit != 1 || local {
-			t.Fatalf("%s: the untouched body did not fill: %+v", name, ps)
+		key, err := scratchmem.PlanKey(net, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// region returns the bytes from the first match of from up to and
-		// including the first match of to after it.
+		rec, err := appendRecord(nil, key, &planEntry{plan: p, body: body, net: net, opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{})
+		restored := func(line []byte) int {
+			added, _, _ := srv.RestoreSnapshot(bytes.NewReader(line))
+			return added
+		}
+		doc := bytes.Index(rec, []byte(`,"doc":`)) + len(`,"doc":`)
+		// region returns the bytes of the document from the first match of
+		// from up to and including the first match of to after it.
 		region := func(from, to string) (int, int) {
-			i := bytes.Index(body, []byte(from))
+			i := bytes.Index(rec[doc:], []byte(from))
 			if i < 0 {
 				t.Fatalf("%s: no %q in the document", name, from)
 			}
-			j := bytes.Index(body[i:], []byte(to))
+			i += doc
+			j := bytes.Index(rec[i:], []byte(to))
 			if j < 0 {
 				t.Fatalf("%s: no %q after %q in the document", name, to, from)
 			}
@@ -80,28 +68,62 @@ func TestPeerFillRefusesTampering(t *testing.T) {
 			{`"policy_mix"`, "]"},
 			{`"prefetch_coverage"`, ","},
 			{`"interlayer_coverage"`, ","},
-			{`"feasible"`, "\n"},
-			{`"name": "`, `",`},
+			{`"feasible"`, "}"},
+			{`"name":"`, `",`},
 		} {
 			i, j := region(r[0], r[1])
 			for k := i; k < j; k++ {
 				positions = append(positions, k)
 			}
 		}
-		positions = append(positions, 1, bytes.IndexByte(body, ' '), len(body)-1)
+		positions = append(positions, doc, doc+1, len(rec)-1)
 		for _, k := range positions {
-			for _, b := range []byte{body[k] ^ 1, ' ', '0'} {
-				if b == body[k] {
+			for _, b := range []byte{rec[k] ^ 1, ' ', '0'} {
+				if b == rec[k] {
 					continue
 				}
-				tampered := bytes.Clone(body)
+				tampered := bytes.Clone(rec)
 				tampered[k] = b
-				if ps, local := fillThroughPeer(t, tampered, net, opts); ps.Bad != 1 || ps.Hit != 0 || !local {
-					t.Fatalf("%s: byte %d %q -> %q: fill counted %+v, local compute %t; want refused as bad",
-						name, k, body[k], b, ps, local)
+				if n := restored(tampered); n != 0 {
+					t.Fatalf("%s: byte %d %q -> %q: the record restored", name, k, rec[k], b)
 				}
 			}
 		}
+		if n := restored(rec); n != 1 {
+			t.Fatalf("%s: the untouched record restored %d plans, want 1", name, n)
+		}
+	}
+}
+
+// TestRestoreRefusesDegradedRecord: a snapshot record of a degraded plan,
+// whose document is not decision-reproducible, is skipped by
+// RestoreSnapshot rather than trusted.
+func TestRestoreRefusesDegradedRecord(t *testing.T) {
+	// appendRecord refuses degraded plans, so encode the record as
+	// json.Marshal writes the wire type.
+	net, err := scratchmem.BuiltinModel("AlexNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := scratchmem.PlanOptions{Config: scratchmem.DefaultConfig(1)}
+	p, err := scratchmem.PlanModel(net, opts)
+	if err != nil || !p.Degraded {
+		t.Fatalf("AlexNet at 1 kB: degraded %t, %v; want a degraded plan", p != nil && p.Degraded, err)
+	}
+	key, err := scratchmem.PlanKey(net, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := model.CanonicalJSON(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(SnapshotRecord{Key: key, Network: canon, Doc: scratchmem.PlanDocument(p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, skipped, err := New(Config{}).RestoreSnapshot(bytes.NewReader(rec)); added != 0 || skipped != 1 || err != nil {
+		t.Fatalf("degraded record: %d added, %d skipped, %v; want it skipped", added, skipped, err)
 	}
 }
 
@@ -155,8 +177,9 @@ func TestSnapshotRecordEncoding(t *testing.T) {
 
 // FuzzPlanDocument: the document seam never panics, and accepts only what
 // the rule it replaced accepted, with the same rendering. which picks the
-// input's kind: a peer-fill body for fuzzNets[which], or else one
-// SnapshotRecord as POST /v1/peer/replicate takes it. The reference rule
+// input's kind: a plan document for fuzzNets[which], as RehydratePlan takes
+// it, or else one SnapshotRecord as readRecord and restore take a
+// -warm-from or re-warm line. The reference rule
 // decodes with encoding/json and checks the decisions figure by figure
 // (referenceRehydrate), so the seam's accept set is a subset of its.
 func FuzzPlanDocument(f *testing.F) {
@@ -216,15 +239,15 @@ func FuzzPlanDocument(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		if int(which) < len(nets) {
-			checkPeerFillBody(t, nets[which], data)
+			checkPlanDocument(t, nets[which], data)
 		} else {
-			checkReplicaBody(t, data)
+			checkRecord(t, data)
 		}
 	})
 }
 
-// fuzzNets are the networks FuzzPlanDocument's peer-fill bodies are
-// planned for: small builtins, the escaped inline network and, last,
+// fuzzNets are the networks FuzzPlanDocument's plan documents are planned
+// for: small builtins, the escaped inline network and, last,
 // ResNet18.
 func fuzzNets(f *testing.F) []*scratchmem.Network {
 	var nets []*scratchmem.Network
@@ -246,7 +269,7 @@ func fuzzNets(f *testing.F) []*scratchmem.Network {
 	return append(nets, esc, resnet)
 }
 
-func checkPeerFillBody(t *testing.T, net *scratchmem.Network, data []byte) {
+func checkPlanDocument(t *testing.T, net *scratchmem.Network, data []byte) {
 	p, body, err := scratchmem.VerifyPlanDocument(net, data)
 	if err != nil {
 		return
@@ -270,7 +293,7 @@ func checkPeerFillBody(t *testing.T, net *scratchmem.Network, data []byte) {
 	}
 }
 
-func checkReplicaBody(t *testing.T, data []byte) {
+func checkRecord(t *testing.T, data []byte) {
 	rd := model.NewJSONReader(data)
 	rec := readRecord(rd, data)
 	if rd.Err() != nil {

@@ -41,59 +41,6 @@ func chaosProbe(ctx context.Context, baseURL string) error {
 	return nil
 }
 
-func chaosLookup(ctx context.Context, baseURL string, request any) ([]byte, error) {
-	b, err := json.Marshal(request)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/peer/fill?cached=only", bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tc := obs.TraceContextFrom(ctx); tc.Valid() {
-		req.Header.Set(obs.TraceparentHeader, tc.String())
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return body, nil
-	case http.StatusNotFound:
-		return nil, cluster.ErrNoReplica
-	default:
-		return nil, fmt.Errorf("cached-only fill: %s: %s", resp.Status, body)
-	}
-}
-
-func chaosPush(ctx context.Context, baseURL string, payload []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/peer/replicate", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tc := obs.TraceContextFrom(ctx); tc.Valid() {
-		req.Header.Set(obs.TraceparentHeader, tc.String())
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("replicate: %s: %s", resp.Status, body)
-	}
-	return nil
-}
-
 // chaosStatus is the overview fan-out transport: a plain GET of the
 // member's own /v1/cluster/status document.
 func chaosStatus(ctx context.Context, baseURL string) ([]byte, error) {
@@ -128,6 +75,9 @@ func chaosInvalidate(ctx context.Context, baseURL, key string) error {
 	if err != nil {
 		return err
 	}
+	if tc := obs.TraceContextFrom(ctx); tc.Valid() {
+		req.Header.Set(obs.TraceparentHeader, tc.String())
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
@@ -155,11 +105,11 @@ func (n *chaosNode) kill() {
 	n.ts.Close()
 }
 
-// startChaosNode boots one fleet member with the full self-healing control
-// plane wired: health tracker, successor replicator, invalidation fan-out,
-// cached-only successor lookup. A nil listener re-binds the address in the
-// node's URL — that is what "restart" means here.
-func startChaosNode(t *testing.T, ring *cluster.Ring, self string, l net.Listener, hopts cluster.HealthOptions, startHealthLoop bool) *chaosNode {
+// startChaosNode boots one fleet member with the whole control plane
+// wired: health tracker, invalidation fan-out and status transport. A nil
+// listener re-binds the address in the node's URL — that is what
+// "restart" means here.
+func startChaosNode(t *testing.T, members []string, self string, l net.Listener, hopts cluster.HealthOptions, startHealthLoop bool) *chaosNode {
 	t.Helper()
 	if l == nil {
 		var err error
@@ -168,10 +118,12 @@ func startChaosNode(t *testing.T, ring *cluster.Ring, self string, l net.Listene
 			t.Fatalf("rebinding %s: %v", self, err)
 		}
 	}
-	health := cluster.NewHealth(ring, self, chaosProbe, hopts)
-	repl := cluster.NewReplicator(ring, self, chaosPush, health, cluster.ReplicatorOptions{})
-	fleet := &cluster.Fleet{Ring: ring, Self: self, Health: health, Repl: repl,
-		Fill: testFill, Lookup: chaosLookup, Invalidate: chaosInvalidate, Status: chaosStatus}
+	fleet, err := cluster.NewFleet(members, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Health = cluster.NewHealth(fleet.Members, self, chaosProbe, hopts)
+	fleet.Invalidate, fleet.Status = chaosInvalidate, chaosStatus
 	srv := New(Config{
 		Timeout: 5 * time.Second,
 		Fleet:   fleet,
@@ -184,18 +136,17 @@ func startChaosNode(t *testing.T, ring *cluster.Ring, self string, l net.Listene
 	}
 	ts := &httptest.Server{Listener: l, Config: &http.Server{Handler: srv.Handler()}}
 	ts.Start()
-	repl.Start()
 	if startHealthLoop {
-		health.Start()
+		fleet.Health.Start()
 	}
 	n := &chaosNode{url: self, srv: srv, ts: ts, fleet: fleet, planned: counter}
 	t.Cleanup(n.kill)
 	return n
 }
 
-// newChaosFleet allocates n loopback listeners, builds the static ring over
-// them, and boots a chaosNode on each.
-func newChaosFleet(t *testing.T, n int, hopts cluster.HealthOptions, startHealthLoop bool) (map[string]*chaosNode, []string, *cluster.Ring) {
+// newChaosFleet allocates n loopback listeners and boots a chaosNode on
+// each, every node listing all n as its members.
+func newChaosFleet(t *testing.T, n int, hopts cluster.HealthOptions, startHealthLoop bool) (map[string]*chaosNode, []string) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -207,15 +158,11 @@ func newChaosFleet(t *testing.T, n int, hopts cluster.HealthOptions, startHealth
 		listeners[i] = l
 		urls[i] = "http://" + l.Addr().String()
 	}
-	ring, err := cluster.NewRing(urls, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nodes := make(map[string]*chaosNode, n)
 	for i, u := range urls {
-		nodes[u] = startChaosNode(t, ring, u, listeners[i], hopts, startHealthLoop)
+		nodes[u] = startChaosNode(t, urls, u, listeners[i], hopts, startHealthLoop)
 	}
-	return nodes, urls, ring
+	return nodes, urls
 }
 
 // rawPost hits a node by URL with a plain one-shot request (no httptest
@@ -234,101 +181,79 @@ func rawPost(url, path, body string) (*http.Response, []byte, error) {
 	return resp, b, nil
 }
 
-func flushRepl(t *testing.T, n *chaosNode) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := n.fleet.Repl.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestChaosFleetOwnerKillRecoversFromSuccessor is the deterministic
-// self-healing walkthrough: plan on the owner, watch the replica land on the
-// ring successor, kill the owner, and verify a third node serves the plan
-// from the successor's replica with ZERO additional planner runs. Then
-// invalidate fleet-wide, restart the owner, and verify the fleet heals.
-func TestChaosFleetOwnerKillRecoversFromSuccessor(t *testing.T) {
+// TestChaosFleetMemberKillSurvivorsAnswer is the deterministic
+// self-healing walkthrough: every member plans the key, one member is
+// killed, and the survivors answer it with byte-identical 200s from their
+// own caches (no new planner run) and plan new keys themselves. Then
+// invalidate fleet-wide past the dead member, restart it, and verify the
+// fleet heals.
+func TestChaosFleetMemberKillSurvivorsAnswer(t *testing.T) {
 	// Interval is effectively "never": the test drives probes by hand so
 	// every liveness transition is deterministic.
 	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
-	nodes, urls, ring := newChaosFleet(t, 3, hopts, false)
+	nodes, urls := newChaosFleet(t, 3, hopts, false)
+	victim, survivors := urls[0], urls[1:]
 
-	key := planKeyFor(t, "TinyCNN", 32)
-	owner := ring.Owner(key)
-	succ, ok := ring.Successor(key)
-	if !ok {
-		t.Fatal("no successor on a 3-member ring")
-	}
-	third := ""
+	// Each member plans the key once, for itself.
+	var body0 []byte
 	for _, u := range urls {
-		if u != owner && u != succ {
-			third = u
+		resp, body := post(t, nodes[u].ts, "/v1/plan", tinyPlanBody)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-SMM-Cache") != "miss" {
+			t.Fatalf("%s: status %d, X-SMM-Cache %q: %s", u, resp.StatusCode, resp.Header.Get("X-SMM-Cache"), body)
+		}
+		if body0 == nil {
+			body0 = body
+		} else if !bytes.Equal(body, body0) {
+			t.Fatalf("%s planned a different document", u)
+		}
+		if n := nodes[u].planned.Load(); n != 1 {
+			t.Fatalf("%s ran the planner %d times, want 1", u, n)
 		}
 	}
 
-	// Plan on the owner: one planner run, and the replica is pushed to the
-	// successor without the successor ever seeing a plan request.
-	resp, body0 := post(t, nodes[owner].ts, "/v1/plan", tinyPlanBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner plan: status %d: %s", resp.StatusCode, body0)
+	// Kill one member. Two failed probe rounds on a survivor mark it dead;
+	// /v1/cluster/status shows the retraction.
+	nodes[victim].kill()
+	for _, u := range survivors {
+		nodes[u].fleet.Health.ProbeNow(context.Background())
+		nodes[u].fleet.Health.ProbeNow(context.Background())
 	}
-	if nodes[owner].planned.Load() != 1 {
-		t.Fatalf("owner ran the planner %d times, want 1", nodes[owner].planned.Load())
-	}
-	flushRepl(t, nodes[owner])
-	if st := nodes[owner].fleet.Repl.Stats(); st.Sent != 1 {
-		t.Fatalf("replication stats = %+v, want Sent=1", st)
-	}
-	if !nodes[succ].srv.local.Contains(key) {
-		t.Fatal("successor holds no replica after the replication queue drained")
-	}
-
-	// Kill the owner. Two failed probe rounds on the surviving third node
-	// mark it dead; /v1/cluster/status shows the retraction.
-	nodes[owner].kill()
-	nodes[third].fleet.Health.ProbeNow(context.Background())
-	nodes[third].fleet.Health.ProbeNow(context.Background())
 	var cs ClusterStatus
-	if _, b := get(t, nodes[third].ts, "/v1/cluster/status"); json.Unmarshal(b, &cs) != nil {
+	if _, b := get(t, nodes[survivors[0]].ts, "/v1/cluster/status"); json.Unmarshal(b, &cs) != nil {
 		t.Fatalf("bad cluster status: %s", b)
 	}
-	ownerDead := false
+	victimDead := false
 	for _, m := range cs.Members {
-		if m.Member == owner && !m.Alive {
-			ownerDead = true
+		if m.Member == victim && !m.Alive {
+			victimDead = true
 		}
 	}
-	if !ownerDead {
-		t.Fatalf("status does not report the killed owner dead: %+v", cs.Members)
+	if !victimDead {
+		t.Fatalf("status does not report the killed member dead: %+v", cs.Members)
 	}
 
-	// The third node now serves the plan from the successor's replica:
-	// byte-identical document, no fill attempt against the corpse, no
-	// planner run anywhere in the surviving fleet.
-	resp, body := post(t, nodes[third].ts, "/v1/plan", tinyPlanBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan with owner dead: status %d: %s", resp.StatusCode, body)
-	}
-	if !bytes.Equal(body, body0) {
-		t.Fatal("successor replica served a different document than the owner")
-	}
-	if resp.Header.Get("X-SMM-Cache") != "hit" {
-		t.Errorf("X-SMM-Cache = %q, want hit (served from replica)", resp.Header.Get("X-SMM-Cache"))
-	}
-	if n := nodes[third].planned.Load() + nodes[succ].planned.Load(); n != 0 {
-		t.Fatalf("survivors ran the planner %d times; the replica made that unnecessary", n)
-	}
-	ps := nodes[third].fleet.PeerStats()
-	if ps.Dead == 0 || ps.SuccHit != 1 {
-		t.Fatalf("peer stats = %+v, want Dead>=1 and SuccHit=1", ps)
+	// The survivors answer the key from their own caches, and plan a new
+	// key locally: the dead member costs them nothing.
+	for _, u := range survivors {
+		resp, body := post(t, nodes[u].ts, "/v1/plan", tinyPlanBody)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, body0) || resp.Header.Get("X-SMM-Cache") != "hit" {
+			t.Fatalf("%s with a member dead: status %d, X-SMM-Cache %q, same document %t",
+				u, resp.StatusCode, resp.Header.Get("X-SMM-Cache"), bytes.Equal(body, body0))
+		}
+		if resp, body := post(t, nodes[u].ts, "/v1/plan", `{"model": "TinyCNN", "glb_kb": 48}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: a new key with a member dead: status %d: %s", u, resp.StatusCode, body)
+		}
+		if n := nodes[u].planned.Load(); n != 2 {
+			t.Fatalf("%s ran the planner %d times, want 2 (the first key and the new one)", u, n)
+		}
 	}
 
-	// Fleet-wide invalidation from the third node: its own copy and the
-	// successor's replica both disappear; the dead owner is skipped (it is
-	// not a live member), not waited on.
+	// Fleet-wide invalidation from a survivor: its own copy and the other
+	// survivor's both disappear; the dead member is skipped (it is not a
+	// live member), not waited on.
+	key := planKeyFor(t, "TinyCNN", 32)
 	bare := strings.TrimPrefix(key, "plan:")
-	req, err := http.NewRequest(http.MethodDelete, nodes[third].url+"/v1/cache/"+bare, nil)
+	req, err := http.NewRequest(http.MethodDelete, nodes[survivors[0]].url+"/v1/cache/"+bare, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,61 +267,46 @@ func TestChaosFleetOwnerKillRecoversFromSuccessor(t *testing.T) {
 	if err := json.Unmarshal(db, &inv); err != nil {
 		t.Fatalf("bad invalidate response: %s", db)
 	}
-	if inv.Key != bare {
-		t.Fatalf("invalidate echoed key %q, want %q", inv.Key, bare)
+	if inv.Key != bare || inv.Removed != 1 {
+		t.Fatalf("invalidate echoed key %q and removed %d, want %q and the one plan", inv.Key, inv.Removed, bare)
 	}
-	// The third node is not the key's owner, but the successor's replica it
-	// recovered is stored in its plan cache like any other plan, so Removed
-	// counts it.
-	if inv.Removed != 1 {
-		t.Fatalf("invalidate removed %d entries on the third node, want its one plan", inv.Removed)
+	if len(inv.Fanout) != 1 || inv.Fanout[0].Member != survivors[1] || !inv.Fanout[0].OK {
+		t.Fatalf("fan-out = %+v, want one delivery to the live survivor %s", inv.Fanout, survivors[1])
 	}
-	for _, fr := range inv.Fanout {
-		if fr.Member == owner {
-			t.Fatalf("fan-out addressed the dead owner: %+v", fr)
+	for _, u := range survivors {
+		if nodes[u].srv.local.Contains(key) {
+			t.Fatalf("%s's copy survived fleet-wide invalidation", u)
 		}
-		if fr.Member == succ && !fr.OK {
-			t.Fatalf("fan-out to the live successor failed: %+v", fr)
-		}
-	}
-	if nodes[succ].srv.local.Contains(key) {
-		t.Fatal("successor replica survived fleet-wide invalidation")
-	}
-	if nodes[third].srv.local.Contains(key) {
-		t.Fatal("third node's copy survived its own invalidation")
 	}
 
-	// Restart the owner on the same address. One successful probe round
-	// heals the liveness view, and planning flows through the owner again.
-	restarted := startChaosNode(t, ring, owner, nil, hopts, false)
-	nodes[owner] = restarted
-	nodes[third].fleet.Health.ProbeNow(context.Background())
-	if _, b := get(t, nodes[third].ts, "/v1/cluster/status"); strings.Contains(string(b), `"alive": false`) ||
+	// Restart the killed member on the same address. One successful probe
+	// round heals the liveness view, and the restarted member plans for
+	// itself.
+	restarted := startChaosNode(t, urls, victim, nil, hopts, false)
+	nodes[victim] = restarted
+	nodes[survivors[0]].fleet.Health.ProbeNow(context.Background())
+	if _, b := get(t, nodes[survivors[0]].ts, "/v1/cluster/status"); strings.Contains(string(b), `"alive": false`) ||
 		strings.Contains(string(b), `"alive":false`) {
 		t.Fatalf("status still reports a dead member after restart: %s", b)
 	}
-	resp, body = post(t, nodes[third].ts, "/v1/plan", tinyPlanBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan after restart: status %d: %s", resp.StatusCode, body)
-	}
-	if !bytes.Equal(body, body0) {
-		t.Fatal("post-restart document differs")
+	resp, body := post(t, restarted.ts, "/v1/plan", tinyPlanBody)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, body0) {
+		t.Fatalf("plan after restart: status %d, same document %t", resp.StatusCode, bytes.Equal(body, body0))
 	}
 	if restarted.planned.Load() != 1 {
-		t.Fatalf("restarted owner ran the planner %d times, want 1 (fresh fill)", restarted.planned.Load())
+		t.Fatalf("restarted member ran the planner %d times, want 1", restarted.planned.Load())
 	}
 }
 
 // TestChaosFleetKillRestartMidFlood is the kill/restart chaos run: a
-// three-node fleet under injected peer, replication, and probe faults takes
-// a concurrent plan flood while one member is killed and restarted
+// three-node fleet under injected planner and probe faults takes a
+// concurrent plan flood while one member is killed and restarted
 // mid-stream. Invariants: every HTTP response is a classified status (200,
 // or 503/504 shedding), every 200 body is byte-identical to the standalone
 // reference, and the fleet heals completely once the faults stop.
 func TestChaosFleetKillRestartMidFlood(t *testing.T) {
 	hopts := cluster.HealthOptions{Interval: 20 * time.Millisecond, DeadAfter: 2, Timeout: 500 * time.Millisecond}
-	nodes, urls, ring := newChaosFleet(t, 3, hopts, true)
-	_ = ring
+	nodes, urls := newChaosFleet(t, 3, hopts, true)
 
 	// Reference documents from a standalone server: canonical encoding is
 	// deterministic, so every 200 anywhere in the fleet must match these.
@@ -418,8 +328,7 @@ func TestChaosFleetKillRestartMidFlood(t *testing.T) {
 	}
 
 	faultinject.Enable(11,
-		faultinject.Fault{Site: "cluster.peer", Kind: faultinject.KindError, P: 0.3},
-		faultinject.Fault{Site: "cluster.replicate", Kind: faultinject.KindError, P: 0.3},
+		faultinject.Fault{Site: "server.plan", Kind: faultinject.KindError, P: 0.3},
 		faultinject.Fault{Site: "cluster.health", Kind: faultinject.KindError, P: 0.2},
 	)
 	defer faultinject.Disable()
@@ -436,7 +345,7 @@ func TestChaosFleetKillRestartMidFlood(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		nodes[victim].kill()
 		time.Sleep(150 * time.Millisecond)
-		restarted = startChaosNode(t, ring, victim, nil, hopts, true)
+		restarted = startChaosNode(t, urls, victim, nil, hopts, true)
 	}()
 
 	// The flood: every worker rotates across all three members, including

@@ -7,68 +7,8 @@ import (
 	"time"
 
 	"scratchmem/internal/cluster"
-	"scratchmem/internal/model"
 	"scratchmem/internal/plancache"
 )
-
-// replicateFresh pushes a freshly computed plan toward its ring successor.
-// Only the key's owner replicates (a non-owner computes a key only when its
-// owner and the successor failed it, and its copy is not the one the fleet
-// falls back on), only non-degraded plans travel, and the push is
-// asynchronous and best-effort — a lost replica costs one recompute after
-// an owner death, never a wrong answer. ctx contributes only its trace
-// context, so the eventual push still appears in the computing request's
-// trace.
-func (s *Server) replicateFresh(ctx context.Context, key string, entry *planEntry) {
-	f := s.fleet
-	if f == nil || f.Repl == nil {
-		return
-	}
-	cacheKey := "plan:" + key
-	if f.Ring.Owner(cacheKey) != f.Self {
-		return
-	}
-	rec, err := appendRecord(nil, key, entry)
-	if err != nil {
-		return // degraded: recompute material, not replica material
-	}
-	f.Repl.Enqueue(ctx, cacheKey, rec)
-}
-
-// handleReplicate stores a replica pushed by a ring owner — the receiving
-// half of successor replication. The payload is a SnapshotRecord and goes
-// through exactly the warm-restore verification (the document re-rendered
-// and compared byte for byte, the key recomputed), so a version-skewed or
-// corrupted push is rejected, never trusted: a body that is not a record
-// is a 400, a record that does not verify a 422.
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var rec *record
-	body, err := readBody(w, r)
-	if err == nil {
-		rd := model.NewJSONReader(body)
-		if rec = readRecord(rd, body); rd.Err() != nil {
-			err = bodyError(rd.Err())
-		} else {
-			err = rec.err
-		}
-	}
-	if err != nil {
-		s.met.replicaRejected()
-		s.fail(w, err)
-		return
-	}
-	entry, key, err := rec.restore()
-	if err != nil {
-		s.met.replicaRejected()
-		s.writeError(w, http.StatusUnprocessableEntity, "replica rejected: "+err.Error())
-		return
-	}
-	s.local.Put("plan:"+key, entry)
-	s.met.replicaReceived()
-	// writeJSON's layout of {"key": key, "stored": true}.
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(model.AppendJSONString([]byte("{\n  \"key\": "), key), ",\n  \"stored\": true\n}\n"...))
-}
 
 // derivedCacheKeys lists every cache entry a plan key anchors: the plan
 // itself and the artifacts computed from it. Baseline simulations are keyed
@@ -187,12 +127,10 @@ func (s *Server) handlePurge(w http.ResponseWriter, r *http.Request) {
 // everything the overview fan-out merges. Standalone servers answer with
 // themselves alone.
 type ClusterStatus struct {
-	Self        string                 `json:"self,omitempty"`
-	Members     []cluster.MemberHealth `json:"members,omitempty"`
-	Replication cluster.ReplStats      `json:"replication"`
-	// Cache and Peer are this member's own data-plane counters.
-	Cache plancache.Stats   `json:"cache"`
-	Peer  cluster.PeerStats `json:"peer"`
+	Self    string                 `json:"self,omitempty"`
+	Members []cluster.MemberHealth `json:"members,omitempty"`
+	// Cache is this member's own plan-cache counters.
+	Cache plancache.Stats `json:"cache"`
 	// DegradedPlans counts plans this member produced via the degradation
 	// ladder.
 	DegradedPlans int64 `json:"degraded_plans"`
@@ -203,7 +141,6 @@ type ClusterStatus struct {
 func (s *Server) statusDoc() ClusterStatus {
 	resp := ClusterStatus{
 		Cache:         s.local.Stats(),
-		Peer:          s.fleet.PeerStats(),
 		DegradedPlans: s.met.degradedCount(),
 	}
 	if f := s.fleet; f != nil {
@@ -211,7 +148,6 @@ func (s *Server) statusDoc() ClusterStatus {
 		// Self is trivially alive (it is answering); peers come from probes.
 		resp.Members = append(resp.Members, cluster.MemberHealth{Member: f.Self, Alive: true})
 		resp.Members = append(resp.Members, f.Health.View()...)
-		resp.Replication = f.Repl.Stats()
 	}
 	return resp
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	scratchmem "scratchmem"
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/obs"
@@ -42,72 +41,65 @@ func spanNamed(tr *obs.Tracer, name string) *obs.Span {
 	return nil
 }
 
-// TestFleetCrossNodeTrace is the PR's acceptance walk: one plan request to
-// a non-owner whose fill crosses to the ring owner yields a SINGLE trace id
-// in both members' span stores, with the owner's request span parented
-// under the caller's peer_fill span — one distributed trace, not two
-// per-process ones.
+// TestFleetCrossNodeTrace: one overview request yields a SINGLE trace id
+// in every member's span store, with each peer's /v1/cluster/status
+// request span parented under the caller's overview_fetch span for that
+// peer — one distributed trace, not per-process ones.
 func TestFleetCrossNodeTrace(t *testing.T) {
-	nodes, ring := newFleet(t, 3, 0)
-	key := planKeyFor(t, "TinyCNN", 32)
-	owner := ring.Owner(key)
+	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
+	nodes, urls := newChaosFleet(t, 3, hopts, false)
+	caller := nodes[urls[0]]
+	ov := decodeOverview(t, caller.ts)
+	if ov.Totals.Reachable != 3 {
+		t.Fatalf("overview totals %+v, want 3 reachable", ov.Totals)
+	}
 
-	var callerN, ownerN *fleetNode
-	for _, n := range nodes {
-		if n.url == owner {
-			ownerN = n
-		} else if callerN == nil {
-			callerN = n
+	// Caller: the request root span and one overview_fetch child per peer
+	// share one trace.
+	waitSpans(t, caller.srv.tracer, 3)
+	root := spanNamed(caller.srv.tracer, "request")
+	if root == nil || root.ParentID != "" {
+		t.Fatalf("caller has no root request span; spans: %v", spanNames(caller.srv.tracer))
+	}
+	traceID := root.TraceID
+	fetches := map[string]*obs.Span{}
+	for _, s := range caller.srv.tracer.Spans() {
+		if s.Name == "overview_fetch" && s.TraceID == traceID && s.ParentID == root.SpanID {
+			member, _ := s.Attr("member").(string)
+			fetches[member] = s
 		}
 	}
-	if callerN == nil || ownerN == nil {
-		t.Fatal("ring did not split caller/owner across 3 nodes")
-	}
 
-	resp, body := post(t, callerN.ts, "/v1/plan", tinyPlanBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan via non-owner: status %d: %s", resp.StatusCode, body)
-	}
-	if callerN.planned.Load() != 0 || ownerN.planned.Load() != 1 {
-		t.Fatalf("planner runs caller=%d owner=%d, want 0/1 (fill must cross to the owner)",
-			callerN.planned.Load(), ownerN.planned.Load())
-	}
-
-	// Caller: the request root span and the peer_fill child share one trace.
-	waitSpans(t, callerN.srv.tracer, 2)
-	waitSpans(t, ownerN.srv.tracer, 1)
-	fill := spanNamed(callerN.srv.tracer, "peer_fill")
-	if fill == nil {
-		t.Fatalf("caller has no peer_fill span; spans: %v", spanNames(callerN.srv.tracer))
-	}
-	traceID := fill.TraceID
-	root := spanNamed(callerN.srv.tracer, "request")
-	if root == nil || root.TraceID != traceID || root.ParentID != "" {
-		t.Fatalf("caller request span %+v does not root trace %s", root, traceID)
-	}
-
-	// Owner: its /v1/peer/fill request span joined the caller's trace, and
-	// its remote parent is exactly the caller's peer_fill span.
-	var remote *obs.Span
-	for _, s := range ownerN.srv.tracer.Spans() {
-		if s.Name == "request" && s.TraceID == traceID {
-			remote = s
+	// Each peer: its /v1/cluster/status request span joined the caller's
+	// trace, and its remote parent is the caller's fetch of that peer.
+	for _, u := range urls[1:] {
+		peer := nodes[u]
+		waitSpans(t, peer.srv.tracer, 1)
+		fetch := fetches[u]
+		if fetch == nil {
+			t.Fatalf("caller has no overview_fetch span for %s; spans: %v", u, spanNames(caller.srv.tracer))
+		}
+		var remote *obs.Span
+		for _, s := range peer.srv.tracer.Spans() {
+			if s.Name == "request" && s.TraceID == traceID {
+				remote = s
+			}
+		}
+		if remote == nil {
+			t.Fatalf("%s has no request span in trace %s; spans: %v", u, traceID, spanNames(peer.srv.tracer))
+		}
+		if remote.ParentID != fetch.SpanID {
+			t.Errorf("%s request span parent = %s, want the caller's overview_fetch span %s", u, remote.ParentID, fetch.SpanID)
+		}
+		if got := remote.Attr("route"); got != "/v1/cluster/status" {
+			t.Errorf("%s remote span route = %v, want /v1/cluster/status", u, got)
 		}
 	}
-	if remote == nil {
-		t.Fatalf("owner has no request span in trace %s; spans: %v", traceID, spanNames(ownerN.srv.tracer))
-	}
-	if remote.ParentID != fill.SpanID {
-		t.Fatalf("owner request span parent = %s, want the caller's peer_fill span %s", remote.ParentID, fill.SpanID)
-	}
-	if got := remote.Attr("route"); got != "/v1/peer/fill" {
-		t.Errorf("remote span route = %v, want /v1/peer/fill", got)
-	}
 
-	// The rendered timelines on BOTH members carry the one trace id.
-	for _, n := range []*fleetNode{callerN, ownerN} {
-		if _, b := get(t, n.ts, "/v1/spans"); !strings.Contains(string(b), traceID) {
-			t.Errorf("%s /v1/spans does not mention trace %s", n.url, traceID)
+	// The rendered timelines on every member carry the one trace id.
+	for _, u := range urls {
+		if _, b := get(t, nodes[u].ts, "/v1/spans"); !strings.Contains(string(b), traceID) {
+			t.Errorf("%s /v1/spans does not mention trace %s", u, traceID)
 		}
 	}
 }
@@ -127,9 +119,9 @@ type obsNode struct {
 	logBuf *syncBuffer
 }
 
-// newObsFleet boots n members with the full control plane (health,
-// replication, status transport) AND a JSON access log per member.
-func newObsFleet(t *testing.T, n int) (map[string]*obsNode, []string, *cluster.Ring) {
+// newObsFleet boots n members with the whole control plane (health,
+// invalidation and status transports) AND a JSON access log per member.
+func newObsFleet(t *testing.T, n int) (map[string]*obsNode, []string) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -141,10 +133,6 @@ func newObsFleet(t *testing.T, n int) (map[string]*obsNode, []string, *cluster.R
 		listeners[i] = l
 		urls[i] = "http://" + l.Addr().String()
 	}
-	ring, err := cluster.NewRing(urls, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
 	nodes := make(map[string]*obsNode, n)
 	for i, self := range urls {
@@ -153,29 +141,24 @@ func newObsFleet(t *testing.T, n int) (map[string]*obsNode, []string, *cluster.R
 		if err != nil {
 			t.Fatal(err)
 		}
-		health := cluster.NewHealth(ring, self, chaosProbe, hopts)
-		repl := cluster.NewReplicator(ring, self, chaosPush, health, cluster.ReplicatorOptions{})
-		fleet := &cluster.Fleet{Ring: ring, Self: self, Health: health, Repl: repl,
-			Fill: testFill, Lookup: chaosLookup, Invalidate: chaosInvalidate, Status: chaosStatus}
+		fleet, err := cluster.NewFleet(urls, self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.Health = cluster.NewHealth(fleet.Members, self, chaosProbe, hopts)
+		fleet.Invalidate, fleet.Status = chaosInvalidate, chaosStatus
 		srv := New(Config{
 			Timeout: 5 * time.Second,
 			Logger:  logger,
 			Fleet:   fleet,
 		})
-		counter := &atomic.Int64{}
-		inner := srv.planFn
-		srv.planFn = func(ctx context.Context, net *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
-			counter.Add(1)
-			return inner(ctx, net, o)
-		}
 		ts := &httptest.Server{Listener: listeners[i], Config: &http.Server{Handler: srv.Handler()}}
 		ts.Start()
-		repl.Start()
-		cn := &chaosNode{url: self, srv: srv, ts: ts, fleet: fleet, planned: counter}
+		cn := &chaosNode{url: self, srv: srv, ts: ts, fleet: fleet, planned: &atomic.Int64{}}
 		t.Cleanup(cn.kill)
 		nodes[self] = &obsNode{chaosNode: cn, logBuf: logBuf}
 	}
-	return nodes, urls, ring
+	return nodes, urls
 }
 
 // traceOf extracts the trace_id of the first access-log record matching
@@ -198,42 +181,41 @@ func traceOf(t *testing.T, n *obsNode, route string) string {
 }
 
 // TestFleetPeerTrafficLogsInboundTraceID pins the access-log half of trace
-// propagation: the owner's /v1/peer/fill record and the successor's
-// /v1/peer/replicate record both carry the ORIGINATING request's trace id,
-// not fresh per-process ones.
+// propagation: the peers' /v1/cluster/status records of an overview
+// fan-out and their /v1/cache/invalidate records of an invalidation
+// fan-out carry the ORIGINATING request's trace id, not fresh per-process
+// ones.
 func TestFleetPeerTrafficLogsInboundTraceID(t *testing.T) {
-	nodes, urls, ring := newObsFleet(t, 3)
-	key := planKeyFor(t, "TinyCNN", 32)
-	owner := ring.Owner(key)
-	succ, ok := ring.Successor(key)
-	if !ok {
-		t.Fatal("no successor on a 3-member ring")
-	}
-	caller := ""
-	for _, u := range urls {
-		if u != owner && u != succ {
-			caller = u
-		}
-	}
-	if caller == "" {
-		t.Skip("TinyCNN key maps owner+successor onto fewer than 2 distinct members")
-	}
+	nodes, urls := newObsFleet(t, 3)
+	caller, peers := nodes[urls[0]], urls[1:]
 
-	resp, body := post(t, nodes[caller].ts, "/v1/plan", tinyPlanBody)
+	decodeOverview(t, caller.ts)
+	req, err := http.NewRequest(http.MethodDelete, caller.url+"/v1/cache/"+strings.TrimPrefix(planKeyFor(t, "TinyCNN", 32), "plan:"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("invalidate: status %d", resp.StatusCode)
 	}
-	flushRepl(t, nodes[owner].chaosNode)
 
-	callerTrace := traceOf(t, nodes[caller], "/v1/plan")
-	if callerTrace == "" {
-		t.Fatal("caller access log has no trace_id")
-	}
-	if got := traceOf(t, nodes[owner], "/v1/peer/fill"); got != callerTrace {
-		t.Errorf("owner peer-fill log trace_id = %q, want the originating %q", got, callerTrace)
-	}
-	if got := traceOf(t, nodes[succ], "/v1/peer/replicate"); got != callerTrace {
-		t.Errorf("successor replicate log trace_id = %q, want the originating %q", got, callerTrace)
+	for _, fanout := range []struct{ from, to string }{
+		{"/v1/cluster/overview", "/v1/cluster/status"},
+		{"/v1/cache/invalidate", "/v1/cache/invalidate"},
+	} {
+		callerTrace := traceOf(t, caller, fanout.from)
+		if callerTrace == "" {
+			t.Fatalf("caller's %s access log has no trace_id", fanout.from)
+		}
+		for _, u := range peers {
+			if got := traceOf(t, nodes[u], fanout.to); got != callerTrace {
+				t.Errorf("%s %s log trace_id = %q, want the originating %q", u, fanout.to, got, callerTrace)
+			}
+		}
 	}
 }
 
@@ -254,15 +236,13 @@ func decodeOverview(t *testing.T, ts *httptest.Server) OverviewResponse {
 }
 
 // TestFleetOverviewFromEveryMember: each member's overview lists all three
-// members with their own health views and cache counters, ring shares sum
-// to one, and the totals reflect the fleet-wide cache state.
+// members with their own health views and cache counters, and the totals
+// reflect the fleet-wide cache state.
 func TestFleetOverviewFromEveryMember(t *testing.T) {
 	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
-	nodes, urls, ring := newChaosFleet(t, 3, hopts, false)
+	nodes, urls := newChaosFleet(t, 3, hopts, false)
 
-	key := planKeyFor(t, "TinyCNN", 32)
-	owner := ring.Owner(key)
-	if resp, body := post(t, nodes[owner].ts, "/v1/plan", tinyPlanBody); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, nodes[urls[0]].ts, "/v1/plan", tinyPlanBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("seed plan: status %d: %s", resp.StatusCode, body)
 	}
 	for _, u := range urls {
@@ -277,9 +257,7 @@ func TestFleetOverviewFromEveryMember(t *testing.T) {
 		if len(ov.Members) != 3 || ov.Totals.Members != 3 || ov.Totals.Reachable != 3 {
 			t.Fatalf("overview from %s: %d rows, totals %+v; want 3 rows all reachable", u, len(ov.Members), ov.Totals)
 		}
-		shareSum := 0.0
 		for _, row := range ov.Members {
-			shareSum += row.RingShare
 			if row.Error != "" || row.Status == nil {
 				t.Fatalf("overview from %s: member %s degraded in a healthy fleet: %q", u, row.Member, row.Error)
 				continue
@@ -300,9 +278,6 @@ func TestFleetOverviewFromEveryMember(t *testing.T) {
 				}
 			}
 		}
-		if shareSum < 0.999 || shareSum > 1.001 {
-			t.Errorf("ring shares sum to %f, want ~1", shareSum)
-		}
 		// The seeded plan is one miss-then-entry somewhere in the fleet.
 		if ov.Totals.CacheEntries < 1 || ov.Totals.CacheMisses < 1 {
 			t.Errorf("totals %+v do not reflect the seeded plan", ov.Totals)
@@ -315,7 +290,7 @@ func TestFleetOverviewFromEveryMember(t *testing.T) {
 // rows stay full, and /v1/cluster/status reports the retraction.
 func TestFleetOverviewDeadMember(t *testing.T) {
 	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
-	nodes, urls, _ := newChaosFleet(t, 3, hopts, false)
+	nodes, urls := newChaosFleet(t, 3, hopts, false)
 
 	victim, querier := urls[0], urls[1]
 	nodes[victim].kill()
@@ -353,11 +328,10 @@ func TestFleetOverviewDeadMember(t *testing.T) {
 
 // TestFleetOverviewUnderFaults: injected cluster.overview faults degrade
 // the remote rows to error stubs while the self row (no round-trip) stays
-// full — still HTTP 200. With cluster.peer faults a plan through a
-// non-owner still answers 200 via the local-compute fallback.
+// full — still HTTP 200.
 func TestFleetOverviewUnderFaults(t *testing.T) {
 	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
-	nodes, urls, ring := newChaosFleet(t, 3, hopts, false)
+	nodes, urls := newChaosFleet(t, 3, hopts, false)
 	querier := urls[0]
 
 	faultinject.Enable(7, faultinject.Fault{Site: "cluster.overview", Kind: faultinject.KindError, P: 1})
@@ -375,24 +349,6 @@ func TestFleetOverviewUnderFaults(t *testing.T) {
 			t.Errorf("remote row %s not degraded under injected faults: %+v", row.Member, row)
 		}
 	}
-
-	key := planKeyFor(t, "TinyCNN", 32)
-	owner := ring.Owner(key)
-	caller := ""
-	for _, u := range urls {
-		if u != owner {
-			caller = u
-		}
-	}
-	faultinject.Enable(7, faultinject.Fault{Site: "cluster.peer", Kind: faultinject.KindError, P: 1})
-	resp, body := post(t, nodes[caller].ts, "/v1/plan", tinyPlanBody)
-	faultinject.Disable()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plan under cluster.peer faults: status %d: %s (must fall back to local compute)", resp.StatusCode, body)
-	}
-	if nodes[caller].planned.Load() != 1 {
-		t.Errorf("caller planned %d times, want 1 (local fallback)", nodes[caller].planned.Load())
-	}
 }
 
 // TestFleetMetricsSelfHealth pins the satellite fix: a member's own row in
@@ -400,7 +356,7 @@ func TestFleetOverviewUnderFaults(t *testing.T) {
 // because the probe loop never probes it.
 func TestFleetMetricsSelfHealth(t *testing.T) {
 	hopts := cluster.HealthOptions{Interval: time.Hour, DeadAfter: 2, Timeout: time.Second}
-	nodes, urls, _ := newChaosFleet(t, 3, hopts, false)
+	nodes, urls := newChaosFleet(t, 3, hopts, false)
 	self := urls[0]
 	_, body := get(t, nodes[self].ts, "/metrics")
 	want := fmt.Sprintf("smm_member_health{member=%q} 1", self)

@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,88 +17,7 @@ import (
 	scratchmem "scratchmem"
 	"scratchmem/internal/cluster"
 	"scratchmem/internal/faultinject"
-	"scratchmem/internal/obs"
 )
-
-// fleetNode is one member of an in-process loopback fleet.
-type fleetNode struct {
-	srv     *Server
-	ts      *httptest.Server
-	url     string
-	planned *atomic.Int64 // planner executions on this node
-}
-
-// testFill is the test transport: a plain POST to the owner's
-// /v1/peer/fill, no retries (cmd/smm-serve wires the retrying client
-// here). It stamps the traceparent header exactly like the client's
-// transport does, so cross-node trace assertions hold in-process too.
-func testFill(ctx context.Context, baseURL string, request any) ([]byte, error) {
-	b, err := json.Marshal(request)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/peer/fill", bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tc := obs.TraceContextFrom(ctx); tc.Valid() {
-		req.Header.Set(obs.TraceparentHeader, tc.String())
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer fill: %s: %s", resp.Status, body)
-	}
-	return body, nil
-}
-
-// newFleet starts n clustered servers on loopback listeners sharing one
-// ring, each with a counting planner seam and breakerThreshold for its
-// per-member fill breakers (0 selects the default).
-func newFleet(t *testing.T, n, breakerThreshold int) ([]*fleetNode, *cluster.Ring) {
-	t.Helper()
-	listeners := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = l
-		urls[i] = "http://" + l.Addr().String()
-	}
-	ring, err := cluster.NewRing(urls, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*fleetNode, n)
-	for i := range nodes {
-		self := urls[i]
-		srv := New(Config{
-			Timeout: 5 * time.Second,
-			Fleet:   &cluster.Fleet{Ring: ring, Self: self, Fill: testFill, BreakerThreshold: breakerThreshold},
-		})
-		counter := &atomic.Int64{}
-		inner := srv.planFn
-		srv.planFn = func(ctx context.Context, net *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
-			counter.Add(1)
-			return inner(ctx, net, o)
-		}
-		ts := &httptest.Server{Listener: listeners[i], Config: &http.Server{Handler: srv.Handler()}}
-		ts.Start()
-		t.Cleanup(ts.Close)
-		nodes[i] = &fleetNode{srv: srv, ts: ts, url: self, planned: counter}
-	}
-	return nodes, ring
-}
 
 // planKeyFor computes the full cache key ("plan:" + content hash) for a
 // builtin-model request, matching what the fleet hashes onto its ring.
@@ -115,196 +34,84 @@ func planKeyFor(t *testing.T, modelName string, glbKB int) string {
 	return "plan:" + key
 }
 
-// TestFleetPlansExactlyOnce is the headline property: the same plan
-// requested on every node of a three-node fleet runs the planner exactly
-// once fleet-wide, the non-owners filling from the owner.
-func TestFleetPlansExactlyOnce(t *testing.T) {
-	nodes, ring := newFleet(t, 3, 0)
+// TestFleetMemberPlansItsOwnMisses: a fleet member plans every miss itself.
+// Its fleet lists it and two peers that count every request they get, with
+// health probes off. 24 distinct keys, sent 8 at a time, each answer a 200
+// byte-identical to a standalone server's, the member's planner runs once
+// per key, and the peers receive no request.
+func TestFleetMemberPlansItsOwnMisses(t *testing.T) {
+	var peerRequests atomic.Int64
+	peers := make([]string, 2)
+	for i := range peers {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			peerRequests.Add(1)
+			http.Error(w, "a peer must not be asked", http.StatusTeapot)
+		}))
+		t.Cleanup(ts.Close)
+		peers[i] = ts.URL
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://" + l.Addr().String()
+	fleet, err := cluster.NewFleet(append([]string{self}, peers...), self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Invalidate, fleet.Status = chaosInvalidate, chaosStatus
+	srv := New(Config{Timeout: 5 * time.Second, Fleet: fleet})
+	var planned atomic.Int64
+	inner := srv.planFn
+	srv.planFn = func(ctx context.Context, net *scratchmem.Network, o scratchmem.PlanOptions) (*scratchmem.Plan, error) {
+		planned.Add(1)
+		return inner(ctx, net, o)
+	}
+	member := &httptest.Server{Listener: l, Config: &http.Server{Handler: srv.Handler()}}
+	member.Start()
+	t.Cleanup(member.Close)
 
-	var bodies [][]byte
-	for _, n := range nodes {
-		resp, body := post(t, n.ts, "/v1/plan", tinyPlanBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("node %s: status %d: %s", n.url, resp.StatusCode, body)
-		}
-		bodies = append(bodies, body)
-	}
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Errorf("node %d served a different document than node 0", i)
-		}
-	}
-
-	var total int64
-	for _, n := range nodes {
-		total += n.planned.Load()
-	}
-	if total != 1 {
-		t.Fatalf("planner ran %d times fleet-wide, want exactly 1", total)
-	}
-
-	// The owner reports owning the key; the two non-owners report fill
-	// hits — visible both in PeerStats and on /metrics.
-	owner := ring.Owner(planKeyFor(t, "TinyCNN", 32))
-	hits := int64(0)
-	for _, n := range nodes {
-		ps := n.srv.fleet.PeerStats()
-		_, metricsBody := get(t, n.ts, "/metrics")
-		if n.url == owner {
-			if n.planned.Load() != 1 {
-				t.Errorf("owner %s did not run the planner", n.url)
+	standalone := httptest.NewServer(New(Config{}).Handler())
+	defer standalone.Close()
+	var bodies []string
+	want := map[string][]byte{}
+	for _, name := range []string{"TinyCNN", "AlexNet", "MobileNet"} {
+		for _, kb := range []int{64, 96, 128, 192, 256, 384, 512, 768} {
+			body := fmt.Sprintf(`{"model": %q, "glb_kb": %d}`, name, kb)
+			resp, doc := post(t, standalone, "/v1/plan", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("standalone %s: status %d: %s", body, resp.StatusCode, doc)
 			}
-			if ps.OwnerSelf == 0 {
-				t.Errorf("owner %s reports no owned keys", n.url)
-			}
-			if metric(t, metricsBody, `smm_ring_owner_self_total`) == 0 {
-				t.Errorf("owner %s: smm_ring_owner_self_total is zero", n.url)
-			}
-		} else {
-			if n.planned.Load() != 0 {
-				t.Errorf("non-owner %s ran the planner", n.url)
-			}
-			if metric(t, metricsBody, `smm_peer_fill_total{outcome="hit"}`) != ps.Hit {
-				t.Errorf("non-owner %s: metrics and PeerStats disagree", n.url)
-			}
+			bodies = append(bodies, body)
+			want[body] = doc
 		}
-		hits += ps.Hit
-	}
-	if hits != 2 {
-		t.Fatalf("fleet recorded %d fill hits, want 2", hits)
 	}
 
-	// Repeat requests on a non-owner are served from its plan cache, where
-	// the fill was stored: no new fills, no new planner runs.
-	for _, n := range nodes {
-		if n.url == owner {
-			continue
+	const inFlight = 8
+	for start := 0; start < len(bodies); start += inFlight {
+		var wg sync.WaitGroup
+		for _, body := range bodies[start : start+inFlight] {
+			wg.Add(1)
+			go func(body string) {
+				defer wg.Done()
+				resp, doc, err := rawPost(member.URL, "/v1/plan", body)
+				switch {
+				case err != nil:
+					t.Errorf("%s: %v", body, err)
+				case resp.StatusCode != http.StatusOK:
+					t.Errorf("%s: status %d: %s", body, resp.StatusCode, doc)
+				case !bytes.Equal(doc, want[body]):
+					t.Errorf("%s: the member's document differs from the standalone server's", body)
+				}
+			}(body)
 		}
-		before := n.srv.fleet.PeerStats().Hit
-		resp, body := post(t, n.ts, "/v1/plan", tinyPlanBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("repeat on %s: status %d", n.url, resp.StatusCode)
-		}
-		if !bytes.Equal(body, bodies[0]) {
-			t.Errorf("repeat on %s: body differs", n.url)
-		}
-		if resp.Header.Get("X-SMM-Cache") != "hit" {
-			t.Errorf("repeat on %s: X-SMM-Cache = %q, want hit", n.url, resp.Header.Get("X-SMM-Cache"))
-		}
-		if after := n.srv.fleet.PeerStats().Hit; after != before {
-			t.Errorf("repeat on %s crossed the network again", n.url)
-		}
-		break
+		wg.Wait()
 	}
-}
-
-// TestFleetOwnerDownDegradesToLocal: killing a key's owner must not take
-// plan availability with it — the non-owner computes locally.
-func TestFleetOwnerDownDegradesToLocal(t *testing.T) {
-	nodes, ring := newFleet(t, 2, 0)
-
-	// Find a request whose key the second node owns.
-	glb := 0
-	for g := 16; g <= 128; g++ {
-		if ring.Owner(planKeyFor(t, "TinyCNN", g)) == nodes[1].url {
-			glb = g
-			break
-		}
+	if n := planned.Load(); n != int64(len(bodies)) {
+		t.Errorf("the member's planner ran %d times for %d keys, want once per key", n, len(bodies))
 	}
-	if glb == 0 {
-		t.Fatal("no probed request owned by node 1")
-	}
-	nodes[1].ts.Close()
-
-	body := fmt.Sprintf(`{"model": "TinyCNN", "glb_kb": %d}`, glb)
-	resp, respBody := post(t, nodes[0].ts, "/v1/plan", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d with owner down: %s", resp.StatusCode, respBody)
-	}
-	if nodes[0].planned.Load() != 1 {
-		t.Fatalf("survivor ran the planner %d times, want 1", nodes[0].planned.Load())
-	}
-	ps := nodes[0].srv.fleet.PeerStats()
-	if ps.Error != 1 || ps.Hit != 0 {
-		t.Fatalf("peer stats = %+v, want exactly one fill error", ps)
-	}
-}
-
-// TestFleetDegradedPlanFillsBadAndRecomputes: a degraded plan's document is
-// not rehydratable, so a peer fill of one is counted "bad" and the asking
-// node recomputes locally — same answer, one extra planner run, no wrong
-// result served.
-func TestFleetDegradedPlanFillsBadAndRecomputes(t *testing.T) {
-	nodes, ring := newFleet(t, 2, 0)
-
-	// Find a request that degrades AND is owned by the other node.
-	found := ""
-	for g := 1; g <= 12; g++ {
-		net, err := scratchmem.BuiltinModel("AlexNet")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := scratchmem.PlanModel(net, scratchmem.PlanOptions{GLBKiloBytes: g})
-		if err != nil || !p.Degraded {
-			continue
-		}
-		key, err := scratchmem.PlanKey(net, scratchmem.PlanOptions{Config: scratchmem.DefaultConfig(g)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ring.Owner("plan:"+key) == nodes[1].url {
-			found = fmt.Sprintf(`{"model": "AlexNet", "glb_kb": %d}`, g)
-			break
-		}
-	}
-	if found == "" {
-		t.Skip("no degraded request owned by the peer in the probed range")
-	}
-
-	resp, body := post(t, nodes[0].ts, "/v1/plan", found)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), `"degraded": true`) {
-		t.Fatal("expected a degraded document")
-	}
-	ps := nodes[0].srv.fleet.PeerStats()
-	if ps.Bad != 1 {
-		t.Fatalf("peer stats = %+v, want Bad=1", ps)
-	}
-	// Both nodes ran the planner: the owner for the fill, the asker for
-	// the local fallback.
-	if nodes[0].planned.Load() != 1 || nodes[1].planned.Load() != 1 {
-		t.Fatalf("planner runs = %d/%d, want 1/1", nodes[0].planned.Load(), nodes[1].planned.Load())
-	}
-}
-
-// TestFleetPeerFaultInjection: the cluster.peer chaos site downs fills
-// without downing planning.
-func TestFleetPeerFaultInjection(t *testing.T) {
-	nodes, ring := newFleet(t, 2, -1)
-	faultinject.Enable(7, faultinject.Fault{Site: "cluster.peer", Kind: faultinject.KindError, P: 1})
-	defer faultinject.Disable()
-
-	glb := 0
-	for g := 16; g <= 128; g++ {
-		if ring.Owner(planKeyFor(t, "TinyCNN", g)) == nodes[1].url {
-			glb = g
-			break
-		}
-	}
-	if glb == 0 {
-		t.Fatal("no probed request owned by node 1")
-	}
-	resp, body := post(t, nodes[0].ts, "/v1/plan", fmt.Sprintf(`{"model": "TinyCNN", "glb_kb": %d}`, glb))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d under peer faults: %s", resp.StatusCode, body)
-	}
-	if ps := nodes[0].srv.fleet.PeerStats(); ps.Error != 1 {
-		t.Fatalf("peer stats = %+v, want Error=1", ps)
-	}
-	if nodes[0].planned.Load() != 1 {
-		t.Fatal("asker did not compute locally under injected peer faults")
+	if n := peerRequests.Load(); n != 0 {
+		t.Errorf("the peers received %d requests, want none", n)
 	}
 }
 

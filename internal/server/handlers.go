@@ -105,19 +105,14 @@ type planEntry struct {
 	body []byte
 	net  *scratchmem.Network
 	opts scratchmem.PlanOptions
-	// fetched marks a plan another member answered (a verified owner fill
-	// or successor replica), so the flight that fetched it still reports a
-	// cache hit.
-	fetched bool
 }
 
-// resolvedBody is everything /v1/plan and /v1/peer/fill derive from one
-// request body before they touch the plan cache. It is a pure function of
-// the body bytes, so the server memoizes it under their SHA-256 digest
-// (Server.resolved). A memoized value is shared by every request with the
-// same body and by every re-plan after an eviction or invalidation, so
-// nothing may mutate it: the planner and the document seam only read net,
-// and req reaches the fleet fill request read-only.
+// resolvedBody is everything /v1/plan derives from one request body before
+// it touches the plan cache. It is a pure function of the body bytes, so
+// the server memoizes it under their SHA-256 digest (Server.resolved). A
+// memoized value is shared by every request with the same body and by
+// every re-plan after an eviction or invalidation, so nothing may mutate
+// it: the planner and the document seam only read net.
 type resolvedBody struct {
 	digest string // raw SHA-256 of the body, the memo key
 	planInput
@@ -243,44 +238,15 @@ func cacheHeader(w http.ResponseWriter, shared bool) {
 }
 
 // planned returns the cached-or-computed planEntry for a request. It is the
-// shared path of /v1/plan, /v1/plan/batch, /v1/simulate and /v1/peer/fill:
-// one plan-cache flight per key, inside which the fleet is asked first (the
-// key's ring owner, then its successor) and the planner runs under a worker
-// slot only when that yields nothing. A nil wire request keeps the flight
-// local: the peer-fill handler passes nil so rings that momentarily disagree
-// cannot forward a request in a loop. A non-nil tables is the sweep-table
-// set of the request's batch, which the flight plans through. shared
-// reports a plan this member did not compute for this caller: a stored
-// plan, a coalesced flight, or a fill from another member.
-//
-// The flight outlives its leader's deadline, but the fleet ask does not:
-// it runs under the leader's deadline, so a hung or slow owner costs the
-// flight at most one request timeout, counts against the owner's breaker,
-// and lets the client's retry budget see the time left. Waiters that
-// outlast the ask get a local plan.
-func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, tables *core.SweepTables, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
-	cacheKey := "plan:" + key
-	deadline, bounded := ctx.Deadline()
-	v, shared, err := s.local.Do(ctx, cacheKey, func(ctx context.Context) (any, error) {
-		var request any
-		if wire != nil {
-			request = wire
-		}
-		decode := func(body []byte) (any, error) { return decodePeerPlan(body, net, opts) }
-		fetchCtx, cancel := ctx, func() {}
-		if bounded && s.fleet != nil {
-			fetchCtx, cancel = context.WithDeadline(ctx, deadline)
-		}
-		v, ok := s.fleet.Fetch(fetchCtx, cacheKey, request, decode)
-		cancel()
-		if ok {
-			return v, nil
-		}
-		// Every waiter may have gone while the fleet was asked; don't burn
-		// a planner run nobody will read.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+// shared path of /v1/plan, /v1/plan/batch and /v1/simulate: one plan-cache
+// flight per key, which plans under a worker slot. A fleet member plans its
+// own misses too: the analyser's closed-form estimates make planning a key
+// about as cheap as verifying a copy another member sent. A non-nil tables
+// is the sweep-table set of the request's batch, which the flight plans
+// through. shared reports a plan this member did not compute for this
+// caller: a stored plan or a coalesced flight.
+func (s *Server) planned(ctx context.Context, key string, tables *core.SweepTables, net *scratchmem.Network, opts scratchmem.PlanOptions) (*planEntry, bool, error) {
+	v, shared, err := s.local.Do(ctx, "plan:"+key, func(ctx context.Context) (any, error) {
 		if err := s.sem.Acquire(ctx); err != nil {
 			return nil, err
 		}
@@ -305,36 +271,12 @@ func (s *Server) planned(ctx context.Context, key string, wire *PlanRequest, tab
 		if err != nil {
 			return nil, err
 		}
-		entry := &planEntry{plan: p, body: body, net: net, opts: opts}
-		// If this member owns the key, push the plan to its ring successor
-		// (async, best-effort) so an owner death does not cost the fleet a
-		// recompute.
-		s.replicateFresh(ctx, key, entry)
-		return entry, nil
+		return &planEntry{plan: p, body: body, net: net, opts: opts}, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	entry := v.(*planEntry)
-	return entry, shared || entry.fetched, nil
-}
-
-// decodePeerPlan turns a peer's /v1/peer/fill response into a planEntry.
-// scratchmem.VerifyPlanDocument rebuilds the plan from the document's
-// decisions and accepts the body only when it is this build's rendering of
-// that plan, so a version-skewed or corrupted answer is refused, not
-// served; the plan must also answer this request's config and objective.
-// The rendering made for the compare is the entry's body.
-func decodePeerPlan(body []byte, net *scratchmem.Network, opts scratchmem.PlanOptions) (any, error) {
-	p, rendered, err := scratchmem.VerifyPlanDocument(net, body)
-	if err != nil {
-		return nil, fmt.Errorf("peer fill: %w", err)
-	}
-	if scratchmem.NewConfigDoc(p.Cfg) != scratchmem.NewConfigDoc(opts.Config) || p.Objective != opts.Objective {
-		return nil, fmt.Errorf("peer fill: the document plans %s under %+v, not this request's %s under %+v",
-			p.Objective, p.Cfg, opts.Objective, opts.Config)
-	}
-	return &planEntry{plan: p, body: rendered, net: net, opts: opts, fetched: true}, nil
+	return v.(*planEntry), shared, nil
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -347,7 +289,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("model_hash", res.key)
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	entry, shared, err := s.planned(ctx, res.key, &res.req, nil, res.net, res.opts)
+	entry, shared, err := s.planned(ctx, res.key, nil, res.net, res.opts)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -372,10 +314,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.simulateBaseline(ctx, w, key, net, opts, in.baseline)
 		return
 	}
-	// Plan first (cached under its own key), then time it. The plan half
-	// may be filled from its ring owner; the timing below always runs
-	// locally.
-	entry, _, err := s.planned(ctx, key, &in.req, nil, net, opts)
+	// Plan first (cached under its own key), then time it.
+	entry, _, err := s.planned(ctx, key, nil, net, opts)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -506,16 +446,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var fv fleetView
+	var health []cluster.MemberHealth
 	if s.fleet != nil {
-		fv.repl = s.fleet.Repl.Stats()
 		// The serving member never probes itself, so prepend it explicitly
 		// (alive by construction — it is answering this scrape): one scrape
 		// then counts the expected fleet size, not fleet size minus one.
-		fv.health = append([]cluster.MemberHealth{{Member: s.fleet.Self, Alive: true}}, s.fleet.Health.View()...)
+		health = append([]cluster.MemberHealth{{Member: s.fleet.Self, Alive: true}}, s.fleet.Health.View()...)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.met.write(w, s.local.Stats(), s.resolved.Stats(), s.fleet.PeerStats(), fv, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
+	s.met.write(w, s.local.Stats(), s.resolved.Stats(), health, s.sem.InUse(), s.sem.Cap(), s.tracer.Finished())
 }
 
 // handleTrace renders the execution trace of an already-planned model:
@@ -533,7 +472,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, badRequestf("unknown format %q (want perfetto or csv)", format))
 		return
 	}
-	v, ok := s.local.Get("plan:" + key)
+	// Contains first: a lookup that computes nothing is no plan-cache miss.
+	var v any
+	ok := s.local.Contains("plan:" + key)
+	if ok {
+		v, ok = s.local.Get("plan:" + key)
+	}
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "no cached plan for key "+key+"; POST /v1/plan first")
 		return

@@ -11,7 +11,7 @@ import (
 )
 
 // The ingest seam: every route that takes plan requests (/v1/plan,
-// /v1/peer/fill, /v1/simulate, /v1/dse and each item of /v1/plan/batch)
+// /v1/simulate, /v1/dse and each item of /v1/plan/batch)
 // reads its body with readBody and hands it to ingest or ingestBatch. One
 // pass over the bytes decodes the envelope together with every inline
 // network (model.DecodeNetwork), then resolves the planner options and
@@ -39,9 +39,9 @@ import (
 
 // planInput is one plan request as the seam resolves it.
 type planInput struct {
-	// req is the request's wire form, which a peer fill forwards to the
-	// key's owner. req.Network is a sub-slice of the body, so the body
-	// lives as long as the planInput.
+	// req is the request's wire form, as decoded and before resolve checks
+	// it. req.Network is a sub-slice of the body, so the body lives as
+	// long as the planInput.
 	req      PlanRequest
 	baseline *BaselineSpec // /v1/simulate only
 	net      *scratchmem.Network

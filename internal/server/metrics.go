@@ -9,7 +9,6 @@ import (
 
 	scratchmem "scratchmem"
 	"scratchmem/internal/cluster"
-	"scratchmem/internal/core"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/plancache"
 	"scratchmem/internal/policy"
@@ -26,9 +25,6 @@ var phaseNames = []string{"plan", "simulate", "cache_wait"}
 
 // datatypes label the per-data-type DRAM byte counters.
 var datatypes = []string{"ifmap", "filter", "ofmap"}
-
-// degradedModes are the ladder rungs a served plan can carry.
-var degradedModes = []string{core.DegradedBaseline}
 
 // histogram is a fixed-bucket latency histogram (plannerBuckets bounds plus
 // +Inf overflow), atomic throughout so observation never takes a lock.
@@ -85,11 +81,6 @@ type metrics struct {
 	batchCount atomic.Int64 // POST /v1/plan/batch requests
 	batchItems atomic.Int64 // plan requests carried inside batches
 
-	// Receiving-side replication counters (the sending side lives in
-	// cluster.ReplStats): replicas accepted into the local cache, and
-	// payloads that are not records or do not verify.
-	replReceived atomic.Int64
-	replRejected atomic.Int64
 	// invalidated counts locally applied invalidations (single removes and
 	// purges alike), whether initiated here or received from a peer fan-out.
 	invalidated atomic.Int64
@@ -99,7 +90,6 @@ type metrics struct {
 	// Planner-deep counters, filled per freshly computed plan.
 	policySelected map[string]*atomic.Int64 // per winning policy variant, per layer
 	dramBytes      map[string]*atomic.Int64 // per datatype planned off-chip bytes
-	degradedMode   map[string]*atomic.Int64 // per degradation-ladder rung
 
 	planner *histogram            // planner wall time (observePlanner)
 	phase   map[string]*histogram // span-derived phase latencies
@@ -111,7 +101,6 @@ func newMetrics(routes []string) *metrics {
 		errors:         map[int]*atomic.Int64{400: {}, 404: {}, 422: {}, 499: {}, 500: {}, 503: {}, 504: {}},
 		policySelected: make(map[string]*atomic.Int64),
 		dramBytes:      make(map[string]*atomic.Int64, len(datatypes)),
-		degradedMode:   make(map[string]*atomic.Int64, len(degradedModes)),
 		planner:        newHistogram(),
 		phase:          make(map[string]*histogram, len(phaseNames)),
 	}
@@ -123,9 +112,6 @@ func newMetrics(routes []string) *metrics {
 	}
 	for _, dt := range datatypes {
 		m.dramBytes[dt] = &atomic.Int64{}
-	}
-	for _, mode := range degradedModes {
-		m.degradedMode[mode] = &atomic.Int64{}
 	}
 	for _, ph := range phaseNames {
 		m.phase[ph] = newHistogram()
@@ -162,12 +148,6 @@ func (m *metrics) observeBatch(n int) {
 	m.batchItems.Add(int64(n))
 }
 
-// replicaReceived counts one verified replica stored from a peer push.
-func (m *metrics) replicaReceived() { m.replReceived.Add(1) }
-
-// replicaRejected counts one peer push that failed verification.
-func (m *metrics) replicaRejected() { m.replRejected.Add(1) }
-
 // invalidatedLocally counts one locally applied invalidation.
 func (m *metrics) invalidatedLocally() { m.invalidated.Add(1) }
 
@@ -195,9 +175,9 @@ func (m *metrics) observeSpan(s *obs.Span) {
 }
 
 // planOutcome records the planner-deep counters for one freshly computed
-// plan: which policy variant won each layer, the off-chip bytes the plan
-// moves per data type (the trace totals, by the estimator-equals-execution
-// invariant), and the degradation rung when the ladder produced it.
+// plan: which policy variant won each layer, and the off-chip bytes the
+// plan moves per data type (the trace totals, by the
+// estimator-equals-execution invariant).
 func (m *metrics) planOutcome(p *scratchmem.Plan) {
 	var ifmap, filter, ofmap int64
 	for i := range p.Layers {
@@ -212,31 +192,12 @@ func (m *metrics) planOutcome(p *scratchmem.Plan) {
 	m.dramBytes["ifmap"].Add(ifmap)
 	m.dramBytes["filter"].Add(filter)
 	m.dramBytes["ofmap"].Add(ofmap)
-	if p.Degraded {
-		if c, ok := m.degradedMode[p.DegradedMode]; ok {
-			c.Add(1)
-		}
-	}
-}
-
-// peerOutcomes is the fixed outcome label set of smm_peer_fill_total,
-// matching cluster.PeerStats field for field.
-var peerOutcomes = []string{"hit", "error", "bad", "open", "dead", "successor"}
-
-// replicateOutcomes is the fixed outcome label set of smm_replicate_total:
-// the sending side (cluster.ReplStats) plus the receiving side (metrics).
-var replicateOutcomes = []string{"sent", "error", "dropped", "skipped", "received", "rejected"}
-
-// fleetView carries the per-request fleet snapshots metrics.write renders;
-// zero values render the standalone picture (no members, all counters 0).
-type fleetView struct {
-	repl   cluster.ReplStats
-	health []cluster.MemberHealth
 }
 
 // write renders the counters as plain-text expvar/Prometheus-style lines;
-// cs is the plan cache's and rs the resolve memo's.
-func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, ps cluster.PeerStats, fv fleetView, inflight, workers int, spans int64) {
+// cs is the plan cache's and rs the resolve memo's, and health is the
+// fleet members' liveness (none standalone).
+func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, health []cluster.MemberHealth, inflight, workers int, spans int64) {
 	routes := make([]string, 0, len(m.requests))
 	for r := range m.requests {
 		routes = append(routes, r)
@@ -256,9 +217,6 @@ func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, ps cluster.PeerStat
 	fmt.Fprintf(w, "smm_errors_total{code=\"other\"} %d\n", m.otherErrors.Load())
 	fmt.Fprintf(w, "smm_shed_total %d\n", m.shed.Load())
 	fmt.Fprintf(w, "smm_degraded_plans_total %d\n", m.degraded.Load())
-	for _, mode := range degradedModes {
-		fmt.Fprintf(w, "smm_degraded_mode_total{mode=%q} %d\n", mode, m.degradedMode[mode].Load())
-	}
 	fmt.Fprintf(w, "smm_breaker_open_total %d\n", m.breakerOpen.Load())
 	variants := make([]string, 0, len(m.policySelected))
 	for v := range m.policySelected {
@@ -271,24 +229,9 @@ func (m *metrics) write(w io.Writer, cs, rs plancache.Stats, ps cluster.PeerStat
 	for _, dt := range datatypes {
 		fmt.Fprintf(w, "smm_dram_bytes_total{datatype=%q} %d\n", dt, m.dramBytes[dt].Load())
 	}
-	peerFills := map[string]int64{
-		"hit": ps.Hit, "error": ps.Error, "bad": ps.Bad, "open": ps.Open,
-		"dead": ps.Dead, "successor": ps.SuccHit,
-	}
-	for _, o := range peerOutcomes {
-		fmt.Fprintf(w, "smm_peer_fill_total{outcome=%q} %d\n", o, peerFills[o])
-	}
-	fmt.Fprintf(w, "smm_ring_owner_self_total %d\n", ps.OwnerSelf)
-	replicate := map[string]int64{
-		"sent": fv.repl.Sent, "error": fv.repl.Errors, "dropped": fv.repl.Dropped,
-		"skipped": fv.repl.Skipped, "received": m.replReceived.Load(), "rejected": m.replRejected.Load(),
-	}
-	for _, o := range replicateOutcomes {
-		fmt.Fprintf(w, "smm_replicate_total{outcome=%q} %d\n", o, replicate[o])
-	}
 	fmt.Fprintf(w, "smm_invalidate_total %d\n", m.invalidated.Load())
 	fmt.Fprintf(w, "smm_overview_requests_total %d\n", m.overview.Load())
-	for _, mh := range fv.health {
+	for _, mh := range health {
 		alive := 0
 		if mh.Alive {
 			alive = 1

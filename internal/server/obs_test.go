@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"scratchmem/internal/cluster"
 	"scratchmem/internal/obs"
 	"scratchmem/internal/plancache"
 )
@@ -294,6 +293,11 @@ func TestTraceEndpoint(t *testing.T) {
 	if n := metric(t, mbody, `smm_errors_total{code="404"}`); n != 1 {
 		t.Errorf("404 counter = %d, want 1", n)
 	}
+	// The plan's flight and the trace's missed; the 404 computed nothing,
+	// so it is no plan-cache miss.
+	if n := metric(t, mbody, "smm_cache_misses_total"); n != 2 {
+		t.Errorf("smm_cache_misses_total = %d, want 2", n)
+	}
 
 	// The spans endpoint always renders a loadable document.
 	sresp, sbody := get(t, ts, "/v1/spans")
@@ -422,7 +426,7 @@ func TestOtherErrorCode(t *testing.T) {
 	m.error(418) // no fixed label
 	m.error(451) // no fixed label
 	var buf bytes.Buffer
-	m.write(&buf, plancache.Stats{}, plancache.Stats{}, cluster.PeerStats{}, fleetView{}, 0, 0, 0)
+	m.write(&buf, plancache.Stats{}, plancache.Stats{}, nil, 0, 0, 0)
 	out := buf.String()
 	if !strings.Contains(out, `smm_errors_total{code="400"} 1`) {
 		t.Error("fixed-code counter missing")

@@ -21,13 +21,12 @@ const overviewMemberTimeout = 2 * time.Second
 // large fleet's overview from opening a connection storm.
 const overviewFanout = 8
 
-// OverviewMember is one member's slice of the merged overview: its ring
-// ownership share, and either its own ClusterStatus document or the error
-// that prevented fetching it. Error stubs keep the overview partial-
-// tolerant — an unreachable member degrades its row, never the response.
+// OverviewMember is one member's slice of the merged overview: either its
+// own ClusterStatus document or the error that prevented fetching it. Error
+// stubs keep the overview partial-tolerant — an unreachable member degrades
+// its row, never the response.
 type OverviewMember struct {
-	Member    string  `json:"member"`
-	RingShare float64 `json:"ring_share"`
+	Member string `json:"member"`
 	// Error explains a missing Status (dead member, transport failure,
 	// injected fault); "" when Status is present.
 	Error string `json:"error,omitempty"`
@@ -40,7 +39,7 @@ type OverviewMember struct {
 // OverviewTotals aggregates the reachable members' counters into one
 // fleet-wide picture.
 type OverviewTotals struct {
-	// Members is the ring size; Reachable counts rows carrying a status.
+	// Members is the fleet size; Reachable counts rows carrying a status.
 	Members   int `json:"members"`
 	Reachable int `json:"reachable"`
 	// CacheEntries, CacheHits and CacheMisses sum the reachable members'
@@ -50,8 +49,6 @@ type OverviewTotals struct {
 	CacheMisses  int64 `json:"cache_misses"`
 	// DegradedPlans sums the reachable members' degradation-ladder output.
 	DegradedPlans int64 `json:"degraded_plans"`
-	// ReplicationQueued sums the members' pending replication pushes.
-	ReplicationQueued int `json:"replication_queued"`
 }
 
 // OverviewResponse answers GET /v1/cluster/overview: the fleet as merged
@@ -63,7 +60,7 @@ type OverviewResponse struct {
 	Totals  OverviewTotals   `json:"totals"`
 }
 
-// handleClusterOverview fans out to every ring member for its status
+// handleClusterOverview fans out to every member for its status
 // document and merges the answers. Bounded (overviewFanout workers, a
 // per-member timeout), ctx-aware, and partial-tolerant: dead members and
 // failed fetches become per-member error stubs, and the response is 200
@@ -74,20 +71,19 @@ func (s *Server) handleClusterOverview(w http.ResponseWriter, r *http.Request) {
 	if f == nil {
 		own := s.statusDoc()
 		writeJSON(w, OverviewResponse{
-			Members: []OverviewMember{{Member: "self", RingShare: 1, Status: &own}},
+			Members: []OverviewMember{{Member: "self", Status: &own}},
 			Totals:  mergeTotals(1, []OverviewMember{{Status: &own}}),
 		})
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	members := f.Ring.Members()
-	shares := f.Ring.Shares()
+	members := f.Members
 	rows := make([]OverviewMember, len(members))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, overviewFanout)
 	for i, m := range members {
-		rows[i] = OverviewMember{Member: m, RingShare: shares[m]}
+		rows[i] = OverviewMember{Member: m}
 		if m == f.Self {
 			own := s.statusDoc()
 			rows[i].Status = &own
@@ -176,7 +172,6 @@ func mergeTotals(members int, rows []OverviewMember) OverviewTotals {
 		t.CacheHits += st.Cache.Hits
 		t.CacheMisses += st.Cache.Misses
 		t.DegradedPlans += st.DegradedPlans
-		t.ReplicationQueued += st.Replication.Queued
 	}
 	return t
 }

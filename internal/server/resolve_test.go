@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -238,43 +237,5 @@ func TestResolveMemoWhitespaceVariants(t *testing.T) {
 	}
 	if st := srv.resolved.Stats(); st.Hits != 0 || st.Entries != 2 {
 		t.Errorf("resolve memo: %+v, want 0 hits and 2 entries", st)
-	}
-}
-
-// TestResolveMemoPeerFill: /v1/peer/fill resolves through the same memo,
-// and ?cached=only still answers from the plan cache or 404s without
-// memoizing the miss.
-func TestResolveMemoPeerFill(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	wire := func(glb int) string {
-		b, err := json.Marshal(PlanRequest{Model: "TinyCNN", GLBKiloBytes: glb})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	_, want := post(t, ts, "/v1/peer/fill", wire(32))
-	resp, got := post(t, ts, "/v1/peer/fill", wire(32))
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-SMM-Cache") != "hit" || !bytes.Equal(got, want) {
-		t.Fatalf("repeated fill: status %d cache %q", resp.StatusCode, resp.Header.Get("X-SMM-Cache"))
-	}
-	if st := srv.resolved.Stats(); st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("after two fills: resolve memo %+v, want 1 hit and 1 entry", st)
-	}
-
-	resp, got = post(t, ts, "/v1/peer/fill?cached=only", wire(32))
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-SMM-Cache") != "hit" || !bytes.Equal(got, want) {
-		t.Errorf("cached-only lookup of a cached key: status %d cache %q", resp.StatusCode, resp.Header.Get("X-SMM-Cache"))
-	}
-	for i := 0; i < 2; i++ {
-		if resp, _ := post(t, ts, "/v1/peer/fill?cached=only", wire(64)); resp.StatusCode != http.StatusNotFound {
-			t.Errorf("cached-only lookup of an uncached key: status %d, want 404", resp.StatusCode)
-		}
-	}
-	if st := srv.resolved.Stats(); st.Hits != 2 || st.Entries != 1 {
-		t.Errorf("after cached-only lookups: resolve memo %+v, want 2 hits and 1 entry", st)
 	}
 }

@@ -14,8 +14,6 @@
 //	POST /v1/plan/batch     — plan many requests in one round trip
 //	POST /v1/simulate       — time a plan end-to-end, or run the SCALE-Sim baseline
 //	POST /v1/dse            — exhaustive tile-size search (off-chip traffic optimum)
-//	POST /v1/peer/fill      — internal: compute a plan on behalf of a ring peer
-//	POST /v1/peer/replicate — internal: store a verified replica pushed by a ring owner
 //	GET  /v1/cache/snapshot — stream the cached plans for warm restore (-warm-from)
 //	DELETE /v1/cache/{key}  — invalidate one plan key, fanned out fleet-wide
 //	POST /v1/cache/purge    — empty the plan cache, fanned out fleet-wide
@@ -28,10 +26,10 @@
 //	GET  /healthz           — liveness probe
 //	GET  /metrics           — plain-text counters (requests, cache, latency histograms)
 //
-// With -peers configured, several smm-serve processes form one logical
-// planner: each plan key has a consistent-hash owner (internal/cluster) and
-// non-owners fill their cache from it over /v1/peer/fill before computing
-// locally, so every plan is computed once fleet-wide.
+// With -peers configured, several smm-serve processes form one fleet
+// (internal/cluster): each member plans its own misses, and the members
+// probe each other's liveness, fan invalidations out and merge their
+// status into one overview.
 //
 // Every request runs under a trace span (internal/obs); handlers down the
 // stack open child spans (cache, plan, simulate), and the per-request
@@ -62,8 +60,8 @@ type Config struct {
 	Workers int
 	// CacheEntries is the plan-cache capacity. 0 selects the default
 	// (DefaultCacheEntries); negative disables storage while keeping
-	// single-flight deduplication. The resolve memo of /v1/plan and
-	// /v1/peer/fill bodies gets the same capacity.
+	// single-flight deduplication. The resolve memo of /v1/plan bodies
+	// gets the same capacity.
 	CacheEntries int
 	// Timeout is the per-request deadline (DefaultTimeout when <= 0).
 	Timeout time.Duration
@@ -90,10 +88,9 @@ type Config struct {
 	// logged at warn level (0 disables slow-request logging).
 	SlowRequest time.Duration
 	// Fleet, when non-nil, makes the server a fleet member
-	// (cmd/smm-serve builds one from the -peers flag): plan misses ask
-	// their ring owner before computing, and the member probes liveness,
-	// replicates to successors and fans invalidations out. Nil keeps the
-	// single-node behaviour.
+	// (cmd/smm-serve builds one from the -peers flag): it fans
+	// invalidations out, merges the members' status into the overview and
+	// reports its peers' liveness. Nil keeps the single-node behaviour.
 	Fleet *cluster.Fleet
 }
 
@@ -114,11 +111,11 @@ const (
 type Server struct {
 	cfg Config
 	// local is this member's one plan cache. Every route's single-flight,
-	// lookups, invalidation, purge, snapshots, warm restore, replicas and
-	// counters use it; a plan miss asks the fleet inside its flight.
+	// lookups, invalidation, purge, snapshots, warm restore and counters
+	// use it.
 	local *plancache.Cache
-	// resolved is the resolve memo of /v1/plan and /v1/peer/fill, keyed by
-	// body digest (see resolvedBody). It holds no plan state, so
+	// resolved is the resolve memo of /v1/plan, keyed by body digest (see
+	// resolvedBody). It holds no plan state, so
 	// invalidation and purge leave it alone.
 	resolved *plancache.Cache
 	// fleet is this member's fleet handle (Config.Fleet); nil standalone.
@@ -142,8 +139,7 @@ type Server struct {
 // routes is the fixed set of request-counter labels.
 var routes = []string{
 	"/v1/plan", "/v1/plan/batch", "/v1/simulate", "/v1/dse", "/v1/trace",
-	"/v1/peer/fill", "/v1/peer/replicate", "/v1/cache/snapshot",
-	"/v1/cache/invalidate", "/v1/cache/purge", "/v1/cluster/status",
+	"/v1/cache/snapshot", "/v1/cache/invalidate", "/v1/cache/purge", "/v1/cluster/status",
 	"/v1/cluster/overview", "/v1/spans", "/v1/models", "/v1/version",
 	"/healthz", "/metrics",
 }
@@ -152,7 +148,7 @@ var routes = []string{
 // gets its own circuit breaker, so a panicking planner does not take the
 // cheap informational routes down with it. /v1/trace belongs here because
 // it dry-runs every layer's tile schedule on a trace-cache miss.
-var computeRoutes = []string{"/v1/plan", "/v1/plan/batch", "/v1/simulate", "/v1/dse", "/v1/trace", "/v1/peer/fill"}
+var computeRoutes = []string{"/v1/plan", "/v1/plan/batch", "/v1/simulate", "/v1/dse", "/v1/trace"}
 
 // New builds a Server with its cache, semaphore and handler set.
 func New(cfg Config) *Server {
@@ -210,8 +206,6 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/plan", s.counted("/v1/plan", s.handlePlan))
 	mux.HandleFunc("POST /v1/plan/batch", s.counted("/v1/plan/batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/peer/fill", s.counted("/v1/peer/fill", s.handlePeerFill))
-	mux.HandleFunc("POST /v1/peer/replicate", s.counted("/v1/peer/replicate", s.handleReplicate))
 	mux.HandleFunc("GET /v1/cache/snapshot", s.counted("/v1/cache/snapshot", s.handleSnapshot))
 	mux.HandleFunc("DELETE /v1/cache/{key}", s.counted("/v1/cache/invalidate", s.handleInvalidate))
 	mux.HandleFunc("POST /v1/cache/purge", s.counted("/v1/cache/purge", s.handlePurge))

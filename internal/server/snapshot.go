@@ -24,9 +24,8 @@ type SnapshotOptions struct {
 	Strict          bool `json:"strict,omitempty"`
 }
 
-// SnapshotRecord is one line of the GET /v1/cache/snapshot stream and the
-// body of a POST /v1/peer/replicate: a self-contained, restorable
-// description of one cached plan. The network travels in canonical JSON so
+// SnapshotRecord is one line of the GET /v1/cache/snapshot stream: a
+// self-contained, restorable description of one cached plan. The network travels in canonical JSON so
 // the restorer recomputes the identical content hash. The wire form is
 // json.Marshal's encoding of this type, written by appendRecord and read
 // by readRecord, neither of which uses reflection.

@@ -69,10 +69,9 @@ func snapshotDoc(t *testing.T, line []byte) []byte {
 
 // TestSnapshotGolden plans the grid on a fresh server and requires its
 // snapshot stream to be the golden bytes. It then restores the golden into
-// a server that cannot plan, and delivers each golden line as a replica to
-// another: both must answer every snapshotted request as a cache hit with
-// the document the planning server served, whose compact form is the
-// record's doc member.
+// a server that cannot plan, which must answer every snapshotted request as
+// a cache hit with the document the planning server served, whose compact
+// form is the record's doc member.
 func TestSnapshotGolden(t *testing.T) {
 	a := New(Config{})
 	tsA := httptest.NewServer(a.Handler())
@@ -121,46 +120,31 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatalf("the golden holds %d records for %d requests: none may degrade", len(docs), len(reqs))
 	}
 
-	noPlanner := func() *Server {
-		s := New(Config{})
-		s.planFn = func(context.Context, *scratchmem.Network, scratchmem.PlanOptions) (*scratchmem.Plan, error) {
-			t.Error("a restored server ran its planner")
-			return nil, fmt.Errorf("must not plan")
-		}
-		return s
+	restored := New(Config{})
+	restored.planFn = func(context.Context, *scratchmem.Network, scratchmem.PlanOptions) (*scratchmem.Plan, error) {
+		t.Error("a restored server ran its planner")
+		return nil, fmt.Errorf("must not plan")
 	}
-	restored := noPlanner()
 	added, skipped, err := restored.RestoreSnapshot(bytes.NewReader(golden))
 	if err != nil || added != len(lines) || skipped != 0 {
 		t.Fatalf("RestoreSnapshot(golden) = %d added, %d skipped, %v; want %d added", added, skipped, err, len(lines))
 	}
-	replicated := noPlanner()
-	tsR := httptest.NewServer(replicated.Handler())
-	defer tsR.Close()
-	for _, line := range lines {
-		resp, body := post(t, tsR, "/v1/peer/replicate", string(bytes.TrimSuffix(line, []byte("\n"))))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("replicate: status %d: %s", resp.StatusCode, body)
-		}
-	}
 	tsB := httptest.NewServer(restored.Handler())
 	defer tsB.Close()
-	for _, ts := range []*httptest.Server{tsB, tsR} {
-		for _, req := range reqs {
-			resp, body := post(t, ts, "/v1/plan", req)
-			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-SMM-Cache") != "hit" {
-				t.Fatalf("%s: status %d, X-SMM-Cache %q: %s", req, resp.StatusCode, resp.Header.Get("X-SMM-Cache"), body)
-			}
-			if !bytes.Equal(body, bodies[req]) {
-				t.Errorf("%s: served document differs from the planning server's", req)
-			}
-			var compact bytes.Buffer
-			if err := json.Compact(&compact, body); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(compact.Bytes(), docs[keys[req]]) {
-				t.Errorf("%s: served document is not the golden record's doc", req)
-			}
+	for _, req := range reqs {
+		resp, body := post(t, tsB, "/v1/plan", req)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-SMM-Cache") != "hit" {
+			t.Fatalf("%s: status %d, X-SMM-Cache %q: %s", req, resp.StatusCode, resp.Header.Get("X-SMM-Cache"), body)
+		}
+		if !bytes.Equal(body, bodies[req]) {
+			t.Errorf("%s: served document differs from the planning server's", req)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact.Bytes(), docs[keys[req]]) {
+			t.Errorf("%s: served document is not the golden record's doc", req)
 		}
 	}
 }

@@ -41,15 +41,16 @@ func RehydratePlan(net *Network, doc *PlanDoc) (*Plan, error) {
 	return p, err
 }
 
-// VerifyPlanDocument is the fleet's document seam. body is a plan document
-// as a peer rendered it (PlanDoc.MarshalIndent's bytes, a /v1/plan body).
+// VerifyPlanDocument is the document seam of RehydratePlan and, in its
+// compact form, of snapshot restore. body is a plan document as some build
+// rendered it (PlanDoc.MarshalIndent's bytes, a /v1/plan body).
 // A document stores per-layer decisions (policy, prefetch, block size,
 // resident flags) next to figures the deterministic estimators derive from
 // them, so only the decisions are decoded: the scheme, objective and
 // config and each layer's decisions. The plan is rebuilt from them for net
 // and rendered, and the document is accepted only when that rendering is
 // body, byte for byte. One compare thereby checks every figure, total,
-// name and flag, and a version-skewed peer or a corrupted document is
+// name and flag, and a document from another build or a corrupted one is
 // refused, never served; so is a member this build does not render.
 //
 // The plan and its rendering (equal to body, in a buffer of its own) are

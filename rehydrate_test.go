@@ -25,11 +25,11 @@ var rehydrateOptionGrid = []PlanOptions{
 	{GLBKiloBytes: 256, Objective: MinLatency, InterLayerReuse: true},
 }
 
-// TestRehydratePlanRoundTrip pins the fleet transfer invariant: for every
-// builtin network and option set, plan → document → RehydratePlan
+// TestRehydratePlanRoundTrip pins the document round-trip invariant: for
+// every builtin network and option set, plan → document → RehydratePlan
 // reproduces the plan exactly (reflect.DeepEqual) and the rehydrated
-// plan's canonical document is byte-identical to the original. Peer
-// cache-fill and warm snapshot restore both stand on this property.
+// plan's canonical document is byte-identical to the original. Warm
+// snapshot restore stands on this property.
 func TestRehydratePlanRoundTrip(t *testing.T) {
 	nets := append(BuiltinModels(), mustBuiltin(t, "TinyCNN"), mustBuiltin(t, "AlexNet"))
 	for _, net := range nets {
