@@ -123,11 +123,11 @@ func BenchmarkIngest(b *testing.B) {
 
 // serveBatch sends one batch body through h and checks that every item
 // earned a plan.
-func serveBatch(b *testing.B, h http.Handler, body []byte) {
+func serveBatch(tb testing.TB, h http.Handler, body []byte) {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan/batch", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"status": 200`)) != 64 {
-		b.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
+		tb.Fatalf("status %d: %.200s", rec.Code, rec.Body.Bytes())
 	}
 }
 
@@ -193,7 +193,7 @@ func recordGrid(b *testing.B) [][]byte {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rec, err := appendRecord(nil, key, &planEntry{plan: p, body: body, net: net, opts: o})
+				rec, err := appendRecord(nil, key, &planEntry{body: body, net: net, opts: o})
 				if err != nil {
 					b.Fatal(err)
 				}

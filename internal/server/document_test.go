@@ -38,7 +38,7 @@ func TestRestoreRefusesTamperedRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := appendRecord(nil, key, &planEntry{plan: p, body: body, net: net, opts: opts})
+		rec, err := appendRecord(nil, key, &planEntry{body: body, net: net, opts: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestSnapshotRecordEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendRecord(nil, key, &planEntry{plan: p, body: body, net: net, opts: opts})
+		got, err := appendRecord(nil, key, &planEntry{body: body, net: net, opts: opts})
 		if err != nil {
 			t.Fatal(err)
 		}

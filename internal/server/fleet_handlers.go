@@ -41,14 +41,21 @@ type FanoutResult struct {
 	Error  string `json:"error,omitempty"`
 }
 
+// memberTimeout bounds one member's part in a fan-out, independently of
+// the request deadline: its status fetch in the overview, or its
+// invalidation delivery, both attempts included. One slow or hung member
+// must not hold up the answer about the rest.
+const memberTimeout = 2 * time.Second
+
 // invalidateAttempts is how many times a fan-out invalidation is tried per
 // member. Best-effort: a member that stays unreachable keeps its entry
 // until its own LRU or a later invalidation catches it.
 const invalidateAttempts = 2
 
 // fanout delivers an invalidation (key == "" means purge) to every live
-// member besides self. The receiving side is marked fanout=no, so two
-// members invalidating concurrently cannot forward in a loop.
+// member besides self, each under memberTimeout. The receiving side is
+// marked fanout=no, so two members invalidating concurrently cannot
+// forward in a loop.
 func (s *Server) fanout(ctx context.Context, key string) []FanoutResult {
 	f := s.fleet
 	if f == nil || f.Invalidate == nil {
@@ -61,6 +68,8 @@ func (s *Server) fanout(ctx context.Context, key string) []FanoutResult {
 		wg.Add(1)
 		go func(i int, m string) {
 			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, memberTimeout)
+			defer cancel()
 			var err error
 			for attempt := 0; attempt < invalidateAttempts; attempt++ {
 				if err = f.Invalidate(ctx, m, key); err == nil {

@@ -115,6 +115,89 @@ func TestFleetMemberPlansItsOwnMisses(t *testing.T) {
 	}
 }
 
+// TestFanoutBoundedPerMember: a peer that accepts connections and never
+// answers holds a fan-out invalidation for memberTimeout, both attempts
+// included, not for the request deadline. With health probes off, so the
+// hung peer stays live, DELETE /v1/cache/{key} and POST /v1/cache/purge
+// each answer within the bound plus a margin, with the peer's row not ok
+// and the local removal applied.
+func TestFanoutBoundedPerMember(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+	member := httptest.NewUnstartedServer(nil)
+	self := "http://" + member.Listener.Addr().String()
+	fleet, err := cluster.NewFleet([]string{self, hung.URL}, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Invalidate, fleet.Status = chaosInvalidate, chaosStatus
+	const timeout = 10 * time.Second
+	member.Config.Handler = New(Config{Timeout: timeout, Fleet: fleet}).Handler()
+	member.Start()
+	defer member.Close()
+
+	const margin = time.Second
+	send := func(method, path string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, member.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		if d := time.Since(start); resp.StatusCode != http.StatusOK || d > memberTimeout+margin {
+			t.Errorf("%s %s: status %d after %v, want 200 within %v (the request deadline is %v)",
+				method, path, resp.StatusCode, d.Round(time.Millisecond), memberTimeout+margin, timeout)
+		}
+		return body.Bytes()
+	}
+	hungRow := func(fanout []FanoutResult) {
+		t.Helper()
+		if len(fanout) != 1 || fanout[0].Member != hung.URL || fanout[0].OK || fanout[0].Error == "" {
+			t.Errorf("fanout = %+v, want one failed row for %s", fanout, hung.URL)
+		}
+	}
+
+	planKey := func() string {
+		resp, body, err := rawPost(member.URL, "/v1/plan", tinyPlanBody)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("plan: %v %s", err, body)
+		}
+		return resp.Header.Get("X-SMM-Plan-Key")
+	}
+	var inv InvalidateResponse
+	if err := json.Unmarshal(send(http.MethodDelete, "/v1/cache/"+planKey()), &inv); err != nil {
+		t.Fatal(err)
+	}
+	if inv.Removed != 1 {
+		t.Errorf("removed = %d, want the local plan removed", inv.Removed)
+	}
+	hungRow(inv.Fanout)
+
+	planKey()
+	var purge PurgeResponse
+	if err := json.Unmarshal(send(http.MethodPost, "/v1/cache/purge"), &purge); err != nil {
+		t.Fatal(err)
+	}
+	if purge.Purged != 1 {
+		t.Errorf("purged = %d, want the local plan purged", purge.Purged)
+	}
+	hungRow(purge.Fanout)
+}
+
 // TestSnapshotRestore round-trips the cache through the snapshot stream:
 // a fresh server restored from it serves the same documents as pure cache
 // hits without ever running its planner.

@@ -96,15 +96,20 @@ func badRequestf(format string, args ...any) error {
 	return smmerr.BadModelf(format, args...)
 }
 
-// planEntry is the cached value for one plan key: the plan itself plus the
-// pre-rendered response body, so repeated requests return byte-identical
-// documents without re-marshalling. The network and options are retained so
-// GET /v1/cache/snapshot can emit a self-contained, restorable record.
+// planEntry is the cached value for one plan key: the rendered document,
+// which every hit answers byte for byte, and the network (a "model"
+// request's shared builtin) and options it was planned from, which GET
+// /v1/cache/snapshot writes into a restorable record. The plan graph is
+// not kept: only /v1/simulate and /v1/trace need one, and they rebuild it
+// from the document in their own flights (planEntry.graph). A degraded
+// plan is the exception: its fallback rung is not decision-reproducible,
+// so degraded keeps its graph (nil for every other plan). Degraded plans
+// are rare, computed by this member and never snapshotted.
 type planEntry struct {
-	plan *scratchmem.Plan
-	body []byte
-	net  *scratchmem.Network
-	opts scratchmem.PlanOptions
+	body     []byte
+	net      *scratchmem.Network
+	opts     scratchmem.PlanOptions
+	degraded *scratchmem.Plan
 }
 
 // resolvedBody is everything /v1/plan derives from one request body before
@@ -271,12 +276,30 @@ func (s *Server) planned(ctx context.Context, key string, tables *core.SweepTabl
 		if err != nil {
 			return nil, err
 		}
-		return &planEntry{plan: p, body: body, net: net, opts: opts}, nil
+		pe := &planEntry{body: body, net: net, opts: opts}
+		if p.Degraded {
+			pe.degraded = p
+		}
+		return pe, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	return v.(*planEntry), shared, nil
+}
+
+// graph returns the plan graph of a cached entry, for the simulate and
+// trace flights, which call it under the worker slot they already hold. A
+// document is rebuilt from its own decisions
+// (scratchmem.VerifyPlanDocument), so a restored one is simulated and
+// traced exactly as it reads; a degraded entry returns the graph it kept.
+// Neither is a fresh plan, so neither counts in the planner metrics.
+func (pe *planEntry) graph() (*scratchmem.Plan, error) {
+	if pe.degraded != nil {
+		return pe.degraded, nil
+	}
+	p, _, err := scratchmem.VerifyPlanDocument(pe.net, pe.body)
+	return p, err
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -294,8 +317,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if entry.plan.Degraded {
-		span.SetAttr("degraded_mode", entry.plan.DegradedMode)
+	if entry.degraded != nil {
+		span.SetAttr("degraded_mode", entry.degraded.DegradedMode)
 	}
 	s.writePlan(w, res, memoized, entry, shared)
 }
@@ -314,18 +337,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.simulateBaseline(ctx, w, key, net, opts, in.baseline)
 		return
 	}
-	// Plan first (cached under its own key), then time it.
+	// Plan first (cached under its own key), then time it: the simulation
+	// flight rebuilds the plan graph from the entry under its worker slot,
+	// and its result is cached, so a key pays for one rebuild.
 	entry, _, err := s.planned(ctx, key, nil, net, opts)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if !entry.plan.Feasible() {
+	if p := entry.degraded; p != nil && !p.Feasible() {
 		// A degraded baseline plan can exceed the GLB (it reports the
 		// shortfall honestly); the executor would reject its schedule, so
 		// classify here instead of surfacing an opaque engine error.
 		s.fail(w, fmt.Errorf("plan for %s needs %d bytes of GLB but only %d are available, cannot simulate: %w",
-			net.Name, entry.plan.MaxMemoryBytes(), entry.plan.Cfg.GLBBytes, scratchmem.ErrInfeasible))
+			net.Name, p.MaxMemoryBytes(), p.Cfg.GLBBytes, scratchmem.ErrInfeasible))
 		return
 	}
 	v, shared, err := s.local.Do(ctx, "sim:"+key, func(ctx context.Context) (any, error) {
@@ -333,7 +358,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer s.sem.Release()
-		measured, estimated, err := s.simFn(ctx, entry.plan)
+		p, err := entry.graph()
+		if err != nil {
+			return nil, err
+		}
+		measured, estimated, err := s.simFn(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -460,8 +489,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleTrace renders the execution trace of an already-planned model:
 // plan first (POST /v1/plan returns the key in X-SMM-Plan-Key), then GET
 // /v1/trace/{key}?format=perfetto|csv. The event stream is computed once
-// per key by dry-running every layer's tile schedule and cached alongside
-// the plan, so repeat downloads are a lookup.
+// per key, in a flight that rebuilds the plan graph from the cached entry
+// and dry-runs every layer's tile schedule, and is cached alongside the
+// plan, so repeat downloads are a lookup.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	obs.SpanFrom(r.Context()).SetAttr("model_hash", key)
@@ -482,10 +512,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no cached plan for key "+key+"; POST /v1/plan first")
 		return
 	}
-	plan := v.(*planEntry).plan
-	if !plan.Feasible() {
+	entry := v.(*planEntry)
+	if p := entry.degraded; p != nil && !p.Feasible() {
 		s.fail(w, fmt.Errorf("plan for %s needs %d bytes of GLB but only %d are available, cannot trace: %w",
-			plan.Model, plan.MaxMemoryBytes(), plan.Cfg.GLBBytes, scratchmem.ErrInfeasible))
+			p.Model, p.MaxMemoryBytes(), p.Cfg.GLBBytes, scratchmem.ErrInfeasible))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
@@ -495,7 +525,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer s.sem.Release()
-		return traceLog(ctx, plan)
+		p, err := entry.graph()
+		if err != nil {
+			return nil, err
+		}
+		return traceLog(ctx, p)
 	})
 	if err != nil {
 		s.fail(w, err)
@@ -509,7 +543,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteChromeTrace(w, log, plan.Cfg)
+	obs.WriteChromeTrace(w, log, entry.opts.Config)
 }
 
 // traceLog executes a plan's tile schedules in dry-run mode, collecting the

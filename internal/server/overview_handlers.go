@@ -5,16 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
-	"time"
 
 	"scratchmem/internal/faultinject"
 	"scratchmem/internal/obs"
 )
-
-// overviewMemberTimeout bounds one member's status fetch inside the
-// overview fan-out, independently of the request deadline: one slow member
-// must not starve the rest of the document.
-const overviewMemberTimeout = 2 * time.Second
 
 // overviewFanout bounds how many status fetches run concurrently. The
 // fan-out is one cheap GET per member, so a small constant keeps even a
@@ -129,7 +123,7 @@ func (s *Server) fetchMemberStatus(ctx context.Context, member string) (*Cluster
 	if err := faultinject.Hit("cluster.overview"); err != nil {
 		return nil, err
 	}
-	mctx, cancel := context.WithTimeout(ctx, overviewMemberTimeout)
+	mctx, cancel := context.WithTimeout(ctx, memberTimeout)
 	defer cancel()
 	mctx, span := obs.StartSpan(mctx, "overview_fetch")
 	span.SetAttr("member", member)

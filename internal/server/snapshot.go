@@ -51,7 +51,7 @@ func appendRecord(dst []byte, key string, pe *planEntry) ([]byte, error) {
 	if pe.net == nil {
 		return dst, fmt.Errorf("entry for %s has no network", key)
 	}
-	if pe.plan.Degraded {
+	if pe.degraded != nil {
 		return dst, fmt.Errorf("plan for %s is degraded", key)
 	}
 	dst = model.AppendJSONString(append(dst, `{"key":`...), key)
@@ -136,7 +136,8 @@ func readRecord(rd *model.JSONReader, data []byte) *record {
 // be this build's compact rendering of the plan its decisions rebuild for
 // the record's network (scratchmem.VerifyCompactPlanDocument), and the
 // network and options must hash back to the record's key, so a stale,
-// foreign or tampered record is refused, never trusted.
+// foreign or tampered record is refused, never trusted. The entry keeps the
+// verified body, not the rebuilt plan.
 func (rec *record) restore() (*planEntry, string, error) {
 	switch {
 	case rec.err != nil:
@@ -167,7 +168,7 @@ func (rec *record) restore() (*planEntry, string, error) {
 	if key != rec.key {
 		return nil, "", fmt.Errorf("content hash %s does not match record key %s", key, rec.key)
 	}
-	return &planEntry{plan: p, body: body, net: rec.net, opts: opts}, key, nil
+	return &planEntry{body: body, net: rec.net, opts: opts}, key, nil
 }
 
 // handleSnapshot streams the cached plans as newline-delimited records,
